@@ -23,4 +23,4 @@ from .krylov import KrylovBasis, arnoldi_mgs, make_projector
 from .okspme import (NoisePowerSource, OkspmeBeamformer, SteeringEstimator,
                      build_rhs, default_estimator, estimate_power, inc_matrix,
                      mvdr_weights, residue, update_steering)
-from .tracking import CovarianceTracker, tracker_init, tracker_update
+from .tracking import CovarianceTracker

@@ -21,7 +21,7 @@ skipped for that snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,9 +135,6 @@ class CgIterate:
     g_v: np.ndarray
     p_a: np.ndarray
     p_v: np.ndarray
-    alphas_a: list = field(default_factory=list)
-    alphas_v: list = field(default_factory=list)
-    pv_history: list = field(default_factory=list)
 
 
 def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
@@ -179,7 +176,6 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
         if den_v <= DEN_COLLAPSE * pv_sq * a_scale:
             break
         alpha_v = _capped(np.vdot(it.g_v, it.p_v) / den_v, it.p_v, ref_v)
-        it.pv_history.append(it.p_v.copy())
 
         it.a = it.a + alpha_a * it.p_a
         it.v = it.v + alpha_v * it.p_v
@@ -188,8 +184,6 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
 
         ga_sq = np.vdot(it.g_a, it.g_a).real
         gv_sq = np.vdot(it.g_v, it.g_v).real
-        it.alphas_a.append(alpha_a)
-        it.alphas_v.append(alpha_v)
         if ga_sq <= BETA_RESTART * np.vdot(g_a_new, g_a_new).real or \
            gv_sq <= BETA_RESTART * np.vdot(g_v_new, g_v_new).real:
             it.g_a, it.g_v = g_a_new, g_v_new

@@ -15,40 +15,43 @@ from pathlib import Path
 
 from .arrays import ScatteringSpec, SourceConfig
 from .errors import ConfigError, ParameterError
+from .harness import ALGORITHMS
 
-ALGORITHM_NAMES = (
-    "okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
-    "smi", "loaded-smi", "optimal",
-)
+_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
-# Parameter vocabulary accepted per algorithm, with defaults applied at build
-# time (see harness.build_beamformer).
-_COMMON_KEYS = {"delta", "delta0", "tracker", "lam", "noise_mode", "unit_norm"}
-_ALGORITHM_KEYS = {
-    "okspme": _COMMON_KEYS,
-    "okspme-sg": _COMMON_KEYS | {"mu_scale", "smooth_power"},
-    "okspme-ccg": _COMMON_KEYS | {"n_inner"},
-    "okspme-mcg": _COMMON_KEYS | {"eta_a", "eta_v"},
-    "smi": {"delta0"},
-    "loaded-smi": {"delta0", "loading_scale"},
-    "optimal": set(),
-}
+
+def _has_json_type(value, kind: type) -> bool:
+    """JSON typing: booleans only as true/false, an int parameter only as an
+    integer, a float parameter as any number."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
+    """One roster entry, checked against the registry ``harness.ALGORITHMS``.
+
+    Parameter ranges are checked when the engine is built.
+    """
+
     name: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in ALGORITHM_NAMES:
+        if not isinstance(self.name, str) or self.name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.name!r}; "
-                              f"expected one of {ALGORITHM_NAMES}")
-        allowed = _ALGORITHM_KEYS[self.name]
-        extra = set(self.params) - allowed
+                              f"expected one of {tuple(ALGORITHMS)}")
+        accepted = ALGORITHMS[self.name].params
+        extra = set(self.params) - set(accepted)
         if extra:
             raise ConfigError(f"unknown parameter(s) {sorted(extra)} for "
                               f"algorithm {self.name!r}")
+        for key, value in self.params.items():
+            kind = accepted[key].kind
+            if not _has_json_type(value, kind):
+                raise ConfigError(f"parameter {key!r} of algorithm {self.name!r} "
+                                  f"must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)

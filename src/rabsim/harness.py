@@ -6,13 +6,17 @@ weights against the true scenario quantities (realized desired steering
 vector and analytic interference-plus-noise covariance).  Trials are
 embarrassingly parallel and keyed by ``(master_seed, snr_index, trial, role)``
 so results are bit-identical for any worker count.
+
+``ALGORITHMS`` is the one table of the algorithm roster: each entry lists the
+accepted parameters (type and default) and builds the engine.  Every engine
+has the same interface (:class:`Engine`), the clairvoyant optimum included.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
@@ -22,10 +26,12 @@ from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
                        smi_weights, steering_mse)
 from .arrays import (SnapshotBatch, generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch_stream, make_steering)
-from .config import AlgorithmSpec, ScenarioConfig
 from .errors import ExperimentError, NumericError
 from .okspme import NoisePowerSource, OkspmeBeamformer, default_estimator
-from .tracking import CovarianceTracker
+from .tracking import FORGETTING, SAMPLE_MEAN, CovarianceTracker
+
+if TYPE_CHECKING:
+    from .config import AlgorithmSpec, ScenarioConfig
 
 STEADY_WINDOW = 50  # snapshots averaged for one SNR-sweep point
 
@@ -60,72 +66,151 @@ def _interference_covariance(sources, m_sensors: int, noise_power: float) -> np.
     return r
 
 
-def build_beamformer(spec: AlgorithmSpec, *, a_init: np.ndarray, num_sources: int,
-                     noise_power: float, a_nominal: np.ndarray | None = None):
-    """Instantiate one algorithm from its spec and the trial context.
+class Engine(Protocol):
+    """The interface the trial loop scores: one weight vector per snapshot."""
+
+    name: str
+    a_hat: np.ndarray                  # steering estimate scored by its MSE
+    constraint_steering: np.ndarray    # the vector the weights answer with unit gain
+
+    def process(self, x: np.ndarray) -> np.ndarray: ...
+
+
+@dataclass(frozen=True)
+class TrialContext:
+    """What one trial offers the engines it builds.
 
     ``a_init`` seeds the adaptive steering estimators (a draw inside the
-    presumed sector); the non-adaptive baselines are pinned to ``a_nominal``,
-    the presumed-direction steering vector.  Returns None for the clairvoyant
-    'optimal' entry, which the trial loop evaluates directly from the true
-    scenario quantities.
+    presumed sector); the SMI baselines are pinned to ``a_nominal``, the
+    presumed-direction steering vector.  Only the clairvoyant optimum reads
+    the truth: ``batch`` and the per-snapshot INC matrices ``inc``.
     """
-    p = spec.params
-    if a_nominal is None:
-        a_nominal = a_init
-    if spec.name == "optimal":
-        return None
-    if spec.name == "smi":
-        tracker = CovarianceTracker(len(a_init), delta0=p.get("delta0", 0.1))
-        return _SmiRunner("smi", tracker, a_nominal, loading=0.0)
-    if spec.name == "loaded-smi":
-        tracker = CovarianceTracker(len(a_init), delta0=p.get("delta0", 0.0))
-        loading = p.get("loading_scale", 10.0) * noise_power
-        return _SmiRunner("loaded-smi", tracker, a_nominal, loading=loading)
 
-    noise = NoisePowerSource(mode=p.get("noise_mode", "oracle"),
-                             value=noise_power, num_sources=num_sources)
-    forgetting_default = spec.name in ("okspme-ccg", "okspme-mcg")
-    mode = p.get("tracker", "forgetting" if forgetting_default else "sample_mean")
-    lam = p.get("lam", 0.998 if mode == "forgetting" else 1.0)
-    est = default_estimator(a_init, num_sources, noise,
-                            delta=p.get("delta", 0.1),
-                            delta0=p.get("delta0", 0.1),
-                            mode=mode, lam=lam,
-                            unit_norm=p.get("unit_norm", False))
-    if spec.name == "okspme":
-        return OkspmeBeamformer(est)
-    if spec.name == "okspme-sg":
-        return SgBeamformer(est, mu_scale=p.get("mu_scale", 0.005),
-                            smooth_power=p.get("smooth_power", True))
-    if spec.name == "okspme-ccg":
-        return CcgBeamformer(est, n_inner=p.get("n_inner", 5))
-    return McgBeamformer(est, lam=lam, eta_a=p.get("eta_a", 0.1),
-                         eta_v=p.get("eta_v", 0.1))
+    a_init: np.ndarray
+    a_nominal: np.ndarray
+    num_sources: int
+    noise_power: float
+    batch: SnapshotBatch
+    inc: list
+
+
+@dataclass(frozen=True)
+class Param:
+    """One accepted algorithm parameter: its JSON type and its default."""
+
+    kind: type
+    default: object     # a value, or a function of the parameters before it
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    params: dict        # parameter name -> Param
+    build: Callable     # (resolved params, TrialContext) -> Engine
+
+    def resolve(self, given: dict) -> dict:
+        """``given`` completed with the default of every missing parameter."""
+        out = {}
+        for key, param in self.params.items():
+            default = param.default(out) if callable(param.default) else param.default
+            out[key] = given.get(key, default)
+        return out
+
+
+def _okspme_params(tracker: str, **extra) -> dict:
+    """The shared steering estimator's parameters, then the engine's own.
+
+    ``lam`` defaults by tracker mode; sample-mean tracking ignores it.
+    """
+    return {
+        "delta": Param(float, 0.1),
+        "delta0": Param(float, 0.1),
+        "tracker": Param(str, tracker),
+        "lam": Param(float, lambda p: 0.998 if p["tracker"] == FORGETTING else 1.0),
+        "noise_mode": Param(str, "oracle"),
+        "unit_norm": Param(bool, False),
+        **extra,
+    }
+
+
+def _estimator(p: dict, ctx: TrialContext):
+    noise = NoisePowerSource(mode=p["noise_mode"], value=ctx.noise_power,
+                             num_sources=ctx.num_sources)
+    return default_estimator(ctx.a_init, ctx.num_sources, noise,
+                             delta=p["delta"], delta0=p["delta0"],
+                             mode=p["tracker"], lam=p["lam"],
+                             unit_norm=p["unit_norm"])
+
+
+# The roster.  Build functions look classes and functions up by module name
+# at call time and the table holds no reference to them, so rebinding a name
+# (as perfbench's call tracer does) reaches every engine built here.
+ALGORITHMS = {
+    "okspme": Algorithm(
+        _okspme_params(SAMPLE_MEAN),
+        lambda p, ctx: OkspmeBeamformer(_estimator(p, ctx))),
+    "okspme-sg": Algorithm(
+        _okspme_params(SAMPLE_MEAN, mu_scale=Param(float, 0.005),
+                       smooth_power=Param(bool, True)),
+        lambda p, ctx: SgBeamformer(_estimator(p, ctx), mu_scale=p["mu_scale"],
+                                    smooth_power=p["smooth_power"])),
+    "okspme-ccg": Algorithm(
+        _okspme_params(FORGETTING, n_inner=Param(int, 5)),
+        lambda p, ctx: CcgBeamformer(_estimator(p, ctx), n_inner=p["n_inner"])),
+    "okspme-mcg": Algorithm(
+        _okspme_params(FORGETTING, eta_a=Param(float, 0.1),
+                       eta_v=Param(float, 0.1)),
+        lambda p, ctx: McgBeamformer(_estimator(p, ctx), lam=p["lam"],
+                                     eta_a=p["eta_a"], eta_v=p["eta_v"])),
+    "smi": Algorithm(
+        {"delta0": Param(float, 0.1)},
+        lambda p, ctx: _SmiRunner("smi", ctx.a_nominal, p["delta0"], loading=0.0)),
+    "loaded-smi": Algorithm(
+        {"delta0": Param(float, 0.0), "loading_scale": Param(float, 10.0)},
+        lambda p, ctx: _SmiRunner("loaded-smi", ctx.a_nominal, p["delta0"],
+                                  loading=p["loading_scale"] * ctx.noise_power)),
+    "optimal": Algorithm(
+        {},
+        lambda p, ctx: _OptimalRunner(ctx.batch, ctx.inc)),
+}
+
+
+def build_beamformer(spec: AlgorithmSpec, ctx: TrialContext) -> Engine:
+    """Instantiate one roster entry for the trial ``ctx``."""
+    entry = ALGORITHMS[spec.name]
+    return entry.build(entry.resolve(spec.params), ctx)
 
 
 class _SmiRunner:
     """Sample-matrix-inversion baseline pinned to the nominal steering vector."""
 
-    def __init__(self, name, tracker, a_nominal, loading):
+    def __init__(self, name, a_nominal, delta0, loading):
         self.name = name
-        self.tracker = tracker
-        self.a_nominal = np.asarray(a_nominal, dtype=complex)
+        self.tracker = CovarianceTracker(len(a_nominal), delta0=delta0)
+        self.a_hat = self.constraint_steering = np.asarray(a_nominal, dtype=complex)
         self.loading = loading
-        self.w = np.ones(len(a_nominal), dtype=complex)
-
-    @property
-    def a_hat(self):
-        return self.a_nominal
 
     def process(self, x):
         self.tracker.update_covariance(x)
         r = self.tracker.covariance()
         if self.loading > 0:
-            self.w = loaded_smi_weights(r, self.a_nominal, self.loading)
-        else:
-            self.w = smi_weights(r, self.a_nominal)
-        return self.w
+            return loaded_smi_weights(r, self.a_hat, self.loading)
+        return smi_weights(r, self.a_hat)
+
+
+class _OptimalRunner:
+    """Clairvoyant MVDR weights from each snapshot's true steering and INC."""
+
+    name = "optimal"
+
+    def __init__(self, batch: SnapshotBatch, inc: list):
+        self.batch, self.inc, self.i = batch, inc, 0
+        self.a_hat = self.constraint_steering = None
+
+    def process(self, x):
+        self.a_hat = self.constraint_steering = self.batch.steering_at(self.i)
+        w = optimal_weights(self.a_hat, self.inc[self.i])
+        self.i += 1
+        return w
 
 
 def simulate_trial_data(cfg: ScenarioConfig, snr_db: float, snr_index: int,
@@ -194,23 +279,19 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_db: float | None = None
     mse = {spec.name: np.full(n, np.nan) for spec in cfg.algorithms}
     failed = {spec.name: False for spec in cfg.algorithms}
 
-    a_nominal = make_steering(cfg.sensors, cfg.desired_doa_deg)
+    ctx = TrialContext(a_init=a_init,
+                       a_nominal=make_steering(cfg.sensors, cfg.desired_doa_deg),
+                       num_sources=cfg.num_sources, noise_power=cfg.noise_power,
+                       batch=batch, inc=inc)
     for spec in cfg.algorithms:
-        bf = build_beamformer(spec, a_init=a_init, num_sources=cfg.num_sources,
-                              noise_power=cfg.noise_power, a_nominal=a_nominal)
+        bf = build_beamformer(spec, ctx)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for i in range(n):
-                    x = batch.observations[:, i]
+                    w = bf.process(batch.observations[:, i])
                     a_true = batch.steering_at(i)
-                    if bf is None:
-                        w = optimal_weights(a_true, inc[i])
-                        a_est = a_true
-                    else:
-                        w = bf.process(x)
-                        a_est = bf.a_hat
                     sinr[spec.name][i] = output_sinr(w, p_des, a_true, inc[i])
-                    mse[spec.name][i] = steering_mse(a_est, a_true)
+                    mse[spec.name][i] = steering_mse(bf.a_hat, a_true)
         except (NumericError, np.linalg.LinAlgError, FloatingPointError,
                 ZeroDivisionError):
             failed[spec.name] = True

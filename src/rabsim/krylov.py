@@ -24,20 +24,11 @@ REORTH_RATIO = 1e-4
 
 @dataclass
 class KrylovBasis:
-    """Orthonormal basis ``T`` (M x m), its order, and the Arnoldi coefficients.
-
-    ``H[l, j]`` holds the projection of ``R t_{j+1}`` on ``t_{l+1}`` for
-    ``l <= j``; ``H[j+1, j]`` is the residual norm that became the next
-    column's normalizer (or triggered breakdown).
-    """
+    """Orthonormal basis ``T`` (M x m), its order, and why the iteration stopped."""
 
     T: np.ndarray
     m: int
-    H: np.ndarray
     stop_reason: str
-
-    def projector(self) -> np.ndarray:
-        return make_projector(self)
 
 
 def arnoldi_mgs(
@@ -71,7 +62,6 @@ def arnoldi_mgs(
 
     cap = num_sources + 1
     cols = [t1]
-    h = np.zeros((cap + 1, cap), dtype=complex)
     stop = RANK_CAP
     m_out = cap
 
@@ -79,16 +69,11 @@ def arnoldi_mgs(
         u = R @ cols[j]
         norm_before = np.linalg.norm(u)
         for l in range(j + 1):
-            coef = np.vdot(cols[l], u)
-            h[l, j] += coef
-            u = u - coef * cols[l]
+            u = u - np.vdot(cols[l], u) * cols[l]
         if np.linalg.norm(u) < REORTH_RATIO * norm_before:
             for l in range(j + 1):
-                coef = np.vdot(cols[l], u)
-                h[l, j] += coef
-                u = u - coef * cols[l]
+                u = u - np.vdot(cols[l], u) * cols[l]
         res = np.linalg.norm(u)
-        h[j + 1, j] = res
         if res <= breakdown_tol:
             m_out, stop = j + 1, BREAKDOWN
             break
@@ -98,7 +83,7 @@ def arnoldi_mgs(
         cols.append(u / res)
 
     T = np.column_stack(cols[:m_out])
-    return KrylovBasis(T=T, m=m_out, H=h[: m_out + 1, :m_out], stop_reason=stop)
+    return KrylovBasis(T=T, m=m_out, stop_reason=stop)
 
 
 def make_projector(basis: KrylovBasis) -> np.ndarray:

@@ -233,10 +233,13 @@ class OkspmeBeamformer:
     def __init__(self, estimator: SteeringEstimator):
         self.estimator = estimator
         self.w = np.ones(estimator.m, dtype=complex)
-        self.last_output = 0.0 + 0.0j
 
     @property
     def a_hat(self) -> np.ndarray:
+        return self.estimator.a_hat
+
+    @property
+    def constraint_steering(self) -> np.ndarray:
         return self.estimator.a_hat
 
     def process(self, x: np.ndarray) -> np.ndarray:
@@ -244,8 +247,7 @@ class OkspmeBeamformer:
         info = self.estimator.begin_snapshot(x)
         r_in = inc_matrix(info.R, info.a_hat, info.sigma1_sq)
         self.w = mvdr_weights(r_in, info.a_hat)
-        self.last_output = np.vdot(self.w, x)
-        self.estimator.record_output(x, self.last_output)
+        self.estimator.record_output(x, np.vdot(self.w, x))
         return self.w
 
 

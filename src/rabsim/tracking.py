@@ -46,12 +46,6 @@ class CovarianceTracker:
         self._sr = self.delta0 * np.eye(self.m, dtype=complex)
         self._sd = np.zeros(self.m, dtype=complex)
 
-    def update(self, x: np.ndarray, y: complex) -> "CovarianceTracker":
-        """Absorb one snapshot ``x`` and the matching beamformer output ``y``."""
-        self.update_covariance(x)
-        self.update_crosscorr(x, y)
-        return self
-
     def update_covariance(self, x: np.ndarray) -> "CovarianceTracker":
         """Absorb one snapshot into the covariance statistic only.
 
@@ -97,20 +91,6 @@ class CovarianceTracker:
         """Total weight of the absorbed snapshots (i, or sum of lam powers)."""
         return self._accumulated_weight(self.count)
 
-    @property
-    def R_hat(self) -> np.ndarray:
-        """The tracked covariance statistic in its mode's native scale."""
-        if self.mode == FORGETTING or self.count == 0:
-            return self._sr
-        return self._sr / self.count
-
-    @property
-    def d_hat(self) -> np.ndarray:
-        """The tracked cross-correlation statistic in its mode's native scale."""
-        if self.mode == FORGETTING or self.count_d == 0:
-            return self._sd
-        return self._sd / self.count_d
-
     def covariance(self) -> np.ndarray:
         """``R_hat`` normalized to covariance scale regardless of mode."""
         if self.count == 0:
@@ -122,12 +102,3 @@ class CovarianceTracker:
         if self.count_d == 0:
             return self._sd
         return self._sd / self._accumulated_weight(self.count_d)
-
-
-def tracker_init(m_sensors: int, mode: str = SAMPLE_MEAN,
-                 lam: float = 1.0, delta0: float = 0.0) -> CovarianceTracker:
-    return CovarianceTracker(m_sensors, mode=mode, lam=lam, delta0=delta0)
-
-
-def tracker_update(tracker: CovarianceTracker, x: np.ndarray, y: complex) -> CovarianceTracker:
-    return tracker.update(x, y)

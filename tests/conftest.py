@@ -5,7 +5,6 @@ mismatch-robustness run also serves the variant-parity and large-array
 comparisons).
 """
 
-import numpy as np
 import pytest
 
 from rabsim.config import config_from_dict
@@ -69,7 +68,3 @@ def m40_coherent_run():
 @pytest.fixture(scope="session")
 def m40_incoherent_run():
     return run_experiment(config_from_dict(_mismatch_doc(40, kind="incoherent")))
-
-
-def final_window_mean(agg, name, window=50):
-    return float(np.mean(agg.mean_sinr_db[name][-window:]))

@@ -13,13 +13,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import final_window_mean
 from rabsim import rng
 from rabsim.adaptive import ccg_inner
 from rabsim.analysis import FlopModel, epsilon_moments, flops, mse_bounds
 from rabsim.arrays import make_steering
 from rabsim.config import config_from_dict
-from rabsim.harness import (build_beamformer, run_experiment,
+from rabsim.harness import (TrialContext, build_beamformer, run_experiment,
                             simulate_trial_data, write_csv)
 from rabsim.krylov import BREAKDOWN, arnoldi_mgs, make_projector
 from rabsim.okspme import inc_matrix
@@ -28,6 +27,19 @@ from rabsim.okspme import inc_matrix
 def report(criterion, ok, detail):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def final_window_mean(agg, name, window=50):
+    return float(np.mean(agg.mean_sinr_db[name][-window:]))
+
+
+def _trial_context(cfg, snr_db):
+    """Trial 0 of a single-point scenario, as ``run_trial`` hands it to engines."""
+    batch, inc, a_init, _ = simulate_trial_data(cfg, snr_db, 0, 0)
+    return TrialContext(a_init=a_init,
+                        a_nominal=make_steering(cfg.sensors, cfg.desired_doa_deg),
+                        num_sources=cfg.num_sources, noise_power=cfg.noise_power,
+                        batch=batch, inc=inc)
 
 
 # ------------------------------------------------------------- criterion 1
@@ -206,46 +218,55 @@ def test_criterion_6_constraint_satisfaction():
         "scattering": {"kind": "coherent"},
         "algorithms": ["okspme", "okspme-ccg", "okspme-mcg"],
     })
-    batch, _, a_init, _ = simulate_trial_data(cfg, 10.0, 0, 0)
+    ctx = _trial_context(cfg, 10.0)
     worst = 0.0
     for spec in cfg.algorithms:
-        bf = build_beamformer(spec, a_init=a_init, num_sources=3,
-                              noise_power=1.0,
-                              a_nominal=make_steering(12, 10.0))
+        bf = build_beamformer(spec, ctx)
         for i in range(300):
-            w = bf.process(batch.observations[:, i])
-            steering = (bf.constraint_steering
-                        if hasattr(bf, "constraint_steering") else bf.a_hat)
-            worst = max(worst, abs(np.vdot(w, steering) - 1.0))
+            w = bf.process(ctx.batch.observations[:, i])
+            worst = max(worst, abs(np.vdot(w, bf.constraint_steering) - 1.0))
     ok = worst < 1e-10
     assert report("6", ok, f"max |w^H a - 1| = {worst:.2e} over 300 snapshots x 3 engines")
 
 
 # ------------------------------------------------------------- criterion 7
 
+# The seed ensemble is fixed here, before any rate is looked at: the scenario
+# seed 42 plus seeds 1-7.  Per-seed rates swing by tens of percent, and seed
+# 42 alone sits near the 95% line, so its verdict moved with the BLAS build.
+CRITERION_7_SEEDS = (42, 1, 2, 3, 4, 5, 6, 7)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="unattainable as stated: with instantaneous surrogates the upper half of the "
     "convergence band (contraction by 1/2 every snapshot) stops holding once "
-    "the weight proxy reaches its tracking plateau; measured hold rates are "
-    "55-90% across stationary scenarios, not >= 95%.  The nonnegativity half "
-    "holds throughout.")
+    "the weight proxy reaches its tracking plateau; pooled over seeds 42 and "
+    "1-7 the band holds on 85.6% of snapshots (per seed 67.6-98.6%), not "
+    ">= 95%.  Scaling the snapshots by 1 +- k ulp (k <= 8), a stand-in for "
+    "another BLAS build, moves the pooled rate within 83.5-88.3% and seed 42 "
+    "alone within 69-99%.  The nonnegativity half holds throughout.")
 def test_criterion_7_mcg_convergence_band():
-    cfg = config_from_dict({
-        "sensors": 10, "desired_doa_deg": 10.0, "interferer_doas_deg": [],
-        "snr_db": 0.0, "snapshots": 300, "trials": 1, "master_seed": 42,
-        "algorithms": ["okspme-mcg"],
-    })
-    batch, _, a_init, _ = simulate_trial_data(cfg, 0.0, 0, 0)
-    bf = build_beamformer(cfg.algorithms[0], a_init=a_init, num_sources=1,
-                          noise_power=1.0, a_nominal=make_steering(10, 10.0))
-    for i in range(300):
-        bf.process(batch.observations[:, i])
-    trace = np.array(bf.bound_trace[10:])
-    tol = 1e-8
-    held = np.mean((trace[:, 0] >= -tol) & (trace[:, 0] <= 0.5 * trace[:, 1] + tol))
-    ok = held >= 0.95
-    report("7", ok, f"convergence band held on {held:.1%} of snapshots (need >= 95%)")
+    traces = []
+    for seed in CRITERION_7_SEEDS:
+        cfg = config_from_dict({
+            "sensors": 10, "desired_doa_deg": 10.0, "interferer_doas_deg": [],
+            "snr_db": 0.0, "snapshots": 300, "trials": 1, "master_seed": seed,
+            "algorithms": ["okspme-mcg"],
+        })
+        ctx = _trial_context(cfg, 0.0)
+        bf = build_beamformer(cfg.algorithms[0], ctx)
+        for i in range(300):
+            bf.process(ctx.batch.observations[:, i])
+        trace = np.array(bf.bound_trace[10:])
+        tol = 1e-8
+        held = (trace[:, 0] >= -tol) & (trace[:, 0] <= 0.5 * trace[:, 1] + tol)
+        print(f"[criterion 7] seed {seed}: band held on {held.mean():.1%} of snapshots")
+        traces.append(held)
+    pooled = float(np.mean(np.concatenate(traces)))
+    ok = pooled >= 0.95
+    report("7", ok, f"convergence band held on {pooled:.1%} of snapshots over "
+           f"seeds {CRITERION_7_SEEDS} (need >= 95%)")
     assert ok
 
 

@@ -123,11 +123,14 @@ def test_ccg_alpha_v_matches_independent_recomputation():
     v0 = _rand(g, m)
     s1 = 0.8
     it = ccg_inner(A, a, v0, s1, 1)
-    # first-iteration scale factor, recomputed from scratch
+    # first-iteration scale factor, recomputed from scratch; the one step
+    # taken is v - v0 = alpha_v p_v0
     g_v0 = a - A @ v0
     p_v0 = g_v0
     expect = np.vdot(g_v0, p_v0) / np.vdot(p_v0, A @ p_v0).real
-    assert abs(it.alphas_v[0] - expect) < 1e-12 * abs(expect)
+    alpha_v = np.vdot(p_v0, it.v - v0) / np.vdot(p_v0, p_v0)
+    assert abs(alpha_v - expect) < 1e-12 * abs(expect)
+    assert np.abs(it.v - v0 - alpha_v * p_v0).max() < 1e-12 * np.abs(it.v - v0).max()
 
 
 def test_ccg_direction_conjugacy():
@@ -139,10 +142,10 @@ def test_ccg_direction_conjugacy():
     A = b @ b.conj().T + np.eye(m)
     a = _rand(g, m)
     v0 = _rand(g, m)
-    it = ccg_inner(A, a, v0, 0.05, 3)
-    hist = it.pv_history
-    assert len(hist) >= 2
+    # the run with n inner iterations ends on the direction the next one uses
+    hist = [a - A @ v0] + [ccg_inner(A, a, v0, 0.05, n).p_v for n in (1, 2, 3)]
     for p_prev, p_next in zip(hist, hist[1:]):
+        assert not np.array_equal(p_prev, p_next)
         num = abs(np.vdot(p_next, A @ p_prev))
         den = np.linalg.norm(p_next) * np.linalg.norm(A @ p_prev)
         assert num / den < 1e-6

@@ -1,15 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rabsim
 import rabsim.okspme
 from rabsim.arrays import make_steering
 from rabsim.config import (AlgorithmSpec, ScenarioConfig, config_from_dict,
                            load_config)
 from rabsim.errors import ConfigError, ExperimentError, NumericError
-from rabsim.harness import (run_experiment, run_trial, simulate_trial_data,
-                            write_csv)
+from rabsim.harness import (ALGORITHMS, run_experiment, run_trial,
+                            simulate_trial_data, write_csv)
 
 
 def _base_doc(**overrides):
@@ -39,11 +45,44 @@ def test_unknown_scattering_key_rejected():
         config_from_dict(_base_doc(scattering={"kind": "coherent", "paths": 4}))
 
 
+# Parameters of the wrong JSON type, each rejected when the file is loaded.
+MISTYPED_PARAMETERS = [
+    {"name": "okspme", "lam": "abc"},
+    {"name": "okspme-sg", "mu_scale": "x"},
+    {"name": "loaded-smi", "loading_scale": "x"},
+    {"name": "okspme-ccg", "n_inner": "5"},
+    {"name": "okspme-ccg", "n_inner": 2.5},
+    {"name": "okspme", "unit_norm": "yes"},
+]
+
+
 def test_unknown_algorithm_and_parameter_rejected():
     with pytest.raises(ConfigError):
         config_from_dict(_base_doc(algorithms=["music"]))
     with pytest.raises(ConfigError):
         config_from_dict(_base_doc(algorithms=[{"name": "okspme", "mu": 1}]))
+    for entry in MISTYPED_PARAMETERS + [
+            {"name": "okspme-ccg", "n_inner": True},
+            {"name": "okspme-mcg", "eta_a": False},
+            {"name": "okspme", "tracker": 1}]:
+        param = next(key for key in entry if key != "name")
+        with pytest.raises(ConfigError, match=param):
+            config_from_dict(_base_doc(algorithms=[entry]))
+    # numbers of either JSON kind are accepted for float parameters
+    config_from_dict(_base_doc(algorithms=[{"name": "okspme", "lam": 1},
+                                           {"name": "smi", "delta0": 0.5}]))
+
+
+def test_mistyped_parameters_exit_2_without_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rabsim.__file__).parents[1]))
+    for i, entry in enumerate(MISTYPED_PARAMETERS):
+        config = tmp_path / f"bad{i}.json"
+        config.write_text(json.dumps(_base_doc(algorithms=[entry])), encoding="utf-8")
+        res = subprocess.run([sys.executable, "-m", "rabsim.cli", "simulate",
+                              "--config", str(config), "--out", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 2, (entry, res.stderr)
+        assert "Traceback" not in res.stderr and "error:" in res.stderr
 
 
 def test_schedule_validation():
@@ -168,6 +207,35 @@ def test_optimal_algorithm_tracks_truth():
                                      scattering={"kind": "coherent"}))
     rec = run_trial(cfg, 0)
     assert np.allclose(rec.steering_mse["optimal"], 0.0)
+
+
+def _same_record(a, b, name):
+    return (a.failed[name] == b.failed[name]
+            and a.sinr_db[name].tobytes() == b.sinr_db[name].tobytes()
+            and a.steering_mse[name].tobytes() == b.steering_mse[name].tobytes())
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_registry_defaults_written_out_change_nothing(name):
+    explicit = {"name": name, **ALGORITHMS[name].resolve({})}
+    docs = [_base_doc(algorithms=[name], scattering={"kind": "coherent"}),
+            _base_doc(algorithms=[explicit], scattering={"kind": "coherent"})]
+    bare, spelled = (run_trial(config_from_dict(json.loads(json.dumps(d))), 0)
+                     for d in docs)
+    assert _same_record(bare, spelled, name)
+
+
+@pytest.mark.parametrize("name, param, value", [
+    ("okspme-ccg", "n_inner", 2), ("okspme-sg", "mu_scale", 0.02),
+    ("okspme-mcg", "eta_a", 0.3), ("loaded-smi", "loading_scale", 1.0)])
+def test_engine_parameter_changes_only_its_algorithm(name, param, value):
+    assert value != ALGORITHMS[name].resolve({})[param]
+    roster = list(ALGORITHMS)
+    base = run_trial(config_from_dict(_base_doc(algorithms=roster)), 0)
+    roster[roster.index(name)] = {"name": name, param: value}
+    changed = run_trial(config_from_dict(_base_doc(algorithms=roster)), 0)
+    for other in ALGORITHMS:
+        assert _same_record(base, changed, other) == (other != name), other
 
 
 # ------------------------------------------------------------- aggregates

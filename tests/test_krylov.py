@@ -12,6 +12,11 @@ def _random_hermitian(g, m, floor=0.1):
     return b @ b.conj().T + floor * np.eye(m)
 
 
+def _compressed(basis, R):
+    """``T^H R T``: the Arnoldi coefficients, Hessenberg by construction."""
+    return basis.T.conj().T @ R @ basis.T
+
+
 def _unit(g, m):
     t = g.standard_normal(m) + 1j * g.standard_normal(m)
     return t / np.linalg.norm(t)
@@ -26,11 +31,11 @@ def test_identity_breaks_down_immediately():
 
 
 def test_diagonal_eigenvector_seed():
-    basis = arnoldi_mgs(np.diag([1.0, 2.0]).astype(complex),
-                        np.array([1.0, 0.0], dtype=complex), 2)
+    R = np.diag([1.0, 2.0]).astype(complex)
+    basis = arnoldi_mgs(R, np.array([1.0, 0.0], dtype=complex), 2)
     assert basis.m == 1
     assert basis.stop_reason == BREAKDOWN
-    assert abs(basis.H[0, 0] - 1.0) < 1e-14
+    assert abs(_compressed(basis, R)[0, 0] - 1.0) < 1e-14
 
 
 def test_two_by_two_full_basis():
@@ -39,10 +44,11 @@ def test_two_by_two_full_basis():
     assert basis.m == 2
     assert basis.stop_reason == BREAKDOWN  # residual vanishes after 2 columns
     assert np.allclose(basis.T, np.eye(2))
-    assert abs(basis.H[0, 0] - 2.0) < 1e-14   # h_11
-    assert abs(basis.H[1, 0] - 1.0) < 1e-14   # h_12 (residual norm)
-    assert abs(basis.H[0, 1] - 1.0) < 1e-14   # h_12 coefficient
-    assert abs(basis.H[1, 1] - 2.0) < 1e-14   # h_22
+    h = _compressed(basis, R)
+    assert abs(h[0, 0] - 2.0) < 1e-14   # h_11
+    assert abs(h[1, 0] - 1.0) < 1e-14   # h_21 (residual norm)
+    assert abs(h[0, 1] - 1.0) < 1e-14   # h_12 coefficient
+    assert abs(h[1, 1] - 2.0) < 1e-14   # h_22
 
 
 def test_rank_cap_limits_order():
@@ -89,9 +95,14 @@ def test_basis_invariants(seed, m, k):
     assert abs(np.trace(P).real - basis.m) < 1e-8
     # projector leaves every basis column fixed
     assert np.abs(P @ T - T).max() < 1e-9
-    # diagonal coefficients of the Hessenberg data are real for Hermitian R
+    # the Arnoldi coefficients T^H R T are Hessenberg, hence tridiagonal for
+    # Hermitian R, with a real diagonal
+    h = _compressed(basis, R)
+    scale = max(1.0, np.abs(h).max())
+    assert np.abs(np.tril(h, -2)).max(initial=0.0) <= 1e-10 * scale
+    assert np.abs(np.triu(h, 2)).max(initial=0.0) <= 1e-10 * scale
     for j in range(basis.m):
-        assert abs(basis.H[j, j].imag) <= 1e-10 * max(1.0, abs(basis.H[j, j]))
+        assert abs(h[j, j].imag) <= 1e-10 * max(1.0, abs(h[j, j]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,4 +165,4 @@ def test_determinism():
     b1 = arnoldi_mgs(R, t1, 4)
     b2 = arnoldi_mgs(R, t1, 4)
     assert np.array_equal(b1.T, b2.T)
-    assert np.array_equal(b1.H, b2.H)
+    assert (b1.m, b1.stop_reason) == (b2.m, b2.stop_reason)

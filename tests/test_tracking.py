@@ -4,26 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabsim.errors import ParameterError
-from rabsim.tracking import CovarianceTracker, tracker_init, tracker_update
+from rabsim.tracking import CovarianceTracker
+
+
+def _absorb(t, x, y):
+    t.update_covariance(x)
+    t.update_crosscorr(x, y)
 
 
 def test_init_is_loaded_identity():
-    t = tracker_init(3, "sample_mean", delta0=0.1)
-    assert np.allclose(t.R_hat, 0.1 * np.eye(3))
-    assert np.allclose(t.d_hat, 0.0)
+    t = CovarianceTracker(3, "sample_mean", delta0=0.1)
+    assert np.allclose(t.covariance(), 0.1 * np.eye(3))
+    assert np.allclose(t.crosscorr(), 0.0)
     assert t.count == 0
 
 
 def test_init_zero_loading_is_singular():
-    t = tracker_init(4, delta0=0.0)
-    assert np.allclose(t.R_hat, 0.0)
+    t = CovarianceTracker(4, delta0=0.0)
+    assert np.allclose(t.covariance(), 0.0)
 
 
 def test_init_mode_independent():
-    a = tracker_init(3, "sample_mean", delta0=0.25)
-    b = tracker_init(3, "forgetting", lam=0.99, delta0=0.25)
-    assert np.array_equal(a.R_hat, b.R_hat)
-    assert np.array_equal(a.d_hat, b.d_hat)
+    a = CovarianceTracker(3, "sample_mean", delta0=0.25)
+    b = CovarianceTracker(3, "forgetting", lam=0.99, delta0=0.25)
+    assert np.array_equal(a.covariance(), b.covariance())
+    assert np.array_equal(a.crosscorr(), b.crosscorr())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -32,35 +37,37 @@ def test_init_mode_independent():
 ])
 def test_init_validation(kwargs):
     with pytest.raises(ParameterError):
-        tracker_init(3, **kwargs)
+        CovarianceTracker(3, **kwargs)
 
 
 def test_first_snapshot_sample_mean_rank_one():
-    t = tracker_init(2, delta0=0.0)
+    t = CovarianceTracker(2, delta0=0.0)
     x = np.array([1.0 + 1.0j, 2.0], dtype=complex)
-    tracker_update(t, x, 3.0 - 1.0j)
-    assert np.allclose(t.R_hat, np.outer(x, x.conj()))
-    assert np.allclose(t.d_hat, x * np.conj(3.0 - 1.0j))
+    _absorb(t, x, 3.0 - 1.0j)
+    assert np.allclose(t.covariance(), np.outer(x, x.conj()))
+    assert np.allclose(t.crosscorr(), x * np.conj(3.0 - 1.0j))
 
 
 def test_forgetting_one_step_hand_value():
-    t = tracker_init(2, "forgetting", lam=0.5, delta0=1.0)
-    tracker_update(t, np.array([1.0, 0.0], dtype=complex), 0.0)
-    assert np.allclose(t.R_hat, [[1.5, 0.0], [0.0, 0.5]])
+    t = CovarianceTracker(2, "forgetting", lam=0.5, delta0=1.0)
+    _absorb(t, np.array([1.0, 0.0], dtype=complex), 0.0)
+    assert np.allclose(t.covariance() * t.weight, [[1.5, 0.0], [0.0, 0.5]])
 
 
 def test_constant_snapshot_mean_is_projector():
-    t = tracker_init(3, delta0=0.0)
+    t = CovarianceTracker(3, delta0=0.0)
     e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     for _ in range(7):
-        tracker_update(t, e1, 1.0)
-        assert np.allclose(t.R_hat, np.outer(e1, e1))
+        _absorb(t, e1, 1.0)
+        assert np.allclose(t.covariance(), np.outer(e1, e1))
 
 
 def test_dimension_mismatch():
-    t = tracker_init(3)
+    t = CovarianceTracker(3)
     with pytest.raises(ParameterError):
-        t.update(np.zeros(4, dtype=complex), 0.0)
+        t.update_covariance(np.zeros(4, dtype=complex))
+    with pytest.raises(ParameterError):
+        t.update_crosscorr(np.zeros(4, dtype=complex), 0.0)
 
 
 complex_vec = st.integers(0, 2**32 - 1)
@@ -73,14 +80,15 @@ def test_sample_mean_matches_brute_force(seed, n, delta0):
     m = 4
     xs = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
     ys = g.standard_normal(n) + 1j * g.standard_normal(n)
-    t = tracker_init(m, delta0=delta0)
+    t = CovarianceTracker(m, delta0=delta0)
     for x, y in zip(xs, ys):
-        t.update(x, y)
+        _absorb(t, x, y)
     brute_r = sum(np.outer(x, x.conj()) for x in xs) / n + (delta0 / n) * np.eye(m)
     brute_d = sum(x * np.conj(y) for x, y in zip(xs, ys)) / n
-    assert np.abs(t.R_hat - brute_r).max() < 1e-10
-    assert np.abs(t.d_hat - brute_d).max() < 1e-10
-    assert np.abs(t.R_hat - t.R_hat.conj().T).max() < 1e-10
+    r_hat = t.covariance()
+    assert np.abs(r_hat - brute_r).max() < 1e-10
+    assert np.abs(t.crosscorr() - brute_d).max() < 1e-10
+    assert np.abs(r_hat - r_hat.conj().T).max() < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -90,31 +98,33 @@ def test_forgetting_matches_brute_force(seed, n, lam):
     m = 3
     xs = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
     ys = g.standard_normal(n) + 1j * g.standard_normal(n)
-    t = tracker_init(m, "forgetting", lam=lam, delta0=0.2)
+    t = CovarianceTracker(m, "forgetting", lam=lam, delta0=0.2)
     for x, y in zip(xs, ys):
-        t.update(x, y)
+        _absorb(t, x, y)
     brute_r = (lam**n) * 0.2 * np.eye(m)
     brute_d = np.zeros(m, dtype=complex)
     for k, (x, y) in enumerate(zip(xs, ys), start=1):
         brute_r = brute_r + lam ** (n - k) * np.outer(x, x.conj())
         brute_d = brute_d + lam ** (n - k) * x * np.conj(y)
-    assert np.abs(t.R_hat - brute_r).max() < 1e-10 * max(1.0, np.abs(brute_r).max())
-    assert np.abs(t.d_hat - brute_d).max() < 1e-10 * max(1.0, np.abs(brute_d).max())
+    # raw forgetting sums: the normalized statistics times the total weight
+    raw_r, raw_d = t.covariance() * t.weight, t.crosscorr() * t.weight
+    assert np.abs(raw_r - brute_r).max() < 1e-10 * max(1.0, np.abs(brute_r).max())
+    assert np.abs(raw_d - brute_d).max() < 1e-10 * max(1.0, np.abs(brute_d).max())
 
 
 def test_forgetting_lambda_one_is_cumulative_sum():
     g = np.random.default_rng(0)
     xs = g.standard_normal((5, 3)) + 1j * g.standard_normal((5, 3))
-    t = tracker_init(3, "forgetting", lam=1.0, delta0=0.0)
+    t = CovarianceTracker(3, "forgetting", lam=1.0, delta0=0.0)
     for x in xs:
-        t.update(x, 1.0)
+        _absorb(t, x, 1.0)
     total = sum(np.outer(x, x.conj()) for x in xs)
-    assert np.allclose(t.R_hat, total)
-    assert np.allclose(t.d_hat, xs.sum(axis=0))
+    assert np.allclose(t.covariance() * t.weight, total)
+    assert np.allclose(t.crosscorr() * t.weight, xs.sum(axis=0))
 
 
 def test_split_updates_track_separate_counts():
-    t = tracker_init(2, delta0=0.0)
+    t = CovarianceTracker(2, delta0=0.0)
     x = np.array([1.0, 1.0j])
     t.update_covariance(x)
     assert t.count == 1 and t.count_d == 0
@@ -125,10 +135,10 @@ def test_split_updates_track_separate_counts():
 
 
 def test_normalized_accessors_forgetting():
-    t = tracker_init(2, "forgetting", lam=0.5, delta0=0.0)
+    t = CovarianceTracker(2, "forgetting", lam=0.5, delta0=0.0)
     x = np.array([1.0, 0.0], dtype=complex)
     for _ in range(20):
-        t.update(x, 1.0)
+        _absorb(t, x, 1.0)
     # exponentially weighted mean of a constant stream is the constant
     assert np.allclose(t.covariance(), np.outer(x, x.conj()), atol=1e-6)
     assert np.allclose(t.crosscorr(), x, atol=1e-6)
