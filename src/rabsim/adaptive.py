@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .kernels import norm
 from .okspme import SteeringEstimator, inc_matrix
 
 # Relative collapse thresholds for the CG scale factors and restarts.
@@ -40,7 +41,7 @@ STEP_CAP = 10.0
 
 def _capped(alpha, p, ref: float):
     """Scale ``alpha`` down so the step ``alpha p`` stays within the cap."""
-    step = abs(alpha) * np.linalg.norm(p)
+    step = abs(alpha) * norm(p)
     limit = STEP_CAP * max(1.0, ref)
     if step > limit:
         return alpha * (limit / step)
@@ -158,14 +159,14 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
     g_v = a - A @ v
     it = CgIterate(v=v, a=a, g_a=g_a, g_v=g_v, p_a=g_a.copy(), p_v=g_v.copy())
 
-    a_scale = np.linalg.norm(A)
+    a_scale = norm(A)
     # Cap references are fixed for the whole inner loop so a runaway iterate
     # cannot ratchet its own trust region.
-    ref_v = max(1.0, np.linalg.norm(v))
-    ref_a = max(1.0, np.linalg.norm(a))
+    ref_v = max(1.0, norm(v))
+    ref_a = max(1.0, norm(a))
     for _ in range(n_inner):
         den_a = sigma1_sq * abs(np.vdot(it.v, it.p_a)) ** 2
-        norm_v, norm_pa = np.linalg.norm(it.v), np.linalg.norm(it.p_a)
+        norm_v, norm_pa = norm(it.v), norm(it.p_a)
         if den_a <= ALPHA_COLLAPSE * (norm_v * norm_pa) ** 2:
             break
         alpha_a = _capped(-np.vdot(it.g_a, it.p_a) / den_a, it.p_a, ref_a)
@@ -246,7 +247,7 @@ def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
     / [sigma1^2 |v^H p|^2]``; returns 0 on a collapsed denominator.
     """
     den = sigma1_sq * abs(np.vdot(v, p_a)) ** 2
-    scale = (np.linalg.norm(v) * np.linalg.norm(p_a)) ** 2
+    scale = (norm(v) * norm(p_a)) ** 2
     if den <= ALPHA_COLLAPSE * scale:
         return 0.0
     pa_v = np.vdot(p_a, v)
@@ -323,7 +324,7 @@ class McgBeamformer:
         # projection update, since this correction persists in the state).
         alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam,
                               self.eta_a)
-        step = abs(alpha_a) * np.linalg.norm(self.p_a)
+        step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)
 
@@ -331,11 +332,11 @@ class McgBeamformer:
         g_entry = a - quad @ self.v
         a_pv = quad @ self.p_v
         den_v = np.vdot(self.p_v, a_pv).real
-        scale_v = np.vdot(self.p_v, self.p_v).real * np.linalg.norm(quad)
+        scale_v = np.vdot(self.p_v, self.p_v).real * norm(quad)
         alpha_v = 0.0
         if den_v > DEN_COLLAPSE * scale_v:
             alpha_v = _capped(np.vdot(g_entry, self.p_v) / den_v, self.p_v,
-                              max(1.0, np.linalg.norm(self.v)))
+                              max(1.0, norm(self.v)))
 
         a_new = a + alpha_a * self.p_a
         self.v = self.v + alpha_v * self.p_v

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, ParameterError
+from .kernels import cho_solve, cholesky, her_solve, norm
 
 SINR_FLOOR_DB = -200.0
 
@@ -23,7 +24,7 @@ SINR_FLOOR_DB = -200.0
 def smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray) -> np.ndarray:
     """Sample-matrix-inversion beamformer ``R^-1 a / (a^H R^-1 a)``."""
     try:
-        z = scipy.linalg.solve(R_hat, a_nominal, assume_a="her")
+        z = her_solve(R_hat, a_nominal)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError("sample covariance is singular") from exc
     if not np.isfinite(z).all():
@@ -42,20 +43,20 @@ def loaded_smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray,
 def optimal_weights(a_true: np.ndarray, R_in_true: np.ndarray) -> np.ndarray:
     """Clairvoyant MVDR weights from the true interference-plus-noise matrix."""
     try:
-        factor = scipy.linalg.cho_factor(R_in_true, lower=True)
+        factor = cholesky(R_in_true)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError("true INC matrix is not positive definite") from exc
-    z = scipy.linalg.cho_solve(factor, a_true)
+    z = cho_solve(factor, a_true)
     return z / np.vdot(a_true, z)
 
 
 def optimal_sinr(sigma1_sq: float, a_true: np.ndarray, R_in_true: np.ndarray) -> float:
     """Attainable SINR ``10 log10(sigma1^2 a^H R_in^-1 a)`` in dB."""
     try:
-        factor = scipy.linalg.cho_factor(R_in_true, lower=True)
+        factor = cholesky(R_in_true)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError("true INC matrix is not positive definite") from exc
-    quad = np.vdot(a_true, scipy.linalg.cho_solve(factor, a_true)).real
+    quad = np.vdot(a_true, cho_solve(factor, a_true)).real
     return 10.0 * math.log10(sigma1_sq * quad)
 
 
@@ -67,7 +68,7 @@ def output_sinr(w: np.ndarray, sigma1_sq: float, a_true: np.ndarray,
     signal reports the floor value instead of -inf, and a zero denominator
     (only possible for a degenerate noise-free scenario) reports +inf.
     """
-    if not np.any(w):
+    if not w.any():
         raise ParameterError("weights must be nonzero")
     num = sigma1_sq * abs(np.vdot(w, a_true)) ** 2
     den = np.vdot(w, R_in_true @ w).real
@@ -84,8 +85,8 @@ def steering_mse(a_hat: np.ndarray, a_true: np.ndarray) -> float:
     The estimate is rescaled to the true vector's norm first, matching the
     fixed-norm premise of the analytic bounds.
     """
-    scale = np.linalg.norm(a_true) / np.linalg.norm(a_hat)
-    return float(np.linalg.norm(a_hat * scale - a_true) ** 2)
+    scale = norm(a_true) / norm(a_hat)
+    return float(norm(a_hat * scale - a_true) ** 2)
 
 
 @dataclass(frozen=True)

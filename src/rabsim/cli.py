@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.master_seed = args.seed
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)   # re-validates
     result = run_experiment(cfg, workers=max(1, args.threads))
     write_csv(result, args.out)
     n_rows = len(result.mean_sinr_db) * len(result.x_values)

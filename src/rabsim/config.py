@@ -10,6 +10,7 @@ default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,6 +89,19 @@ class ScenarioConfig:
             raise ConfigError("snr_db sweep list must not be empty")
         if self.noise_power <= 0:
             raise ConfigError("noise_power must be > 0")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        if self.sector_halfwidth_deg < 0:
+            raise ConfigError("sector_halfwidth_deg must be >= 0")
+        for snr_db in self.snr_points():
+            try:
+                finite = (math.isfinite(self.desired_power(snr_db))
+                          and math.isfinite(self.interferer_power(snr_db)))
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            if not finite:
+                raise ConfigError(f"the source powers at SNR {snr_db} dB overflow "
+                                  "(check snr_db, sir_db and inr_db)")
         names = [spec.name for spec in self.algorithms]
         if len(names) != len(set(names)):
             raise ConfigError("algorithm names must be unique within a scenario")
@@ -140,25 +154,68 @@ class ScenarioConfig:
         return 1 + len(self.interferer_doas_deg)
 
 
+def _integer(value, key: str) -> None:
+    if not _has_json_type(value, int):
+        raise ConfigError(f"{key!r} must be a JSON integer, got {value!r}")
+
+
+def _number(value, key: str) -> None:
+    try:
+        finite = _has_json_type(value, float) and math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key!r} must be a finite JSON number, got {value!r}")
+
+
+def _numbers(value, key: str) -> None:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a JSON array of numbers, got {value!r}")
+    for item in value:
+        _number(item, key)
+
+
+def _number_or_numbers(value, key: str) -> None:
+    if isinstance(value, list):
+        _numbers(value, key)
+    else:
+        _number(value, key)
+
+
+def _number_or_null(value, key: str) -> None:
+    if value is not None:
+        _number(value, key)
+
+
 def _take(mapping: dict, context: str, allowed: dict):
+    """Reject unknown keys, then check each value with its key's checker."""
     extra = set(mapping) - set(allowed)
     if extra:
         raise ConfigError(f"unknown key(s) {sorted(extra)} in {context}")
+    for key, value in mapping.items():
+        if allowed[key] is not None:
+            allowed[key](value, key)
 
 
+# Accepted keys and the check of each value's JSON type (None: checked where
+# the value is built).
 _TOP_KEYS = {
-    "sensors", "desired_doa_deg", "interferer_doas_deg", "snr_db", "sir_db",
-    "inr_db", "noise_power", "scattering", "sector_halfwidth_deg",
-    "snapshots", "trials", "algorithms", "master_seed", "interferer_schedule",
+    "sensors": _integer, "desired_doa_deg": _number,
+    "interferer_doas_deg": _numbers, "snr_db": _number_or_numbers,
+    "sir_db": _number, "inr_db": _number_or_null, "noise_power": _number,
+    "scattering": None, "sector_halfwidth_deg": _number, "snapshots": _integer,
+    "trials": _integer, "algorithms": None, "master_seed": _integer,
+    "interferer_schedule": None,
 }
-_SCATTER_KEYS = {"kind", "num_paths", "angle_mean_deg", "angle_std_deg"}
-_SCHEDULE_KEYS = {"start_snapshot", "interferer_doas_deg"}
+_SCATTER_KEYS = {"kind": None, "num_paths": _integer,
+                 "angle_mean_deg": _number, "angle_std_deg": _number}
+_SCHEDULE_KEYS = {"start_snapshot": _integer, "interferer_doas_deg": _numbers}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
-    _take(doc, "scenario", dict.fromkeys(_TOP_KEYS))
+    _take(doc, "scenario", _TOP_KEYS)
     if "sensors" not in doc:
         raise ConfigError("scenario must set 'sensors'")
 
@@ -167,15 +224,18 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         sc = doc["scattering"]
         if not isinstance(sc, dict):
             raise ConfigError("'scattering' must be an object")
-        _take(sc, "scattering", dict.fromkeys(_SCATTER_KEYS))
+        _take(sc, "scattering", _SCATTER_KEYS)
         defaults = {"angle_mean_deg": doc.get("desired_doa_deg", 10.0)}
         try:
             scattering = ScatteringSpec(**{**defaults, **sc})
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
+    roster = doc.get("algorithms")
+    if not isinstance(roster, list) or not roster:
+        raise ConfigError("'algorithms' must be a non-empty JSON array")
     algorithms = []
-    for entry in doc.get("algorithms", []):
+    for entry in roster:
         if isinstance(entry, str):
             algorithms.append(AlgorithmSpec(entry))
         elif isinstance(entry, dict):
@@ -190,14 +250,14 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     for entry in doc.get("interferer_schedule", []):
         if not isinstance(entry, dict):
             raise ConfigError("schedule entries must be objects")
-        _take(entry, "interferer_schedule", dict.fromkeys(_SCHEDULE_KEYS))
+        _take(entry, "interferer_schedule", _SCHEDULE_KEYS)
         if "start_snapshot" not in entry or "interferer_doas_deg" not in entry:
             raise ConfigError("schedule entries need start_snapshot and interferer_doas_deg")
-        schedule.append(ScheduleChange(int(entry["start_snapshot"]),
+        schedule.append(ScheduleChange(entry["start_snapshot"],
                                        tuple(entry["interferer_doas_deg"])))
 
     kwargs = {k: v for k, v in doc.items()
-              if k in _TOP_KEYS - {"scattering", "algorithms", "interferer_schedule"}}
+              if k in _TOP_KEYS.keys() - {"scattering", "algorithms", "interferer_schedule"}}
     kwargs["interferer_doas_deg"] = tuple(doc.get("interferer_doas_deg", ()))
     try:
         return ScenarioConfig(scattering=scattering, algorithms=algorithms,

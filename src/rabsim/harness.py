@@ -26,7 +26,7 @@ from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
                        smi_weights, steering_mse)
 from .arrays import (SnapshotBatch, generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch_stream, make_steering)
-from .errors import ExperimentError, NumericError
+from .errors import ExperimentError, NumericError, ParameterError
 from .okspme import NoisePowerSource, OkspmeBeamformer, default_estimator
 from .tracking import FORGETTING, SAMPLE_MEAN, CovarianceTracker
 
@@ -184,6 +184,8 @@ class _SmiRunner:
     """Sample-matrix-inversion baseline pinned to the nominal steering vector."""
 
     def __init__(self, name, a_nominal, delta0, loading):
+        if not loading >= 0.0:
+            raise ParameterError(f"{name}: loading_scale must be >= 0")
         self.name = name
         self.tracker = CovarianceTracker(len(a_nominal), delta0=delta0)
         self.a_hat = self.constraint_steering = np.asarray(a_nominal, dtype=complex)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
+from .kernels import norm
 
 BREAKDOWN = "breakdown"
 RANK_CAP = "rank_cap"
@@ -51,12 +52,12 @@ def arnoldi_mgs(
         raise ParameterError(f"R must be {m_dim}x{m_dim}, got {R.shape}")
     if not np.isfinite(R).all() or not np.isfinite(t1).all():
         raise NumericError("non-finite entries in Arnoldi inputs")
-    if abs(np.linalg.norm(t1) - 1.0) > 1e-8:
+    if abs(norm(t1) - 1.0) > 1e-8:
         raise ParameterError("seed vector t1 must have unit norm")
     if num_sources < 1:
         raise ParameterError("num_sources must be >= 1")
     if breakdown_tol is None:
-        breakdown_tol = 1e-8 * np.linalg.norm(R)
+        breakdown_tol = 1e-8 * norm(R)
     if breakdown_tol <= 0:
         raise ParameterError("breakdown_tol must be > 0")
 
@@ -67,13 +68,14 @@ def arnoldi_mgs(
 
     for j in range(cap):
         u = R @ cols[j]
-        norm_before = np.linalg.norm(u)
+        norm_before = norm(u)
         for l in range(j + 1):
             u = u - np.vdot(cols[l], u) * cols[l]
-        if np.linalg.norm(u) < REORTH_RATIO * norm_before:
+        res = norm(u)
+        if res < REORTH_RATIO * norm_before:
             for l in range(j + 1):
                 u = u - np.vdot(cols[l], u) * cols[l]
-        res = np.linalg.norm(u)
+            res = norm(u)
         if res <= breakdown_tol:
             m_out, stop = j + 1, BREAKDOWN
             break

@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, ParameterError
+from .kernels import cho_solve, cholesky, norm
 from .krylov import arnoldi_mgs, make_projector
 from .tracking import SAMPLE_MEAN, CovarianceTracker
 
@@ -65,10 +66,10 @@ def residue(R_hat: np.ndarray, a_hat: np.ndarray, b: np.ndarray):
     subspace update for this snapshot.
     """
     r = b - R_hat @ a_hat
-    norm = np.linalg.norm(r)
-    if norm < TINY * max(1.0, np.linalg.norm(b)):
+    r_norm = norm(r)
+    if r_norm < TINY * max(1.0, norm(b)):
         return r, None, True
-    return r, r / norm, False
+    return r, r / r_norm, False
 
 
 def update_steering(a_hat: np.ndarray, P: np.ndarray, d_hat: np.ndarray,
@@ -80,13 +81,13 @@ def update_steering(a_hat: np.ndarray, P: np.ndarray, d_hat: np.ndarray,
     projection leaves the estimate untouched.
     """
     proj = P @ d_hat
-    norm = np.linalg.norm(proj)
-    if norm < TINY * max(1.0, np.linalg.norm(d_hat)):
+    proj_norm = norm(proj)
+    if proj_norm < TINY * max(1.0, norm(d_hat)):
         return a_hat
     if norm_target is None:
         norm_target = math.sqrt(a_hat.shape[0])
-    a_new = a_hat + proj / norm
-    return a_new * (norm_target / np.linalg.norm(a_new))
+    a_new = a_hat + proj / proj_norm
+    return a_new * (norm_target / norm(a_new))
 
 
 def inc_matrix(R_hat: np.ndarray, a_hat: np.ndarray, sigma1_sq: float) -> np.ndarray:
@@ -96,10 +97,10 @@ def inc_matrix(R_hat: np.ndarray, a_hat: np.ndarray, sigma1_sq: float) -> np.nda
     case a minimal diagonal loading ``(|lambda_min| + 1e-6 tr(R)/M) I`` is
     added so the MVDR solve stays well posed.
     """
-    r_in = R_hat - sigma1_sq * np.outer(a_hat, a_hat.conj())
+    r_in = R_hat - sigma1_sq * (a_hat[:, None] * a_hat.conj())
     r_in = 0.5 * (r_in + r_in.conj().T)
     try:
-        scipy.linalg.cholesky(r_in, lower=True)
+        cholesky(r_in)
         return r_in
     except scipy.linalg.LinAlgError:
         pass
@@ -116,10 +117,10 @@ def mvdr_weights(R_in: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     to the last bit.
     """
     try:
-        factor = scipy.linalg.cho_factor(R_in, lower=True)
+        factor = cholesky(R_in)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError("interference-plus-noise matrix is not positive definite") from exc
-    z = scipy.linalg.cho_solve(factor, a_hat)
+    z = cho_solve(factor, a_hat)
     return z / np.vdot(a_hat, z)
 
 
@@ -174,7 +175,7 @@ class SteeringEstimator:
         a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
         self.norm_target = 1.0 if unit_norm else math.sqrt(self.m)
-        self.a_hat = a_init * (self.norm_target / np.linalg.norm(a_init))
+        self.a_hat = a_init * (self.norm_target / norm(a_init))
         self.num_sources = int(num_sources)
         self.tracker = tracker
         self.noise = noise

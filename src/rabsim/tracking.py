@@ -57,7 +57,7 @@ class CovarianceTracker:
         x = np.asarray(x)
         if x.shape != (self.m,):
             raise ParameterError(f"snapshot must have shape ({self.m},), got {x.shape}")
-        outer = np.outer(x, x.conj())
+        outer = x[:, None] * x.conj()
         if self.mode == FORGETTING:
             self._sr = self.lam * self._sr + outer
         else:

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rabsim
 from rabsim.cli import main
 
 
@@ -123,3 +126,41 @@ def test_console_script_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.strip() == "3310"
+
+
+# Malformed scenarios that once crashed with a traceback (exit 1) or ran
+# (exit 0); each now stops before any trial with one error line.
+MALFORMED = [
+    pytest.param({"sensors": 12.5}, id="sensors-float"),
+    pytest.param({"snr_db": "abc"}, id="snr-string"),
+    pytest.param({"master_seed": -1}, id="seed-negative"),
+    pytest.param({"scattering": {"kind": "coherent", "num_paths": 2.5}}, id="paths-float"),
+    pytest.param({"snr_db": 1e6}, id="snr-overflow"),
+    pytest.param({"algorithms": []}, id="roster-empty"),
+    pytest.param({"trials": "3"}, id="trials-string"),
+    pytest.param({"snr_db": [0.0, float("nan")]}, id="snr-nan"),
+    pytest.param({"sector_halfwidth_deg": -5.0}, id="sector-negative"),
+    pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]},
+                 id="loading-negative"),
+]
+
+
+@pytest.mark.parametrize("override", MALFORMED)
+def test_malformed_scenario_exits_2_with_one_error_line(tmp_path, override):
+    cfg = _scenario(tmp_path, **override)
+    out = tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(rabsim.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "rabsim.cli", "simulate",
+                          "--config", str(cfg), "--out", str(out)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    assert not out.exists()
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    cfg = _scenario(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                 "--seed", "-1"]) == 2
+    assert "master_seed" in capsys.readouterr().err

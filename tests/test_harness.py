@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -281,7 +282,9 @@ def test_parallel_equals_serial():
 # ------------------------------------------------------------------- CSV
 
 def test_csv_header_only_for_empty_roster(tmp_path):
-    cfg = config_from_dict(_base_doc(algorithms=[], trials=1, snapshots=3))
+    # A scenario file must name an algorithm; the Python API may still pass none.
+    cfg = dataclasses.replace(config_from_dict(_base_doc(trials=1, snapshots=3)),
+                              algorithms=[])
     agg = run_experiment(cfg)
     path = tmp_path / "empty.csv"
     write_csv(agg, path)
