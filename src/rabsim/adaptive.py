@@ -39,9 +39,10 @@ BETA_RESTART = 1e-14
 STEP_CAP = 10.0
 
 
-def _capped(alpha, p, ref: float):
-    """Scale ``alpha`` down so the step ``alpha p`` stays within the cap."""
-    step = abs(alpha) * norm(p)
+def _capped(alpha, p_norm, ref: float):
+    """Scale ``alpha`` down so the step ``alpha p`` (``||p|| = p_norm``) stays
+    within the cap."""
+    step = abs(alpha) * p_norm
     limit = STEP_CAP * max(1.0, ref)
     if step > limit:
         return alpha * (limit / step)
@@ -150,9 +151,9 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
     branches and rebuilds the directions with Fletcher-Reeves coefficients.
     Collapsed denominators or non-positive curvature end the loop early, and
     single steps are trust-capped against the rank-deficient startup phase.
+    Each gradient's squared norm is formed once and carried into the next
+    iteration's Fletcher-Reeves coefficient.
     """
-    if n_inner < 1:
-        raise ParameterError("n_inner must be >= 1")
     a = np.array(a0, dtype=complex)
     v = np.array(v0, dtype=complex)
     g_a = sigma1_sq * np.vdot(v, a) * v + v
@@ -164,36 +165,35 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
     # cannot ratchet its own trust region.
     ref_v = max(1.0, norm(v))
     ref_a = max(1.0, norm(a))
+    ga_sq = np.vdot(g_a, g_a).real
+    gv_sq = np.vdot(g_v, g_v).real
     for _ in range(n_inner):
         den_a = sigma1_sq * abs(np.vdot(it.v, it.p_a)) ** 2
         norm_v, norm_pa = norm(it.v), norm(it.p_a)
         if den_a <= ALPHA_COLLAPSE * (norm_v * norm_pa) ** 2:
             break
-        alpha_a = _capped(-np.vdot(it.g_a, it.p_a) / den_a, it.p_a, ref_a)
+        alpha_a = _capped(-np.vdot(it.g_a, it.p_a) / den_a, norm_pa, ref_a)
 
         a_pv = A @ it.p_v
         den_v = np.vdot(it.p_v, a_pv).real
         pv_sq = np.vdot(it.p_v, it.p_v).real
         if den_v <= DEN_COLLAPSE * pv_sq * a_scale:
             break
-        alpha_v = _capped(np.vdot(it.g_v, it.p_v) / den_v, it.p_v, ref_v)
+        alpha_v = _capped(np.vdot(it.g_v, it.p_v) / den_v, norm(it.p_v), ref_v)
 
         it.a = it.a + alpha_a * it.p_a
         it.v = it.v + alpha_v * it.p_v
         g_a_new = sigma1_sq * np.vdot(it.v, it.a) * it.v + it.v
         g_v_new = it.g_v - alpha_v * a_pv
 
-        ga_sq = np.vdot(it.g_a, it.g_a).real
-        gv_sq = np.vdot(it.g_v, it.g_v).real
-        if ga_sq <= BETA_RESTART * np.vdot(g_a_new, g_a_new).real or \
-           gv_sq <= BETA_RESTART * np.vdot(g_v_new, g_v_new).real:
-            it.g_a, it.g_v = g_a_new, g_v_new
-            break
-        beta_a = np.vdot(g_a_new, g_a_new).real / ga_sq
-        beta_v = np.vdot(g_v_new, g_v_new).real / gv_sq
-        it.p_a = g_a_new + beta_a * it.p_a
-        it.p_v = g_v_new + beta_v * it.p_v
+        ga_new_sq = np.vdot(g_a_new, g_a_new).real
+        gv_new_sq = np.vdot(g_v_new, g_v_new).real
         it.g_a, it.g_v = g_a_new, g_v_new
+        if ga_sq <= BETA_RESTART * ga_new_sq or gv_sq <= BETA_RESTART * gv_new_sq:
+            break
+        it.p_a = g_a_new + (ga_new_sq / ga_sq) * it.p_a
+        it.p_v = g_v_new + (gv_new_sq / gv_sq) * it.p_v
+        ga_sq, gv_sq = ga_new_sq, gv_new_sq
 
     return it
 
@@ -209,6 +209,8 @@ class CcgBeamformer:
     name = "okspme-ccg"
 
     def __init__(self, estimator: SteeringEstimator, n_inner: int = 5):
+        if n_inner < 1:
+            raise ParameterError("n_inner must be >= 1")
         self.estimator = estimator
         self.n_inner = int(n_inner)
         self.v = np.ones(estimator.m, dtype=complex)
@@ -307,6 +309,9 @@ class McgBeamformer:
         self.p_a = np.ones(m, dtype=complex)
         self.g_v = estimator.a_hat.astype(complex)    # g_v(0) = a(1)
         self.p_v = estimator.a_hat.astype(complex)
+        # Squared gradient norms, carried to the next snapshot's coefficients.
+        self.ga_sq = np.vdot(self.g_a, self.g_a).real
+        self.gv_sq = np.vdot(self.g_v, self.g_v).real
         self.bound_trace: list[tuple[float, float]] = []
         self.constraint_steering = estimator.a_hat
 
@@ -335,8 +340,8 @@ class McgBeamformer:
         scale_v = np.vdot(self.p_v, self.p_v).real * norm(quad)
         alpha_v = 0.0
         if den_v > DEN_COLLAPSE * scale_v:
-            alpha_v = _capped(np.vdot(g_entry, self.p_v) / den_v, self.p_v,
-                              max(1.0, norm(self.v)))
+            alpha_v = _capped(np.vdot(g_entry, self.p_v) / den_v,
+                              norm(self.p_v), max(1.0, norm(self.v)))
 
         a_new = a + alpha_a * self.p_a
         self.v = self.v + alpha_v * self.p_v
@@ -349,19 +354,20 @@ class McgBeamformer:
         self.bound_trace.append((np.vdot(self.p_v, g_v_new).real,
                                  np.vdot(self.p_v, self.g_v).real))
 
-        ga_sq = np.vdot(self.g_a, self.g_a).real
-        gv_sq = np.vdot(self.g_v, self.g_v).real
-        if ga_sq <= BETA_RESTART * np.vdot(g_a_new, g_a_new).real:
+        ga_new_sq = np.vdot(g_a_new, g_a_new).real
+        gv_new_sq = np.vdot(g_v_new, g_v_new).real
+        if self.ga_sq <= BETA_RESTART * ga_new_sq:
             self.p_a = g_a_new.copy()
         else:
-            beta_a = np.vdot(g_a_new - self.g_a, g_a_new) / ga_sq
+            beta_a = np.vdot(g_a_new - self.g_a, g_a_new) / self.ga_sq
             self.p_a = g_a_new + beta_a * self.p_a
-        if gv_sq <= BETA_RESTART * np.vdot(g_v_new, g_v_new).real:
+        if self.gv_sq <= BETA_RESTART * gv_new_sq:
             self.p_v = g_v_new.copy()
         else:
-            beta_v = np.vdot(g_v_new - self.g_v, g_v_new) / gv_sq
+            beta_v = np.vdot(g_v_new - self.g_v, g_v_new) / self.gv_sq
             self.p_v = g_v_new + beta_v * self.p_v
         self.g_a, self.g_v = g_a_new, g_v_new
+        self.ga_sq, self.gv_sq = ga_new_sq, gv_new_sq
 
         self.estimator.a_hat = a_new
         denom = np.vdot(a_new, self.v)

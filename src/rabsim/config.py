@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arrays import ScatteringSpec, SourceConfig
+from .arrays import SQRT3, ScatteringSpec, SourceConfig
 from .errors import ConfigError, ParameterError
-from .harness import ALGORITHMS
+from .harness import ALGORITHMS, build_beamformer, nominal_context
 
 _JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
@@ -33,7 +33,8 @@ def _has_json_type(value, kind: type) -> bool:
 class AlgorithmSpec:
     """One roster entry, checked against the registry ``harness.ALGORITHMS``.
 
-    Parameter ranges are checked when the engine is built.
+    Parameter types are checked here; ranges are checked by the engine's
+    constructor, which ``ScenarioConfig`` runs once when it is created.
     """
 
     name: str
@@ -63,8 +64,25 @@ class ScheduleChange:
     interferer_doas_deg: tuple
 
 
+def _check_angles(what: str, lo: float, hi: float) -> None:
+    """Reject an angle span ``[lo, hi]`` (degrees) reaching outside [-90, 90]."""
+    if not (-90.0 <= lo and hi <= 90.0):
+        span = f"{lo!r}" if lo == hi else f"[{lo!r}, {hi!r}]"
+        raise ConfigError(f"{what} {span} must lie in [-90, 90] degrees")
+
+
 @dataclass
 class ScenarioConfig:
+    """One scenario, checked when created.
+
+    Every angle a trial can draw must lie in [-90, 90] degrees: the source
+    DoAs (schedule included), the presumed sector ``desired +- halfwidth`` the
+    initial steering is drawn from, and the scattered-path support
+    ``mean +- sqrt(3) std``.  Each roster entry is built once against a
+    nominal context, so a parameter outside its range fails here rather than
+    inside a trial.
+    """
+
     sensors: int
     desired_doa_deg: float = 10.0
     interferer_doas_deg: tuple = ()
@@ -112,6 +130,30 @@ class ScenarioConfig:
             if change.start_snapshot <= prev:
                 raise ConfigError("schedule change-points must be strictly increasing")
             prev = change.start_snapshot
+        self._check_drawn_angles()
+        ctx = nominal_context(self)
+        for spec in self.algorithms:
+            try:
+                build_beamformer(spec, ctx)
+            except ParameterError as exc:
+                raise ConfigError(f"algorithm {spec.name!r}: {exc}") from exc
+
+    def _check_drawn_angles(self) -> None:
+        doa = self.desired_doa_deg
+        _check_angles("desired_doa_deg", doa, doa)
+        for d in self.interferer_doas_deg:
+            _check_angles("interferer DoA", d, d)
+        for change in self.interferer_schedule:
+            for d in change.interferer_doas_deg:
+                _check_angles("scheduled interferer DoA", d, d)
+        half = self.sector_halfwidth_deg
+        _check_angles("presumed sector desired_doa_deg +- sector_halfwidth_deg",
+                      doa - half, doa + half)
+        sc = self.scattering
+        if sc.kind != "none" and sc.num_paths > 0:
+            spread = SQRT3 * sc.angle_std_deg
+            _check_angles("scattering support angle_mean_deg +- sqrt(3) angle_std_deg",
+                          sc.angle_mean_deg - spread, sc.angle_mean_deg + spread)
 
     # Power bookkeeping: the desired power follows the SNR, interferer powers
     # follow the INR when given (relative to noise) and the SIR otherwise
@@ -247,7 +289,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             raise ConfigError("algorithm entries must be strings or objects")
 
     schedule = []
-    for entry in doc.get("interferer_schedule", []):
+    schedule_doc = doc.get("interferer_schedule", [])
+    if not isinstance(schedule_doc, list):
+        raise ConfigError("'interferer_schedule' must be a JSON array")
+    for entry in schedule_doc:
         if not isinstance(entry, dict):
             raise ConfigError("schedule entries must be objects")
         _take(entry, "interferer_schedule", _SCHEDULE_KEYS)

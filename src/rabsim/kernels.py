@@ -18,7 +18,8 @@ call it replaces and raises the same exception classes.
   upper triangle is factored by ``hetrf`` (``sytrf`` for real input) with the
   optimal workspace, and ``LinAlgWarning`` is emitted when the ``hecon``
   reciprocal condition number falls below the dtype's machine epsilon.
-* ``norm(x)`` is ``np.linalg.norm(x)`` for a float or complex array.
+* ``norm(x)`` is ``np.linalg.norm(x)`` for a float or complex array, and
+  ``row_norms(x)`` is ``norm`` of each row of a C-contiguous 2-D array.
 
 Non-finite input raises ``ValueError`` (scipy's ``check_finite``), a matrix
 that is not positive definite (``cholesky``) or is exactly singular
@@ -123,3 +124,16 @@ def norm(x: np.ndarray) -> np.floating:
         x_real, x_imag = x.real, x.imag
         return np.sqrt(x_real.dot(x_real) + x_imag.dot(x_imag))
     return np.sqrt(x.dot(x))
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``norm`` of each row of the C-contiguous 2-D array ``x``, same bits.
+
+    A stacked ``matmul`` runs, per row, the BLAS dot ``norm`` runs.
+    """
+    def row_dots(p):
+        return (p[:, None, :] @ p[:, :, None]).ravel()
+
+    if x.dtype.kind == "c":
+        return np.sqrt(row_dots(x.real) + row_dots(x.imag))
+    return np.sqrt(row_dots(x))

@@ -2,9 +2,11 @@
 
 Starting from a unit seed vector ``t1``, the iteration builds columns of the
 subspace ``span{t1, R t1, R^2 t1, ...}`` and stops either on breakdown (the
-orthogonalized residual vanishes, i.e. an invariant subspace was reached) or
-at the rank cap ``K + 1`` that suffices to capture one desired source plus
-``K - 1`` interferers.
+orthogonalized residual vanishes before the basis is full, i.e. an invariant
+subspace was reached) or at the rank cap ``K + 1`` that suffices to capture
+one desired source plus ``K - 1`` interferers.  A full basis stops with
+``RANK_CAP`` without forming one more Krylov vector, so an invariant subspace
+of dimension exactly ``K + 1`` also reads ``RANK_CAP``.
 """
 
 from __future__ import annotations
@@ -43,49 +45,48 @@ def arnoldi_mgs(
     ``breakdown_tol`` is the absolute threshold on the residual norm; the
     default is ``1e-8 * ||R||_F`` so the exact-arithmetic test ``h = 0``
     becomes scale invariant.  The emitted order never exceeds
-    ``num_sources + 1``.
+    ``num_sources + 1``; ``stop_reason`` is ``BREAKDOWN`` when the residual
+    vanished before the basis reached that cap, ``RANK_CAP`` otherwise.
     """
     R = np.asarray(R)
     t1 = np.asarray(t1, dtype=complex)
     m_dim = t1.shape[0]
     if R.shape != (m_dim, m_dim):
         raise ParameterError(f"R must be {m_dim}x{m_dim}, got {R.shape}")
-    if not np.isfinite(R).all() or not np.isfinite(t1).all():
+    # A finite norm means finite entries; only an overflowing (or non-finite)
+    # norm needs the entrywise test.
+    r_norm, t1_norm = norm(R), norm(t1)
+    if (not np.isfinite(r_norm) and not np.isfinite(R).all()) or \
+       (not np.isfinite(t1_norm) and not np.isfinite(t1).all()):
         raise NumericError("non-finite entries in Arnoldi inputs")
-    if abs(norm(t1) - 1.0) > 1e-8:
+    if abs(t1_norm - 1.0) > 1e-8:
         raise ParameterError("seed vector t1 must have unit norm")
     if num_sources < 1:
         raise ParameterError("num_sources must be >= 1")
     if breakdown_tol is None:
-        breakdown_tol = 1e-8 * norm(R)
+        breakdown_tol = 1e-8 * r_norm
     if breakdown_tol <= 0:
         raise ParameterError("breakdown_tol must be > 0")
 
     cap = num_sources + 1
     cols = [t1]
     stop = RANK_CAP
-    m_out = cap
-
-    for j in range(cap):
-        u = R @ cols[j]
+    while len(cols) < cap:
+        u = R @ cols[-1]
         norm_before = norm(u)
-        for l in range(j + 1):
-            u = u - np.vdot(cols[l], u) * cols[l]
+        for col in cols:
+            u -= np.vdot(col, u) * col
         res = norm(u)
         if res < REORTH_RATIO * norm_before:
-            for l in range(j + 1):
-                u = u - np.vdot(cols[l], u) * cols[l]
+            for col in cols:
+                u -= np.vdot(col, u) * col
             res = norm(u)
         if res <= breakdown_tol:
-            m_out, stop = j + 1, BREAKDOWN
-            break
-        if j + 1 >= cap:
-            m_out, stop = j + 1, RANK_CAP
+            stop = BREAKDOWN
             break
         cols.append(u / res)
 
-    T = np.column_stack(cols[:m_out])
-    return KrylovBasis(T=T, m=m_out, stop_reason=stop)
+    return KrylovBasis(T=np.column_stack(cols), m=len(cols), stop_reason=stop)
 
 
 def make_projector(basis: KrylovBasis) -> np.ndarray:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from rabsim import rng
-from rabsim.adaptive import (CcgBeamformer, McgBeamformer, SgBeamformer,
-                             ccg_inner, mcg_alpha_a, mcg_alpha_v_bound,
+from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE,
+                             CcgBeamformer, CgIterate, McgBeamformer,
+                             SgBeamformer, _capped, ccg_inner, mcg_alpha_a,
+                             mcg_alpha_v_bound, record_normalized_output,
                              sg_update)
 from rabsim.analysis import FlopModel, flops
 from rabsim.arrays import SourceConfig, generate_snapshots, make_steering
 from rabsim.errors import ParameterError
+from rabsim.kernels import norm
 from rabsim.okspme import (NoisePowerSource, default_estimator, inc_matrix,
                            mvdr_weights)
 
@@ -283,3 +286,149 @@ def test_per_snapshot_cost_scales_quadratically():
     fd1 = flops(FlopModel("okspme", 100, order=4))
     fd2 = flops(FlopModel("okspme", 200, order=4))
     assert fd2 / fd1 > 6.0  # the direct method is cubic
+
+
+# ------------------------------------------- bit oracles for the CG engines
+# The loops as they ran before each gradient's squared norm was carried
+# forward and the trust cap took a norm: every squared norm is recomputed
+# where it is read.  ``_ccg_oracle`` also returns why its loop ended.
+
+def _capped_vector(alpha, p, ref):
+    return _capped(alpha, norm(p), ref)
+
+
+def _ccg_oracle(A, a0, v0, sigma1_sq, n_inner):
+    a = np.array(a0, dtype=complex)
+    v = np.array(v0, dtype=complex)
+    g_a = sigma1_sq * np.vdot(v, a) * v + v
+    g_v = a - A @ v
+    it = CgIterate(v=v, a=a, g_a=g_a, g_v=g_v, p_a=g_a.copy(), p_v=g_v.copy())
+    a_scale = norm(A)
+    ref_v = max(1.0, norm(v))
+    ref_a = max(1.0, norm(a))
+    for _ in range(n_inner):
+        den_a = sigma1_sq * abs(np.vdot(it.v, it.p_a)) ** 2
+        norm_v, norm_pa = norm(it.v), norm(it.p_a)
+        if den_a <= ALPHA_COLLAPSE * (norm_v * norm_pa) ** 2:
+            return it, "alpha_collapse"
+        alpha_a = _capped_vector(-np.vdot(it.g_a, it.p_a) / den_a, it.p_a, ref_a)
+        a_pv = A @ it.p_v
+        den_v = np.vdot(it.p_v, a_pv).real
+        pv_sq = np.vdot(it.p_v, it.p_v).real
+        if den_v <= DEN_COLLAPSE * pv_sq * a_scale:
+            return it, "den_collapse"
+        alpha_v = _capped_vector(np.vdot(it.g_v, it.p_v) / den_v, it.p_v, ref_v)
+        it.a = it.a + alpha_a * it.p_a
+        it.v = it.v + alpha_v * it.p_v
+        g_a_new = sigma1_sq * np.vdot(it.v, it.a) * it.v + it.v
+        g_v_new = it.g_v - alpha_v * a_pv
+        ga_sq = np.vdot(it.g_a, it.g_a).real
+        gv_sq = np.vdot(it.g_v, it.g_v).real
+        if ga_sq <= BETA_RESTART * np.vdot(g_a_new, g_a_new).real or \
+           gv_sq <= BETA_RESTART * np.vdot(g_v_new, g_v_new).real:
+            it.g_a, it.g_v = g_a_new, g_v_new
+            return it, "restart"
+        beta_a = np.vdot(g_a_new, g_a_new).real / ga_sq
+        beta_v = np.vdot(g_v_new, g_v_new).real / gv_sq
+        it.p_a = g_a_new + beta_a * it.p_a
+        it.p_v = g_v_new + beta_v * it.p_v
+        it.g_a, it.g_v = g_a_new, g_v_new
+    return it, "n_inner"
+
+
+class _McgOracle(McgBeamformer):
+    def process(self, x):
+        info = self.estimator.begin_snapshot(x)
+        a = info.a_hat
+        s1, lam = info.sigma1_sq, self.lam
+        quad = inc_matrix(info.R, a, self.estimator.sigma1_sq_mean)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam,
+                              self.eta_a)
+        step = abs(alpha_a) * norm(self.p_a)
+        if step > 1.0:
+            alpha_a = alpha_a * (1.0 / step)
+        g_entry = a - quad @ self.v
+        a_pv = quad @ self.p_v
+        den_v = np.vdot(self.p_v, a_pv).real
+        scale_v = np.vdot(self.p_v, self.p_v).real * norm(quad)
+        alpha_v = 0.0
+        if den_v > DEN_COLLAPSE * scale_v:
+            alpha_v = _capped_vector(np.vdot(g_entry, self.p_v) / den_v, self.p_v,
+                                     max(1.0, norm(self.v)))
+        a_new = a + alpha_a * self.p_a
+        self.v = self.v + alpha_v * self.p_v
+        g_a_new = ((1 - lam) * self.v + lam * self.g_a
+                   + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
+                   - np.vdot(x, a_new) * x)
+        g_v_new = g_entry - alpha_v * a_pv
+        self.bound_trace.append((np.vdot(self.p_v, g_v_new).real,
+                                 np.vdot(self.p_v, self.g_v).real))
+        ga_sq = np.vdot(self.g_a, self.g_a).real
+        gv_sq = np.vdot(self.g_v, self.g_v).real
+        if ga_sq <= BETA_RESTART * np.vdot(g_a_new, g_a_new).real:
+            self.p_a = g_a_new.copy()
+        else:
+            beta_a = np.vdot(g_a_new - self.g_a, g_a_new) / ga_sq
+            self.p_a = g_a_new + beta_a * self.p_a
+        if gv_sq <= BETA_RESTART * np.vdot(g_v_new, g_v_new).real:
+            self.p_v = g_v_new.copy()
+        else:
+            beta_v = np.vdot(g_v_new - self.g_v, g_v_new) / gv_sq
+            self.p_v = g_v_new + beta_v * self.p_v
+        self.g_a, self.g_v = g_a_new, g_v_new
+        self.estimator.a_hat = a_new
+        denom = np.vdot(a_new, self.v)
+        if abs(denom) > 0:
+            self.w = self.v / denom
+            self.constraint_steering = a_new
+            self.v = self.w.copy()
+        record_normalized_output(self.estimator, self.w, x)
+        return self.w
+
+
+def _same_iterate(x, y):
+    return all(np.array_equal(getattr(x, f), getattr(y, f))
+               for f in ("v", "a", "g_a", "g_v", "p_a", "p_v"))
+
+
+def test_ccg_inner_bits_match_oracle():
+    g = np.random.default_rng(21)
+    reasons = set()
+    for trial in range(40):
+        m = int(g.integers(2, 13))
+        b = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
+        A = b @ b.conj().T + 0.1 * np.eye(m)
+        a = _rand(g, m)
+        s1 = float(g.uniform(0.01, 3.0))
+        v0 = _rand(g, m)
+        if trial % 4 == 0:
+            # 1 + s1 v^H a = -1e-12: the first steering gradient nearly
+            # vanishes, so the next one dwarfs it and the loop restarts
+            v0 = -(1.0 - 1e-12) * a / (s1 * np.vdot(a, a).real)
+        for n_inner in range(1, 7):
+            it = ccg_inner(A, a, v0, s1, n_inner)
+            oracle, reason = _ccg_oracle(A, a, v0, s1, n_inner)
+            assert _same_iterate(it, oracle), (trial, n_inner, reason)
+            reasons.add(reason)
+    assert {"restart", "n_inner"} <= reasons, reasons
+
+
+def test_mcg_snapshots_bits_match_oracle():
+    m = 8
+    a_true = make_steering(m, 10.0)
+    sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0),
+               SourceConfig(-40.0, 5.0)]
+    batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(9, 0, 0))
+    engines = []
+    for cls in (McgBeamformer, _McgOracle):
+        est = default_estimator(make_steering(m, 13.0), 3,
+                                NoisePowerSource("oracle", 1.0, 3),
+                                mode="forgetting", lam=0.998)
+        engines.append(cls(est))
+    new, old = engines
+    for i in range(50):
+        x = batch.observations[:, i]
+        assert np.array_equal(new.process(x), old.process(x)), i
+        for field in ("v", "g_a", "g_v", "p_a", "p_v", "a_hat"):
+            assert np.array_equal(getattr(new, field), getattr(old, field)), (i, field)
+    assert new.bound_trace == old.bound_trace

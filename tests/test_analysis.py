@@ -235,3 +235,77 @@ def test_flop_model_validation():
 def test_flops_strictly_positive(m):
     assert flops(FlopModel("okspme", m, order=4)) > 0
     assert flops(FlopModel("okspme-sg", m, order=4)) > 0
+
+
+# ----------------------------------------- stacked scoring against the scalar
+# The per-snapshot scorers as they were before they took stacks; the stacked
+# forms must give their bits row by row, with the true steering read as the
+# strided column of an (M, n) array, as the trial loop stores it.
+
+def _output_sinr_scalar(w, sigma1_sq, a_true, R_in_true):
+    from rabsim.analysis import SINR_FLOOR_DB
+    if not w.any():
+        raise ParameterError("weights must be nonzero")
+    num = sigma1_sq * abs(np.vdot(w, a_true)) ** 2
+    den = np.vdot(w, R_in_true @ w).real
+    if den <= 0:
+        return math.inf if num > 0 else SINR_FLOOR_DB
+    if num <= 0:
+        return SINR_FLOOR_DB
+    return max(SINR_FLOOR_DB, 10.0 * math.log10(num / den))
+
+
+def _steering_mse_scalar(a_hat, a_true):
+    from rabsim.kernels import norm
+    scale = norm(a_true) / norm(a_hat)
+    return float(norm(a_hat * scale - a_true) ** 2)
+
+
+def _trajectories(g, m, n):
+    truth = np.empty((m, n), dtype=complex)     # columns, as the trial stores them
+    for i in range(n):
+        truth[:, i] = make_steering(m, g.uniform(-60, 60)) * g.uniform(0.5, 2.0)
+    scale = 10.0 ** g.uniform(-3, 3, size=(n, 1))
+    weights = scale * (g.standard_normal((n, m)) + 1j * g.standard_normal((n, m)))
+    a_hats = truth.T + 0.3 * (g.standard_normal((n, m)) + 1j * g.standard_normal((n, m)))
+    return truth, weights, a_hats
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 12, 31, 40])
+def test_stacked_scoring_bits_match_scalar_rows(m):
+    g = np.random.default_rng(100 + m)
+    n = 120
+    truth, weights, a_hats = _trajectories(g, m, n)
+    r_in = _pd(g, m)
+    sinr = output_sinr(weights, 3.0, truth.T, r_in)
+    mse = steering_mse(a_hats, truth.T)
+    assert sinr.shape == mse.shape == (n,)
+    for i in range(n):
+        assert sinr[i] == _output_sinr_scalar(weights[i], 3.0, truth[:, i], r_in)
+        assert mse[i] == _steering_mse_scalar(a_hats[i], truth[:, i])
+    # single vectors still score as before
+    assert output_sinr(weights[5], 3.0, truth[:, 5], r_in) == sinr[5]
+    assert steering_mse(a_hats[5], truth[:, 5]) == mse[5]
+
+
+def test_stacked_scoring_floor_inf_and_zero_rows():
+    m = 4
+    e = np.eye(m, dtype=complex)
+    truth = np.repeat(e[:, :1], 3, axis=1)          # a_true = e1 in every column
+    weights = np.array([e[1],                       # nulled: floor
+                        e[1] + 1e-110 * e[0],       # below the floor: floor
+                        e[0] + e[2]])               # finite
+    sinr = output_sinr(weights, 2.0, truth.T, np.eye(m, dtype=complex))
+    assert sinr[0] == sinr[1] == -200.0 and -200.0 < sinr[2] < math.inf
+    expect = [_output_sinr_scalar(w, 2.0, truth[:, i], np.eye(m, dtype=complex))
+              for i, w in enumerate(weights)]
+    assert sinr.tolist() == expect
+    # zero denominator: +inf with a signal, the floor without
+    zero = np.zeros((m, m), dtype=complex)
+    sinr = output_sinr(weights, 2.0, truth.T, zero)
+    assert sinr.tolist() == [-200.0, math.inf, math.inf]
+    # a zero-weight row anywhere in the stack is rejected
+    bad = weights.copy()
+    bad[1] = 0.0
+    with pytest.raises(ParameterError):
+        output_sinr(bad, 2.0, truth.T, np.eye(m, dtype=complex))

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rabsim
 from rabsim.cli import main
@@ -142,6 +147,7 @@ MALFORMED = [
     pytest.param({"sector_halfwidth_deg": -5.0}, id="sector-negative"),
     pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]},
                  id="loading-negative"),
+    pytest.param({"interferer_schedule": 0}, id="schedule-number"),
 ]
 
 
@@ -164,3 +170,144 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
                  "--seed", "-1"]) == 2
     assert "master_seed" in capsys.readouterr().err
+
+
+def _run_counting_snapshots(tmp_path, monkeypatch, capsys, cfg):
+    """Run ``simulate`` in-process; return (exit code, stderr lines, calls
+    to ``generate_snapshots``)."""
+    from rabsim import harness
+    calls = []
+    original = harness.generate_snapshots
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_snapshots", counting)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    return code, capsys.readouterr().err.splitlines(), len(calls)
+
+
+# Parameter values outside the range their engine accepts.
+OUT_OF_RANGE_PARAMETERS = [
+    {"name": "okspme-ccg", "n_inner": 0},
+    {"name": "okspme-ccg", "n_inner": -3},
+    {"name": "okspme", "tracker": "window"},
+    {"name": "okspme-sg", "noise_mode": "guess"},
+    {"name": "okspme-mcg", "lam": 1.5},
+    {"name": "okspme-ccg", "lam": 0.0},
+    {"name": "okspme-mcg", "eta_a": 0.6},
+    {"name": "okspme-mcg", "eta_a": -0.1},
+    {"name": "okspme-sg", "mu_scale": 0.0},
+    {"name": "okspme-sg", "mu_scale": -1.0},
+]
+
+
+@pytest.mark.parametrize("entry", OUT_OF_RANGE_PARAMETERS,
+                         ids=lambda e: "-".join(f"{k}={v}" for k, v in e.items()))
+def test_parameter_ranges_checked_before_any_trial(tmp_path, monkeypatch, capsys, entry):
+    cfg = _scenario(tmp_path, algorithms=["smi", entry])
+    code, err, generated = _run_counting_snapshots(tmp_path, monkeypatch, capsys, cfg)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert generated == 0
+    assert not (tmp_path / "x.csv").exists()
+
+
+# Scenarios under which a trial could draw an angle outside [-90, 90].
+OUT_OF_RANGE_ANGLES = [
+    pytest.param({"desired_doa_deg": 95.0}, id="desired"),
+    pytest.param({"interferer_doas_deg": [30.0, -90.5]}, id="interferer"),
+    pytest.param({"interferer_schedule": [
+        {"start_snapshot": 5, "interferer_doas_deg": [120.0]}]}, id="schedule"),
+    pytest.param({"desired_doa_deg": 87.0, "sector_halfwidth_deg": 5.0}, id="sector-high"),
+    pytest.param({"desired_doa_deg": -88.0, "sector_halfwidth_deg": 2.5}, id="sector-low"),
+    pytest.param({"scattering": {"kind": "coherent", "angle_mean_deg": 85.0,
+                                 "angle_std_deg": 3.0}}, id="scatter-high"),
+    pytest.param({"scattering": {"kind": "incoherent", "angle_mean_deg": -89.0,
+                                 "angle_std_deg": 1.0}}, id="scatter-low"),
+]
+
+
+@pytest.mark.parametrize("override", OUT_OF_RANGE_ANGLES)
+def test_out_of_range_angles_rejected_at_load(tmp_path, monkeypatch, capsys, override):
+    cfg = _scenario(tmp_path, **override)
+    code, err, generated = _run_counting_snapshots(tmp_path, monkeypatch, capsys, cfg)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert generated == 0
+
+
+def test_angles_at_the_edges_are_accepted(tmp_path, capsys):
+    # spans that touch +-90 exactly, and scattering angles no trial draws
+    cfg = _scenario(tmp_path, desired_doa_deg=85.0, sector_halfwidth_deg=5.0,
+                    interferer_doas_deg=[-90.0], snapshots=3,
+                    scattering={"kind": "none", "angle_mean_deg": 89.0,
+                                "angle_std_deg": 30.0})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+
+
+# ------------------------------------------------ mutated scenario documents
+
+VALID = {
+    "sensors": 4, "desired_doa_deg": 10.0, "interferer_doas_deg": [40.0],
+    "snr_db": 5.0, "sir_db": 0.0, "noise_power": 1.0,
+    "scattering": {"kind": "coherent", "num_paths": 2, "angle_mean_deg": 10.0,
+                   "angle_std_deg": 2.0},
+    "sector_halfwidth_deg": 5.0, "snapshots": 4, "trials": 1, "master_seed": 3,
+    "interferer_schedule": [{"start_snapshot": 3, "interferer_doas_deg": [-30.0]}],
+    "algorithms": ["okspme", {"name": "okspme-sg", "mu_scale": 0.005},
+                   {"name": "okspme-ccg", "n_inner": 2},
+                   {"name": "okspme-mcg", "lam": 0.99, "eta_a": 0.1},
+                   "smi", {"name": "loaded-smi", "loading_scale": 10.0}, "optimal"],
+}
+# Paths to the fields a mutation may hit: top-level keys, scattering keys,
+# the schedule entry's keys and the parameters of the roster entries.
+FIELDS = ([(k,) for k in VALID]
+          + [("scattering", k) for k in VALID["scattering"]]
+          + [("interferer_schedule", 0, k) for k in VALID["interferer_schedule"][0]]
+          + [("algorithms", i, k) for i, e in enumerate(VALID["algorithms"])
+             if isinstance(e, dict) for k in e])
+ANGLE_KEYS = {"desired_doa_deg", "interferer_doas_deg", "angle_mean_deg"}
+WRONG_TYPES = st.sampled_from(["x", "", [1.0], [], {}, {"a": 1}, True, None])
+
+
+def _mutation(path):
+    """Values that break the field at ``path`` one way or another."""
+    options = [WRONG_TYPES, st.sampled_from([-1, -2.5, -1e9, 0, 0.0]),
+               st.sampled_from([math.nan, math.inf, -math.inf])]
+    if path[-1] in ANGLE_KEYS:
+        angles = st.one_of(st.floats(90.001, 1e4), st.floats(-1e4, -90.001))
+        options.append(angles.map(lambda a: [a] if path[-1] == "interferer_doas_deg"
+                                  else a))
+    return st.one_of(*options)
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = json.loads(json.dumps(VALID))
+    kind = draw(st.sampled_from(["value", "unknown-key"]))
+    path = draw(st.sampled_from(FIELDS))
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    if kind == "unknown-key":
+        owner[path[-1] + "_typo"] = 1
+    else:
+        owner[path[-1]] = draw(_mutation(path))
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_mutated_documents())
+@example(doc=dict(VALID, interferer_schedule=0))
+def test_mutated_scenarios_map_to_documented_exit_codes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scenario.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(cfg),
+                         "--out", str(Path(tmp) / "x.csv")])
+    assert code in (0, 2, 3, 4), (code, doc)
+    assert "Traceback" not in err.getvalue()

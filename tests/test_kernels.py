@@ -95,6 +95,10 @@ def test_norm_matches_numpy(m, dtype):
         got, want = kernels.norm(x), np.linalg.norm(x)
         assert type(got) is np.float64 and type(want) is np.float64
         assert got.tobytes() == want.tobytes()
+    # row by row, including rows copied out of strided columns
+    for x in (a, np.ascontiguousarray(a.T), np.ascontiguousarray(a[1:, ::2])):
+        want = np.array([np.linalg.norm(row) for row in x])
+        assert kernels.row_norms(x).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -185,6 +189,7 @@ WRAPPERS = {
     "cho_solve": lambda c, b: scipy.linalg.cho_solve((c, True), b),
     "her_solve": lambda a, b: scipy.linalg.solve(a, b, assume_a="her"),
     "norm": np.linalg.norm,
+    "row_norms": lambda x: np.array([np.linalg.norm(row) for row in x]),
 }
 
 
@@ -227,7 +232,8 @@ def test_simulate_writes_the_bytes_of_the_scipy_wrappers(tmp_path, monkeypatch, 
     assert {("rabsim.okspme", "cholesky"), ("rabsim.okspme", "cho_solve"),
             ("rabsim.okspme", "norm"), ("rabsim.analysis", "her_solve"),
             ("rabsim.analysis", "cholesky"), ("rabsim.adaptive", "norm"),
-            ("rabsim.krylov", "norm"), ("rabsim.kernels", "norm")} <= sites
+            ("rabsim.krylov", "norm"), ("rabsim.kernels", "norm"),
+            ("rabsim.analysis", "row_norms")} <= sites
     wrapped = _simulate(tmp_path, "wrappers", threads)
     assert wrapped == fast
     if threads == 1:    # pool workers count in their own processes

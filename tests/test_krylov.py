@@ -166,3 +166,99 @@ def test_determinism():
     b2 = arnoldi_mgs(R, t1, 4)
     assert np.array_equal(b1.T, b2.T)
     assert (b1.m, b1.stop_reason) == (b2.m, b2.stop_reason)
+
+
+# The iteration as it ran before it stopped at the rank cap: it formed and
+# orthogonalized one more Krylov vector once the basis was full, only to pick
+# the stop label.  Kept as the oracle for the bits of ``T`` and ``m``.
+def _arnoldi_before_cap_stop(R, t1, num_sources):
+    from rabsim.kernels import norm
+    from rabsim.krylov import REORTH_RATIO
+    R = np.asarray(R)
+    t1 = np.asarray(t1, dtype=complex)
+    if not np.isfinite(R).all() or not np.isfinite(t1).all():
+        raise NumericError("non-finite entries in Arnoldi inputs")
+    if abs(norm(t1) - 1.0) > 1e-8:
+        raise ParameterError("seed vector t1 must have unit norm")
+    breakdown_tol = 1e-8 * norm(R)
+    cap = num_sources + 1
+    cols = [t1]
+    stop = RANK_CAP
+    m_out = cap
+    for j in range(cap):
+        u = R @ cols[j]
+        norm_before = norm(u)
+        for l in range(j + 1):
+            u = u - np.vdot(cols[l], u) * cols[l]
+        res = norm(u)
+        if res < REORTH_RATIO * norm_before:
+            for l in range(j + 1):
+                u = u - np.vdot(cols[l], u) * cols[l]
+            res = norm(u)
+        if res <= breakdown_tol:
+            m_out, stop = j + 1, BREAKDOWN
+            break
+        if j + 1 >= cap:
+            m_out, stop = j + 1, RANK_CAP
+            break
+        cols.append(u / res)
+    return np.column_stack(cols[:m_out]), m_out, stop
+
+
+def _assert_matches_oracle(R, t1, k):
+    basis = arnoldi_mgs(R, t1, k)
+    T, m, stop = _arnoldi_before_cap_stop(R, t1, k)
+    assert np.array_equal(basis.T, T) and basis.m == m
+    # Only a breakdown detected at the cap itself changes its label.
+    assert basis.stop_reason == (RANK_CAP if m == k + 1 else stop)
+    return basis, stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40), k=st.integers(1, 5),
+       rank=st.integers(1, 40))
+def test_basis_bits_match_full_pass_oracle(seed, m, k, rank):
+    # Low-rank-plus-identity matrices break down early; full-rank ones run to
+    # the cap.
+    g = np.random.default_rng(seed)
+    b = g.standard_normal((m, min(rank, m))) + 1j * g.standard_normal((m, min(rank, m)))
+    R = b @ b.conj().T + (0.1 if rank < m else 0.0) * np.eye(m)
+    _assert_matches_oracle(R, _unit(g, m), k)
+
+
+def test_invariant_subspace_at_the_cap_reads_rank_cap():
+    # M = K + 1: the full basis spans the whole space, so the next Krylov
+    # vector vanishes after orthogonalization.  The full pass called that a
+    # breakdown; the basis is the same and now reads RANK_CAP.
+    g = np.random.default_rng(11)
+    for k in range(1, 6):
+        R = _random_hermitian(g, k + 1)
+        basis, old_stop = _assert_matches_oracle(R, _unit(g, k + 1), k)
+        assert old_stop == BREAKDOWN
+        assert basis.m == k + 1 and basis.stop_reason == RANK_CAP
+    # A breakdown before the cap keeps its label.
+    basis, old_stop = _assert_matches_oracle(np.eye(4, dtype=complex), _unit(g, 4), 3)
+    assert basis.stop_reason == old_stop == BREAKDOWN
+
+
+def test_input_checks_follow_the_norms():
+    g = np.random.default_rng(12)
+    t1 = _unit(g, 3)
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.nan)):
+        R = np.eye(3, dtype=complex)
+        R[1, 2] = bad
+        with pytest.raises(NumericError):
+            arnoldi_mgs(R, t1, 2)
+        seed = t1.copy()
+        seed[0] = bad
+        with pytest.raises(NumericError):
+            arnoldi_mgs(np.eye(3, dtype=complex), seed, 2)
+    # non-finite R beats a non-unit seed, as before
+    with pytest.raises(NumericError):
+        arnoldi_mgs(np.full((3, 3), np.nan), 2.0 * t1, 2)
+    # finite entries whose Frobenius norm overflows are accepted; the
+    # infinite tolerance stops at order one, as the full pass did
+    R = 1e200 * np.eye(3, dtype=complex)
+    with np.errstate(over="ignore"):
+        basis, _ = _assert_matches_oracle(R, t1, 2)
+    assert basis.m == 1 and basis.stop_reason == BREAKDOWN
