@@ -10,8 +10,7 @@ MVDR solve with an O(M^2)-per-snapshot recursion:
   the weights proxy ``v`` and a local refinement of the steering vector.
 * MCG: the single-iteration variant with conjugate directions carried across
   snapshots; its steering branch uses the convergence-band placement rule
-  with a constant ``eta in [0, 0.5]`` (the band rule for the weight branch
-  is kept as an analyzable reference, see ``mcg_alpha_v_bound``).
+  with a constant ``eta in [0, 0.5]``.
 
 Degenerate denominators (a power estimate clamped at its floor, collapsed
 direction/gradient alignment, or non-positive curvature) are treated as
@@ -37,6 +36,8 @@ BETA_RESTART = 1e-14
 # quadratic is indefinite while the covariance estimate is rank deficient
 # (first few snapshots); uncapped line searches can run away through it.
 STEP_CAP = 10.0
+# SG step-size cap, as a fraction of the stability limit 1 / (sigma1^2 ||a||^2).
+MU_CAP = 0.5
 
 
 def _capped(alpha, p_norm, ref: float):
@@ -89,19 +90,18 @@ class SgBeamformer:
     The step size adapts to the running power estimate,
     ``mu = mu_scale / mean(sigma1^2)``; smoothing (rather than the raw
     per-snapshot estimate) keeps a single floor-clamped power snapshot from
-    exploding the data term.  A cap enforces ``mu < mu_cap / sigma1^2`` at
+    exploding the data term.  A cap enforces ``mu < MU_CAP / sigma1^2`` at
     every applied step.
     """
 
     name = "okspme-sg"
 
     def __init__(self, estimator: SteeringEstimator, mu_scale: float = 0.005,
-                 mu_cap: float = 0.5, smooth_power: bool = True):
+                 smooth_power: bool = True):
         if mu_scale <= 0:
             raise ParameterError("mu_scale must be > 0")
         self.estimator = estimator
         self.mu_scale = float(mu_scale)
-        self.mu_cap = float(mu_cap)
         self.smooth_power = smooth_power
         self.w = np.ones(estimator.m, dtype=complex)
 
@@ -120,7 +120,7 @@ class SgBeamformer:
         # eigenvalue), so the cap scales with the squared steering norm.
         gram = np.vdot(info.a_hat, info.a_hat).real
         mu = min(self.mu_scale / (ref * gram),
-                 self.mu_cap / (info.sigma1_sq * gram))
+                 MU_CAP / (info.sigma1_sq * gram))
         y_curr = np.vdot(self.w, x)
         self.w = sg_update(self.w, mu, info.a_hat, info.sigma1_sq, x, y_curr)
         record_normalized_output(self.estimator, self.w, x)
@@ -259,23 +259,6 @@ def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
     return num / den
 
 
-def mcg_alpha_v_bound(p_v: np.ndarray, g_v_prev: np.ndarray, a_hat: np.ndarray,
-                      quad: np.ndarray, lam: float, eta_v: float) -> complex:
-    """Band-placed weight-proxy step size over the quadratic ``quad``.
-
-    ``[lam (p^H g_prev - p^H a) - eta_v p^H g_prev] / [p^H quad p]``.  This is
-    the published placement rule inside the convergence band; it presumes the
-    carried proxy already satisfies the steady-state statistics, so the
-    per-snapshot weight engine uses an exact line search instead and this
-    form is kept as the analyzable reference.
-    """
-    den = np.vdot(p_v, quad @ p_v).real
-    if den == 0.0:
-        return 0.0
-    pv_g = np.vdot(p_v, g_v_prev)
-    return (lam * (pv_g - np.vdot(p_v, a_hat)) - eta_v * pv_g) / den
-
-
 class McgBeamformer:
     """Steering estimator + a one-iteration-per-snapshot CG weight update.
 
@@ -293,15 +276,14 @@ class McgBeamformer:
     name = "okspme-mcg"
 
     def __init__(self, estimator: SteeringEstimator, lam: float = 0.998,
-                 eta_a: float = 0.1, eta_v: float = 0.1):
-        if not 0.0 <= eta_a <= 0.5 or not 0.0 <= eta_v <= 0.5:
-            raise ParameterError("eta constants must lie in [0, 0.5]")
+                 eta_a: float = 0.1):
+        if not 0.0 <= eta_a <= 0.5:
+            raise ParameterError("eta_a must lie in [0, 0.5]")
         if not 0.0 < lam <= 1.0:
             raise ParameterError("forgetting factor must lie in (0, 1]")
         self.estimator = estimator
         self.lam = float(lam)
         self.eta_a = float(eta_a)
-        self.eta_v = float(eta_v)
         m = estimator.m
         self.v = np.ones(m, dtype=complex)
         self.w = np.ones(m, dtype=complex)

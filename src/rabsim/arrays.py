@@ -70,7 +70,6 @@ class SnapshotBatch:
 
     observations: np.ndarray
     true_steering: np.ndarray
-    noise_power: float
 
     def steering_at(self, i: int) -> np.ndarray:
         if self.true_steering.ndim == 1:
@@ -213,4 +212,4 @@ def generate_snapshots(
         z = rng.standard_normal((m, count, 2))
         obs += math.sqrt(noise_power / 2.0) * (z[..., 0] + 1j * z[..., 1])
 
-    return SnapshotBatch(observations=obs, true_steering=truth, noise_power=noise_power)
+    return SnapshotBatch(observations=obs, true_steering=truth)

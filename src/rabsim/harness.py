@@ -28,7 +28,7 @@ from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
 from .arrays import (SnapshotBatch, generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch_stream, make_steering)
 from .errors import ExperimentError, NumericError, ParameterError
-from .okspme import NoisePowerSource, OkspmeBeamformer, default_estimator
+from .okspme import NoisePowerSource, OkspmeBeamformer, SteeringEstimator
 from .tracking import FORGETTING, SAMPLE_MEAN, CovarianceTracker
 
 if TYPE_CHECKING:
@@ -52,7 +52,7 @@ class AggregateResult:
     x_values: list
     mean_sinr_db: dict             # algorithm -> array over x
     mean_steering_mse: dict
-    contributing: dict             # algorithm -> trials that produced data
+    contributing: dict             # algorithm -> trials that produced data, per x
     failures: dict                 # algorithm -> failed trial count
     trials: int
 
@@ -136,7 +136,7 @@ def _okspme_params(tracker: str, **extra) -> dict:
 def _estimator(p: dict, ctx: TrialContext):
     noise = NoisePowerSource(mode=p["noise_mode"], value=ctx.noise_power,
                              num_sources=ctx.num_sources)
-    return default_estimator(ctx.a_init, ctx.num_sources, noise,
+    return SteeringEstimator(ctx.a_init, ctx.num_sources, noise,
                              delta=p["delta"], delta0=p["delta0"],
                              mode=p["tracker"], lam=p["lam"],
                              unit_norm=p["unit_norm"])
@@ -158,10 +158,9 @@ ALGORITHMS = {
         _okspme_params(FORGETTING, n_inner=Param(int, 5)),
         lambda p, ctx: CcgBeamformer(_estimator(p, ctx), n_inner=p["n_inner"])),
     "okspme-mcg": Algorithm(
-        _okspme_params(FORGETTING, eta_a=Param(float, 0.1),
-                       eta_v=Param(float, 0.1)),
+        _okspme_params(FORGETTING, eta_a=Param(float, 0.1)),
         lambda p, ctx: McgBeamformer(_estimator(p, ctx), lam=p["lam"],
-                                     eta_a=p["eta_a"], eta_v=p["eta_v"])),
+                                     eta_a=p["eta_a"])),
     "smi": Algorithm(
         {"delta0": Param(float, 0.1)},
         lambda p, ctx: _SmiRunner("smi", ctx.a_nominal, p["delta0"], loading=0.0)),
@@ -189,7 +188,7 @@ def nominal_context(cfg: ScenarioConfig) -> TrialContext:
     """
     a_nominal = make_steering(cfg.sensors, cfg.desired_doa_deg)
     empty = SnapshotBatch(observations=np.empty((cfg.sensors, 0), dtype=complex),
-                          true_steering=a_nominal, noise_power=cfg.noise_power)
+                          true_steering=a_nominal)
     return TrialContext(a_init=a_nominal, a_nominal=a_nominal,
                         num_sources=cfg.num_sources, noise_power=cfg.noise_power,
                         batch=empty, inc=[])
@@ -270,8 +269,7 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_db: float, snr_index: int,
 
     observations = np.concatenate(obs_parts, axis=1)
     truth = np.concatenate(truth_parts, axis=1)
-    batch = SnapshotBatch(observations=observations, true_steering=truth,
-                          noise_power=cfg.noise_power)
+    batch = SnapshotBatch(observations=observations, true_steering=truth)
 
     inc = [None] * cfg.snapshots
     for start, end, r in inc_by_segment:
@@ -284,11 +282,9 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_db: float, snr_index: int,
     return batch, inc, a_init, cfg.desired_power(snr_db)
 
 
-def run_trial(cfg: ScenarioConfig, trial_index: int, snr_db: float | None = None,
-              snr_index: int = 0) -> TrialRecord:
-    """Run every configured algorithm over one seeded trial."""
-    if snr_db is None:
-        snr_db = cfg.snr_points()[0]
+def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> TrialRecord:
+    """Run every configured algorithm over one seeded trial at one SNR point."""
+    snr_db = cfg.snr_points()[snr_index]
     batch, inc, a_init, p_des = simulate_trial_data(cfg, snr_db, snr_index,
                                                     trial_index)
     n = cfg.snapshots
@@ -327,13 +323,11 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_db: float | None = None
 
 
 def _trial_job(args):
-    cfg, trial, snr_db, snr_index = args
-    return run_trial(cfg, trial, snr_db, snr_index)
+    return run_trial(*args)
 
 
-def _collect_trials(cfg: ScenarioConfig, snr_db: float, snr_index: int,
-                    workers: int) -> list:
-    jobs = [(cfg, t, snr_db, snr_index) for t in range(cfg.trials)]
+def _collect_trials(cfg: ScenarioConfig, snr_index: int, workers: int) -> list:
+    jobs = [(cfg, t, snr_index) for t in range(cfg.trials)]
     if workers <= 1 or cfg.trials == 1:
         return [_trial_job(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -343,47 +337,39 @@ def _collect_trials(cfg: ScenarioConfig, snr_db: float, snr_index: int,
 def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> AggregateResult:
     """Average `cfg.trials` independent trials per scenario point.
 
-    Snapshot studies (scalar SNR) average the SINR trace in the dB domain per
-    snapshot; SNR sweeps reduce each trial to its steady-state mean (last
-    ``STEADY_WINDOW`` snapshots) before averaging across trials.
+    Each trial is first reduced per SNR point, then averaged across trials:
+    snapshot studies (scalar SNR, one point) keep the whole dB-domain SINR
+    trace, while SNR sweeps reduce a trial to its steady-state mean (last
+    ``STEADY_WINDOW`` snapshots).
     """
     names = [spec.name for spec in cfg.algorithms]
-    window = min(STEADY_WINDOW, cfg.snapshots)
+    if cfg.is_sweep:
+        x_kind, x_values = "snr_db", cfg.snr_points()
+        reduce = lambda trace: np.mean(trace[-STEADY_WINDOW:])
+    else:
+        x_kind, x_values = "snapshot", list(range(1, cfg.snapshots + 1))
+        reduce = lambda trace: trace
 
-    if not cfg.is_sweep:
-        records = _collect_trials(cfg, cfg.snr_points()[0], 0, workers)
-        x_values = list(range(1, cfg.snapshots + 1))
-        mean_sinr, mean_mse, contributing, failures = {}, {}, {}, {}
-        for name in names:
-            good = [r for r in records if not r.failed[name]]
-            failures[name] = cfg.trials - len(good)
-            contributing[name] = len(good)
-            if not good:
-                raise ExperimentError(f"all trials failed for algorithm {name!r}")
-            mean_sinr[name] = np.mean([r.sinr_db[name] for r in good], axis=0)
-            mean_mse[name] = np.mean([r.steering_mse[name] for r in good], axis=0)
-        return AggregateResult("snapshot", x_values, mean_sinr, mean_mse,
-                               contributing, failures, cfg.trials)
-
-    x_values = cfg.snr_points()
-    mean_sinr = {name: np.empty(len(x_values)) for name in names}
-    mean_mse = {name: np.empty(len(x_values)) for name in names}
+    mean_sinr = {name: [] for name in names}
+    mean_mse = {name: [] for name in names}
     contributing = {name: [] for name in names}
     failures = {name: 0 for name in names}
-    for j, snr_db in enumerate(x_values):
-        records = _collect_trials(cfg, snr_db, j, workers)
+    for j, snr_db in enumerate(cfg.snr_points()):
+        records = _collect_trials(cfg, j, workers)
         for name in names:
             good = [r for r in records if not r.failed[name]]
             failures[name] += cfg.trials - len(good)
-            contributing[name].append(len(good))
             if not good:
                 raise ExperimentError(
                     f"all trials failed for algorithm {name!r} at SNR {snr_db} dB")
-            mean_sinr[name][j] = np.mean([np.mean(r.sinr_db[name][-window:])
-                                          for r in good])
-            mean_mse[name][j] = np.mean([np.mean(r.steering_mse[name][-window:])
-                                         for r in good])
-    return AggregateResult("snr_db", x_values, mean_sinr, mean_mse,
+            point = np.mean([reduce(r.sinr_db[name]) for r in good], axis=0)
+            mean_sinr[name].append(point)
+            mean_mse[name].append(np.mean([reduce(r.steering_mse[name]) for r in good],
+                                          axis=0))
+            contributing[name] += [len(good)] * point.size
+    return AggregateResult(x_kind, x_values,
+                           {name: np.ravel(v) for name, v in mean_sinr.items()},
+                           {name: np.ravel(v) for name, v in mean_mse.items()},
                            contributing, failures, cfg.trials)
 
 
@@ -398,13 +384,11 @@ def write_csv(result: AggregateResult, path) -> None:
     for name in sorted(result.mean_sinr_db):
         for j, x in enumerate(result.x_values):
             x_text = str(x) if result.x_kind == "snapshot" else repr(float(x))
-            count = result.contributing[name]
-            count_j = count[j] if isinstance(count, list) else count
             lines.append(",".join([
                 name, result.x_kind, x_text,
                 repr(float(result.mean_sinr_db[name][j])),
                 repr(float(result.mean_steering_mse[name][j])),
-                str(count_j),
+                str(result.contributing[name][j]),
             ]))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -34,17 +34,12 @@ class KrylovBasis:
     stop_reason: str
 
 
-def arnoldi_mgs(
-    R: np.ndarray,
-    t1: np.ndarray,
-    num_sources: int,
-    breakdown_tol: float | None = None,
-) -> KrylovBasis:
+def arnoldi_mgs(R: np.ndarray, t1: np.ndarray, num_sources: int) -> KrylovBasis:
     """Build the Krylov basis of ``R`` seeded by the unit vector ``t1``.
 
-    ``breakdown_tol`` is the absolute threshold on the residual norm; the
-    default is ``1e-8 * ||R||_F`` so the exact-arithmetic test ``h = 0``
-    becomes scale invariant.  The emitted order never exceeds
+    The residual norm counts as zero at ``1e-8 * ||R||_F`` or below, so the
+    exact-arithmetic test ``h = 0`` becomes scale invariant; a zero ``R``
+    (no threshold) is rejected.  The emitted order never exceeds
     ``num_sources + 1``; ``stop_reason`` is ``BREAKDOWN`` when the residual
     vanished before the basis reached that cap, ``RANK_CAP`` otherwise.
     """
@@ -63,10 +58,9 @@ def arnoldi_mgs(
         raise ParameterError("seed vector t1 must have unit norm")
     if num_sources < 1:
         raise ParameterError("num_sources must be >= 1")
-    if breakdown_tol is None:
-        breakdown_tol = 1e-8 * r_norm
-    if breakdown_tol <= 0:
-        raise ParameterError("breakdown_tol must be > 0")
+    tol = 1e-8 * r_norm
+    if tol <= 0:
+        raise ParameterError("R must have a nonzero norm")
 
     cap = num_sources + 1
     cols = [t1]
@@ -81,7 +75,7 @@ def arnoldi_mgs(
             for col in cols:
                 u -= np.vdot(col, u) * col
             res = norm(u)
-        if res <= breakdown_tol:
+        if res <= tol:
             stop = BREAKDOWN
             break
         cols.append(u / res)

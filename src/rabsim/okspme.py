@@ -36,19 +36,18 @@ POWER_FLOOR = 1e-8
 TINY = 1e-12
 
 
-def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float,
-                   power_floor: float = POWER_FLOOR) -> float:
+def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float) -> float:
     """Instantaneous desired-signal power from one snapshot.
 
-    ``(|a^H x|^2 - |a^H a| sigma_n^2) / |a^H a|^2``, clamped from below so a
-    noise-dominated snapshot cannot return a negative power and flip the sign
-    of the rank-one subtraction downstream.
+    ``(|a^H x|^2 - |a^H a| sigma_n^2) / |a^H a|^2``, clamped from below at
+    ``POWER_FLOOR`` so a noise-dominated snapshot cannot return a negative
+    power and flip the sign of the rank-one subtraction downstream.
     """
     gram = abs(np.vdot(a_hat, a_hat))
     if gram <= 0.0:
         raise ParameterError("steering estimate must be nonzero")
     proj = abs(np.vdot(a_hat, x)) ** 2
-    return max(power_floor, (proj - gram * sigma_n_sq) / gram**2)
+    return max(POWER_FLOOR, (proj - gram * sigma_n_sq) / gram**2)
 
 
 def build_rhs(a_hat: np.ndarray, sigma1_sq: float, sigma_n_sq: float,
@@ -73,19 +72,17 @@ def residue(R_hat: np.ndarray, a_hat: np.ndarray, b: np.ndarray):
 
 
 def update_steering(a_hat: np.ndarray, P: np.ndarray, d_hat: np.ndarray,
-                    norm_target: float | None = None) -> np.ndarray:
+                    norm_target: float) -> np.ndarray:
     """Add the projected cross-correlation direction and renormalize.
 
-    ``norm_target`` defaults to ``sqrt(M)``, the physical ULA steering norm;
-    passing 1.0 reproduces the plain unit renormalization.  A negligible
-    projection leaves the estimate untouched.
+    ``norm_target`` is ``sqrt(M)`` for the physical ULA steering norm, or 1.0
+    for the plain unit renormalization.  A negligible projection leaves the
+    estimate untouched.
     """
     proj = P @ d_hat
     proj_norm = norm(proj)
     if proj_norm < TINY * max(1.0, norm(d_hat)):
         return a_hat
-    if norm_target is None:
-        norm_target = math.sqrt(a_hat.shape[0])
     a_new = a_hat + proj / proj_norm
     return a_new * (norm_target / norm(a_new))
 
@@ -153,46 +150,39 @@ class StepInfo:
     """Per-snapshot products of steps 1-3 consumed by the weight engines."""
 
     R: np.ndarray
-    d: np.ndarray
     sigma1_sq: float
-    sigma_n_sq: float
     a_hat: np.ndarray
 
 
 class SteeringEstimator:
-    """Shared state machine for steps 1-3 (statistics, power, steering)."""
+    """Shared state machine for steps 1-3 (statistics, power, steering).
 
-    def __init__(
-        self,
-        a_init: np.ndarray,
-        num_sources: int,
-        tracker: CovarianceTracker,
-        noise: NoisePowerSource,
-        delta: float = 0.1,
-        unit_norm: bool = False,
-        power_floor: float = POWER_FLOOR,
-    ):
+    Owns the covariance tracker (``mode``, ``lam`` and ``delta0`` configure
+    it) that supplies the snapshot statistics.
+    """
+
+    def __init__(self, a_init: np.ndarray, num_sources: int, noise: NoisePowerSource,
+                 delta: float = 0.1, delta0: float = 0.1, mode: str = SAMPLE_MEAN,
+                 lam: float = 1.0, unit_norm: bool = False):
         a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
+        self.tracker = CovarianceTracker(self.m, mode=mode, lam=lam, delta0=delta0)
         self.norm_target = 1.0 if unit_norm else math.sqrt(self.m)
         self.a_hat = a_init * (self.norm_target / norm(a_init))
         self.num_sources = int(num_sources)
-        self.tracker = tracker
         self.noise = noise
         self.delta = float(delta)
-        self.power_floor = float(power_floor)
         # Smoothed power estimate, weighted like the tracker statistics
         # (forgetting-factor mean, or plain arithmetic mean when lam = 1).
         self._sigma1_num = 0.0
         self._sigma1_den = 0.0
-        self._steps = 0
 
     @property
     def sigma1_sq_mean(self) -> float:
         """Running (tracker-weighted) mean of the power estimates."""
         if self._sigma1_den == 0.0:
-            return self.power_floor
-        return max(self.power_floor, self._sigma1_num / self._sigma1_den)
+            return POWER_FLOOR
+        return max(POWER_FLOOR, self._sigma1_num / self._sigma1_den)
 
     def begin_snapshot(self, x: np.ndarray) -> StepInfo:
         """Absorb a snapshot into the covariance and run steps 1-3.
@@ -206,11 +196,10 @@ class SteeringEstimator:
         R = self.tracker.covariance()
         d = self.tracker.crosscorr()
         sigma_n = self.noise.noise_power(R)
-        sigma1 = estimate_power(self.a_hat, x, sigma_n, self.power_floor)
+        sigma1 = estimate_power(self.a_hat, x, sigma_n)
         lam = self.tracker.lam if self.tracker.mode == "forgetting" else 1.0
         self._sigma1_num = lam * self._sigma1_num + sigma1
         self._sigma1_den = lam * self._sigma1_den + 1.0
-        self._steps += 1
 
         b = build_rhs(self.a_hat, sigma1, sigma_n, self.delta)
         _, t1, converged = residue(R, self.a_hat, b)
@@ -218,8 +207,7 @@ class SteeringEstimator:
             basis = arnoldi_mgs(R, t1, self.num_sources)
             self.a_hat = update_steering(self.a_hat, make_projector(basis), d,
                                          self.norm_target)
-        return StepInfo(R=R, d=d, sigma1_sq=sigma1, sigma_n_sq=sigma_n,
-                        a_hat=self.a_hat)
+        return StepInfo(R=R, sigma1_sq=sigma1, a_hat=self.a_hat)
 
     def record_output(self, x: np.ndarray, y: complex) -> None:
         """Feed this snapshot's beamformer output into the cross-correlation."""
@@ -250,12 +238,3 @@ class OkspmeBeamformer:
         self.w = mvdr_weights(r_in, info.a_hat)
         self.estimator.record_output(x, np.vdot(self.w, x))
         return self.w
-
-
-def default_estimator(a_init: np.ndarray, num_sources: int, noise: NoisePowerSource,
-                      delta: float = 0.1, delta0: float = 0.1,
-                      mode: str = SAMPLE_MEAN, lam: float = 1.0,
-                      unit_norm: bool = False) -> SteeringEstimator:
-    tracker = CovarianceTracker(len(a_init), mode=mode, lam=lam, delta0=delta0)
-    return SteeringEstimator(a_init, num_sources, tracker, noise,
-                             delta=delta, unit_norm=unit_norm)

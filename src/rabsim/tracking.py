@@ -46,7 +46,7 @@ class CovarianceTracker:
         self._sr = self.delta0 * np.eye(self.m, dtype=complex)
         self._sd = np.zeros(self.m, dtype=complex)
 
-    def update_covariance(self, x: np.ndarray) -> "CovarianceTracker":
+    def update_covariance(self, x: np.ndarray) -> None:
         """Absorb one snapshot into the covariance statistic only.
 
         Split from the cross-correlation update because the snapshot enters
@@ -65,9 +65,8 @@ class CovarianceTracker:
         # Rank-1 updates drift off Hermitian symmetry in floating point.
         self._sr = 0.5 * (self._sr + self._sr.conj().T)
         self.count += 1
-        return self
 
-    def update_crosscorr(self, x: np.ndarray, y: complex) -> "CovarianceTracker":
+    def update_crosscorr(self, x: np.ndarray, y: complex) -> None:
         """Absorb one (snapshot, output) pair into the cross-correlation."""
         x = np.asarray(x)
         if x.shape != (self.m,):
@@ -77,7 +76,6 @@ class CovarianceTracker:
         else:
             self._sd = self._sd + x * np.conj(y)
         self.count_d += 1
-        return self
 
     def _accumulated_weight(self, n: int) -> float:
         if n == 0:

@@ -10,6 +10,12 @@ import pytest
 from rabsim.config import config_from_dict
 from rabsim.harness import run_experiment
 
+# Aggregates are bit-identical for any worker count, so the M <= 12 fixtures
+# run two pool workers to cut the wall time.  The M = 40 fixtures stay serial:
+# there each worker's OpenBLAS starts its own thread, and two workers on two
+# cores ran those fixtures 1.5-2x slower than one.
+WORKERS = 2
+
 FULL_ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
                "smi", "loaded-smi", "optimal"]
 
@@ -35,7 +41,7 @@ def _mismatch_doc(sensors, kind="coherent", **overrides):
 @pytest.fixture(scope="session")
 def mismatch_run():
     """Criterion 9/10 scenario: M=12, K=3, SNR 10 dB, coherent scattering."""
-    return run_experiment(config_from_dict(_mismatch_doc(12)))
+    return run_experiment(config_from_dict(_mismatch_doc(12)), workers=WORKERS)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +51,7 @@ def nomismatch_run():
     doc["interferer_doas_deg"] = []
     doc["scattering"] = {"kind": "none"}
     doc["algorithms"] = ["okspme", "smi", "optimal"]
-    return run_experiment(config_from_dict(doc))
+    return run_experiment(config_from_dict(doc), workers=WORKERS)
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +63,7 @@ def tracking_run():
         "interferer_doas_deg": [20.0, 30.0, 40.0, 50.0, 60.0],
     }]
     doc["algorithms"] = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg"]
-    return run_experiment(config_from_dict(doc))
+    return run_experiment(config_from_dict(doc), workers=WORKERS)
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,12 @@ from rabsim import rng
 from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE,
                              CcgBeamformer, CgIterate, McgBeamformer,
                              SgBeamformer, _capped, ccg_inner, mcg_alpha_a,
-                             mcg_alpha_v_bound, record_normalized_output,
-                             sg_update)
+                             record_normalized_output, sg_update)
 from rabsim.analysis import FlopModel, flops
 from rabsim.arrays import SourceConfig, generate_snapshots, make_steering
 from rabsim.errors import ParameterError
 from rabsim.kernels import norm
-from rabsim.okspme import (NoisePowerSource, default_estimator, inc_matrix,
+from rabsim.okspme import (NoisePowerSource, SteeringEstimator, inc_matrix,
                            mvdr_weights)
 
 
@@ -74,7 +73,7 @@ def test_sg_stability_long_stationary_run():
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 1.0, is_desired=True)]
     batch = generate_snapshots(sources, a_true, 1.0, 10_000, rng.stream(3, 0, 0))
-    est = default_estimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1))
+    est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1))
     bf = SgBeamformer(est)
     norms = []
     for i in range(10_000):
@@ -193,7 +192,7 @@ def test_ccg_beamformer_constraint_and_determinism():
 
     def run():
         batch = generate_snapshots(sources, a_true, 1.0, 40, rng.stream(8, 0, 0))
-        est = default_estimator(make_steering(m, 12.0), 2,
+        est = SteeringEstimator(make_steering(m, 12.0), 2,
                                 NoisePowerSource("oracle", 1.0, 2),
                                 mode="forgetting", lam=0.998)
         bf = CcgBeamformer(est)
@@ -209,18 +208,6 @@ def test_ccg_beamformer_constraint_and_determinism():
 
 # --------------------------------------------------------------- MCG engine
 
-def test_mcg_alpha_v_bound_hand_value():
-    # 2-dim hand evaluation with lam = 1, eta = 0 and zero power: the
-    # numerator reduces to the pure placement expression over p^H R p
-    p_v = np.array([1.0, 1.0j], dtype=complex)
-    g_prev = np.array([2.0, 0.0], dtype=complex)
-    a = np.array([1.0, 0.0], dtype=complex)
-    R = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
-    alpha = mcg_alpha_v_bound(p_v, g_prev, a, R, lam=1.0, eta_v=0.0)
-    # by hand: p^H g_prev = 2, p^H a = 1, p^H R p = 2 + 1 = 3
-    assert abs(alpha - (2.0 - 1.0) / 3.0) < 1e-14
-
-
 def test_mcg_alpha_a_matches_independent_recomputation():
     g = np.random.default_rng(9)
     m = 4
@@ -234,7 +221,7 @@ def test_mcg_alpha_a_matches_independent_recomputation():
 
 
 def test_mcg_eta_validation():
-    est = default_estimator(make_steering(4, 10.0), 1,
+    est = SteeringEstimator(make_steering(4, 10.0), 1,
                             NoisePowerSource("oracle", 1.0, 1))
     with pytest.raises(ParameterError):
         McgBeamformer(est, eta_a=0.6)
@@ -247,7 +234,7 @@ def test_mcg_constraint_and_bound_trace():
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
     batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(10, 0, 0))
-    est = default_estimator(make_steering(m, 11.0), 2,
+    est = SteeringEstimator(make_steering(m, 11.0), 2,
                             NoisePowerSource("oracle", 1.0, 2),
                             mode="forgetting", lam=0.998)
     bf = McgBeamformer(est)
@@ -265,7 +252,7 @@ def test_mcg_runs_on_sample_mean_tracker():
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
     batch = generate_snapshots(sources, a_true, 1.0, 30, rng.stream(11, 0, 0))
-    est = default_estimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1))
+    est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1))
     bf = McgBeamformer(est, lam=0.998)
     for i in range(30):
         w = bf.process(batch.observations[:, i])
@@ -421,7 +408,7 @@ def test_mcg_snapshots_bits_match_oracle():
     batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(9, 0, 0))
     engines = []
     for cls in (McgBeamformer, _McgOracle):
-        est = default_estimator(make_steering(m, 13.0), 3,
+        est = SteeringEstimator(make_steering(m, 13.0), 3,
                                 NoisePowerSource("oracle", 1.0, 3),
                                 mode="forgetting", lam=0.998)
         engines.append(cls(est))

@@ -148,6 +148,8 @@ MALFORMED = [
     pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]},
                  id="loading-negative"),
     pytest.param({"interferer_schedule": 0}, id="schedule-number"),
+    pytest.param({"algorithms": [{"name": "okspme-mcg", "eta_v": 0.1}]},
+                 id="mcg-eta-v"),
 ]
 
 

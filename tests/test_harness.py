@@ -17,6 +17,7 @@ from rabsim.config import (AlgorithmSpec, ScenarioConfig, config_from_dict,
 from rabsim.errors import ConfigError, ExperimentError, NumericError
 from rabsim.harness import (ALGORITHMS, run_experiment, run_trial,
                             simulate_trial_data, write_csv)
+from rabsim.tracking import FORGETTING, SAMPLE_MEAN
 
 
 def _base_doc(**overrides):
@@ -226,14 +227,27 @@ def test_registry_defaults_written_out_change_nothing(name):
     assert _same_record(bare, spelled, name)
 
 
+# One alternative value per parameter name, for every registry parameter.
+ALTERNATIVES = {"delta": 0.5, "delta0": 0.5, "tracker": FORGETTING, "lam": 0.99,
+                "noise_mode": "eigen", "unit_norm": True, "mu_scale": 0.02,
+                "smooth_power": False, "n_inner": 2, "eta_a": 0.3,
+                "loading_scale": 1.0}
+# What both rosters set so the alternative differs from the base and acts:
+# lam only acts under the forgetting tracker.
+PINNED = {"tracker": {"tracker": SAMPLE_MEAN}, "lam": {"tracker": FORGETTING}}
+
+
 @pytest.mark.parametrize("name, param, value", [
-    ("okspme-ccg", "n_inner", 2), ("okspme-sg", "mu_scale", 0.02),
-    ("okspme-mcg", "eta_a", 0.3), ("loaded-smi", "loading_scale", 1.0)])
+    (name, param, ALTERNATIVES[param])
+    for name, entry in ALGORITHMS.items() for param in entry.params])
 def test_engine_parameter_changes_only_its_algorithm(name, param, value):
-    assert value != ALGORITHMS[name].resolve({})[param]
+    pinned = PINNED.get(param, {})
+    assert value != ALGORITHMS[name].resolve(pinned)[param]
     roster = list(ALGORITHMS)
+    i = roster.index(name)
+    roster[i] = {"name": name, **pinned}
     base = run_trial(config_from_dict(_base_doc(algorithms=roster)), 0)
-    roster[roster.index(name)] = {"name": name, param: value}
+    roster[i] = {"name": name, **pinned, param: value}
     changed = run_trial(config_from_dict(_base_doc(algorithms=roster)), 0)
     for other in ALGORITHMS:
         assert _same_record(base, changed, other) == (other != name), other

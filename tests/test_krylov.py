@@ -256,6 +256,9 @@ def test_input_checks_follow_the_norms():
     # non-finite R beats a non-unit seed, as before
     with pytest.raises(NumericError):
         arnoldi_mgs(np.full((3, 3), np.nan), 2.0 * t1, 2)
+    # a zero R leaves no scale for the breakdown threshold
+    with pytest.raises(ParameterError):
+        arnoldi_mgs(np.zeros((3, 3), dtype=complex), t1, 2)
     # finite entries whose Frobenius norm overflows are accepted; the
     # infinite tolerance stops at order one, as the full pass did
     R = 1e200 * np.eye(3, dtype=complex)

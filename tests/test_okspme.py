@@ -7,9 +7,9 @@ from rabsim import rng
 from rabsim.analysis import output_sinr
 from rabsim.arrays import SourceConfig, generate_snapshots, make_steering
 from rabsim.errors import NumericError, ParameterError
-from rabsim.okspme import (NoisePowerSource, OkspmeBeamformer, build_rhs,
-                           default_estimator, estimate_power, inc_matrix,
-                           mvdr_weights, residue, update_steering)
+from rabsim.okspme import (NoisePowerSource, OkspmeBeamformer, SteeringEstimator,
+                           build_rhs, estimate_power, inc_matrix, mvdr_weights,
+                           residue, update_steering)
 
 
 def test_power_noiseless_exact_model():
@@ -79,7 +79,7 @@ def test_update_skips_on_null_projection():
     a = make_steering(4, 10.0)
     P = np.zeros((4, 4), dtype=complex)
     d = np.ones(4, dtype=complex)
-    assert update_steering(a, P, d) is a
+    assert update_steering(a, P, d, math.sqrt(4)) is a
 
 
 def test_update_hand_value():
@@ -88,7 +88,7 @@ def test_update_hand_value():
     a = np.array([math.sqrt(2.0), 0.0], dtype=complex)
     P = np.diag([0.0, 1.0]).astype(complex)
     d = np.array([0.0, 5.0], dtype=complex)
-    out = update_steering(a, P, d)
+    out = update_steering(a, P, d, math.sqrt(2))
     expect = np.array([math.sqrt(2.0), 1.0]) * (math.sqrt(2.0) / math.sqrt(3.0))
     assert np.allclose(out, expect, atol=1e-12)
 
@@ -96,7 +96,7 @@ def test_update_hand_value():
 def test_update_collinear_preserves_direction():
     a = make_steering(5, 10.0)
     P = np.eye(5, dtype=complex)
-    out = update_steering(a, P, 3.0 * a)
+    out = update_steering(a, P, 3.0 * a, math.sqrt(5))
     cos = abs(np.vdot(out, a)) / (np.linalg.norm(out) * np.linalg.norm(a))
     assert abs(cos - 1.0) < 1e-12
     assert abs(np.linalg.norm(out) - math.sqrt(5)) < 1e-12
@@ -160,7 +160,7 @@ def test_mvdr_rejects_indefinite():
 
 def _beamformer(m=4, num_sources=1, noise=0.0, a_init=None, **kwargs):
     a_init = make_steering(m, 10.0) if a_init is None else a_init
-    est = default_estimator(a_init, num_sources,
+    est = SteeringEstimator(a_init, num_sources,
                             NoisePowerSource("oracle", noise, num_sources), **kwargs)
     return OkspmeBeamformer(est)
 
@@ -276,7 +276,7 @@ def test_eigen_noise_mode_runs():
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
     batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(8, 0, 0))
-    est = default_estimator(make_steering(m, 11.0), 1,
+    est = SteeringEstimator(make_steering(m, 11.0), 1,
                             NoisePowerSource("eigen", num_sources=1))
     bf = OkspmeBeamformer(est)
     for i in range(50):
