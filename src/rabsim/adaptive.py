@@ -267,22 +267,17 @@ class McgBeamformer:
     across snapshots (Polak-Ribiere update, restart on a collapsed
     denominator).  The steering branch applies the convergence-band step
     rule with constant ``eta_a`` on top of the projection update, trust
-    capped to the same unit scale as the projection step.
-
-    ``bound_trace`` records ``Re(p_v^H g_v)`` against its previous value for
-    the convergence-band diagnostics.
+    capped to the same unit scale as the projection step.  The step rule
+    and the steering gradient recursion use the tracker's forgetting factor
+    ``estimator.tracker.lam``.
     """
 
     name = "okspme-mcg"
 
-    def __init__(self, estimator: SteeringEstimator, lam: float = 0.998,
-                 eta_a: float = 0.1):
+    def __init__(self, estimator: SteeringEstimator, eta_a: float = 0.1):
         if not 0.0 <= eta_a <= 0.5:
             raise ParameterError("eta_a must lie in [0, 0.5]")
-        if not 0.0 < lam <= 1.0:
-            raise ParameterError("forgetting factor must lie in (0, 1]")
         self.estimator = estimator
-        self.lam = float(lam)
         self.eta_a = float(eta_a)
         m = estimator.m
         self.v = np.ones(m, dtype=complex)
@@ -294,7 +289,6 @@ class McgBeamformer:
         # Squared gradient norms, carried to the next snapshot's coefficients.
         self.ga_sq = np.vdot(self.g_a, self.g_a).real
         self.gv_sq = np.vdot(self.g_v, self.g_v).real
-        self.bound_trace: list[tuple[float, float]] = []
         self.constraint_steering = estimator.a_hat
 
     @property
@@ -304,7 +298,7 @@ class McgBeamformer:
     def process(self, x: np.ndarray) -> np.ndarray:
         info = self.estimator.begin_snapshot(x)
         a = info.a_hat
-        s1, lam = info.sigma1_sq, self.lam
+        s1, lam = info.sigma1_sq, self.estimator.tracker.lam
         quad = inc_matrix(info.R, a, self.estimator.sigma1_sq_mean)
 
         # Steering branch: band-placed step (capped to the unit scale of the
@@ -332,9 +326,6 @@ class McgBeamformer:
                    + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
                    - np.vdot(x, a_new) * x)
         g_v_new = g_entry - alpha_v * a_pv
-
-        self.bound_trace.append((np.vdot(self.p_v, g_v_new).real,
-                                 np.vdot(self.p_v, self.g_v).real))
 
         ga_new_sq = np.vdot(g_a_new, g_a_new).real
         gv_new_sq = np.vdot(g_v_new, g_v_new).real

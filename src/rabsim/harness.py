@@ -29,7 +29,7 @@ from .arrays import (SnapshotBatch, generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch_stream, make_steering)
 from .errors import ExperimentError, NumericError, ParameterError
 from .okspme import NoisePowerSource, OkspmeBeamformer, SteeringEstimator
-from .tracking import FORGETTING, SAMPLE_MEAN, CovarianceTracker
+from .tracking import CovarianceTracker
 
 if TYPE_CHECKING:
     from .config import AlgorithmSpec, ScenarioConfig
@@ -100,7 +100,7 @@ class Param:
     """One accepted algorithm parameter: its JSON type and its default."""
 
     kind: type
-    default: object     # a value, or a function of the parameters before it
+    default: object
 
 
 @dataclass(frozen=True)
@@ -110,23 +110,20 @@ class Algorithm:
 
     def resolve(self, given: dict) -> dict:
         """``given`` completed with the default of every missing parameter."""
-        out = {}
-        for key, param in self.params.items():
-            default = param.default(out) if callable(param.default) else param.default
-            out[key] = given.get(key, default)
-        return out
+        return {key: given.get(key, param.default)
+                for key, param in self.params.items()}
 
 
-def _okspme_params(tracker: str, **extra) -> dict:
+def _okspme_params(lam: float, **extra) -> dict:
     """The shared steering estimator's parameters, then the engine's own.
 
-    ``lam`` defaults by tracker mode; sample-mean tracking ignores it.
+    ``lam`` is the default forgetting factor of the estimator's tracker (1.0
+    is the sample mean); MCG's step rule reads the same value.
     """
     return {
         "delta": Param(float, 0.1),
         "delta0": Param(float, 0.1),
-        "tracker": Param(str, tracker),
-        "lam": Param(float, lambda p: 0.998 if p["tracker"] == FORGETTING else 1.0),
+        "lam": Param(float, lam),
         "noise_mode": Param(str, "oracle"),
         "unit_norm": Param(bool, False),
         **extra,
@@ -138,8 +135,7 @@ def _estimator(p: dict, ctx: TrialContext):
                              num_sources=ctx.num_sources)
     return SteeringEstimator(ctx.a_init, ctx.num_sources, noise,
                              delta=p["delta"], delta0=p["delta0"],
-                             mode=p["tracker"], lam=p["lam"],
-                             unit_norm=p["unit_norm"])
+                             lam=p["lam"], unit_norm=p["unit_norm"])
 
 
 # The roster.  Build functions look classes and functions up by module name
@@ -147,20 +143,19 @@ def _estimator(p: dict, ctx: TrialContext):
 # (as perfbench's call tracer does) reaches every engine built here.
 ALGORITHMS = {
     "okspme": Algorithm(
-        _okspme_params(SAMPLE_MEAN),
+        _okspme_params(1.0),
         lambda p, ctx: OkspmeBeamformer(_estimator(p, ctx))),
     "okspme-sg": Algorithm(
-        _okspme_params(SAMPLE_MEAN, mu_scale=Param(float, 0.005),
+        _okspme_params(1.0, mu_scale=Param(float, 0.005),
                        smooth_power=Param(bool, True)),
         lambda p, ctx: SgBeamformer(_estimator(p, ctx), mu_scale=p["mu_scale"],
                                     smooth_power=p["smooth_power"])),
     "okspme-ccg": Algorithm(
-        _okspme_params(FORGETTING, n_inner=Param(int, 5)),
+        _okspme_params(0.998, n_inner=Param(int, 5)),
         lambda p, ctx: CcgBeamformer(_estimator(p, ctx), n_inner=p["n_inner"])),
     "okspme-mcg": Algorithm(
-        _okspme_params(FORGETTING, eta_a=Param(float, 0.1)),
-        lambda p, ctx: McgBeamformer(_estimator(p, ctx), lam=p["lam"],
-                                     eta_a=p["eta_a"])),
+        _okspme_params(0.998, eta_a=Param(float, 0.1)),
+        lambda p, ctx: McgBeamformer(_estimator(p, ctx), eta_a=p["eta_a"])),
     "smi": Algorithm(
         {"delta0": Param(float, 0.1)},
         lambda p, ctx: _SmiRunner("smi", ctx.a_nominal, p["delta0"], loading=0.0)),

@@ -30,7 +30,7 @@ import scipy.linalg
 from .errors import NumericError, ParameterError
 from .kernels import cho_solve, cholesky, norm
 from .krylov import arnoldi_mgs, make_projector
-from .tracking import SAMPLE_MEAN, CovarianceTracker
+from .tracking import CovarianceTracker
 
 POWER_FLOOR = 1e-8
 TINY = 1e-12
@@ -157,16 +157,17 @@ class StepInfo:
 class SteeringEstimator:
     """Shared state machine for steps 1-3 (statistics, power, steering).
 
-    Owns the covariance tracker (``mode``, ``lam`` and ``delta0`` configure
-    it) that supplies the snapshot statistics.
+    Owns the covariance tracker (forgetting factor ``lam`` and initial
+    loading ``delta0``) that supplies the snapshot statistics; ``lam = 1``
+    tracks the sample mean.
     """
 
     def __init__(self, a_init: np.ndarray, num_sources: int, noise: NoisePowerSource,
-                 delta: float = 0.1, delta0: float = 0.1, mode: str = SAMPLE_MEAN,
-                 lam: float = 1.0, unit_norm: bool = False):
+                 delta: float = 0.1, delta0: float = 0.1, lam: float = 1.0,
+                 unit_norm: bool = False):
         a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
-        self.tracker = CovarianceTracker(self.m, mode=mode, lam=lam, delta0=delta0)
+        self.tracker = CovarianceTracker(self.m, lam=lam, delta0=delta0)
         self.norm_target = 1.0 if unit_norm else math.sqrt(self.m)
         self.a_hat = a_init * (self.norm_target / norm(a_init))
         self.num_sources = int(num_sources)
@@ -197,7 +198,7 @@ class SteeringEstimator:
         d = self.tracker.crosscorr()
         sigma_n = self.noise.noise_power(R)
         sigma1 = estimate_power(self.a_hat, x, sigma_n)
-        lam = self.tracker.lam if self.tracker.mode == "forgetting" else 1.0
+        lam = self.tracker.lam
         self._sigma1_num = lam * self._sigma1_num + sigma1
         self._sigma1_den = lam * self._sigma1_den + 1.0
 

@@ -256,9 +256,13 @@ def test_criterion_7_mcg_convergence_band():
         })
         ctx = _trial_context(cfg, 0.0)
         bf = build_beamformer(cfg.algorithms[0], ctx)
-        for i in range(300):
-            bf.process(ctx.batch.observations[:, i])
-        trace = np.array(bf.bound_trace[10:])
+        pairs = []
+        for x in ctx.batch.observations.T:
+            # Re p_v^H g_v after the step against before it, along the same p_v
+            p_v, g_v = bf.p_v, bf.g_v
+            bf.process(x)
+            pairs.append((np.vdot(p_v, bf.g_v).real, np.vdot(p_v, g_v).real))
+        trace = np.array(pairs[10:])
         tol = 1e-8
         held = (trace[:, 0] >= -tol) & (trace[:, 0] <= 0.5 * trace[:, 1] + tol)
         print(f"[criterion 7] seed {seed}: band held on {held.mean():.1%} of snapshots")

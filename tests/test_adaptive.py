@@ -193,8 +193,7 @@ def test_ccg_beamformer_constraint_and_determinism():
     def run():
         batch = generate_snapshots(sources, a_true, 1.0, 40, rng.stream(8, 0, 0))
         est = SteeringEstimator(make_steering(m, 12.0), 2,
-                                NoisePowerSource("oracle", 1.0, 2),
-                                mode="forgetting", lam=0.998)
+                                NoisePowerSource("oracle", 1.0, 2), lam=0.998)
         bf = CcgBeamformer(est)
         out = []
         for i in range(40):
@@ -225,8 +224,18 @@ def test_mcg_eta_validation():
                             NoisePowerSource("oracle", 1.0, 1))
     with pytest.raises(ParameterError):
         McgBeamformer(est, eta_a=0.6)
+    # MCG's step rule reads the tracker's forgetting factor, checked there
     with pytest.raises(ParameterError):
-        McgBeamformer(est, lam=0.0)
+        SteeringEstimator(make_steering(4, 10.0), 1,
+                          NoisePowerSource("oracle", 1.0, 1), lam=0.0)
+
+
+def _bound_pair(bf, x):
+    """Process one snapshot; return the convergence-band pair
+    ``(Re p_v^H g_v_new, Re p_v^H g_v)`` of the direction it stepped along."""
+    p_v, g_v = bf.p_v, bf.g_v
+    bf.process(x)
+    return np.vdot(p_v, bf.g_v).real, np.vdot(p_v, g_v).real
 
 
 def test_mcg_constraint_and_bound_trace():
@@ -235,15 +244,14 @@ def test_mcg_constraint_and_bound_trace():
     sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
     batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(10, 0, 0))
     est = SteeringEstimator(make_steering(m, 11.0), 2,
-                            NoisePowerSource("oracle", 1.0, 2),
-                            mode="forgetting", lam=0.998)
+                            NoisePowerSource("oracle", 1.0, 2), lam=0.998)
     bf = McgBeamformer(est)
+    pairs = []
     for i in range(50):
-        w = bf.process(batch.observations[:, i])
-        assert abs(np.vdot(w, bf.constraint_steering) - 1.0) < 1e-10
-    assert len(bf.bound_trace) == 50
+        pairs.append(_bound_pair(bf, batch.observations[:, i]))
+        assert abs(np.vdot(bf.w, bf.constraint_steering) - 1.0) < 1e-10
     # the line-search step keeps the direction/gradient alignment nonnegative
-    post = np.array([b[0] for b in bf.bound_trace[5:]])
+    post = np.array([b[0] for b in pairs[5:]])
     assert (post >= -1e-8).all()
 
 
@@ -252,8 +260,9 @@ def test_mcg_runs_on_sample_mean_tracker():
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
     batch = generate_snapshots(sources, a_true, 1.0, 30, rng.stream(11, 0, 0))
-    est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1))
-    bf = McgBeamformer(est, lam=0.998)
+    est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1),
+                            lam=1.0)
+    bf = McgBeamformer(est)
     for i in range(30):
         w = bf.process(batch.observations[:, i])
     assert np.isfinite(w).all()
@@ -327,7 +336,7 @@ class _McgOracle(McgBeamformer):
     def process(self, x):
         info = self.estimator.begin_snapshot(x)
         a = info.a_hat
-        s1, lam = info.sigma1_sq, self.lam
+        s1, lam = info.sigma1_sq, self.estimator.tracker.lam
         quad = inc_matrix(info.R, a, self.estimator.sigma1_sq_mean)
         alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam,
                               self.eta_a)
@@ -348,8 +357,6 @@ class _McgOracle(McgBeamformer):
                    + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
                    - np.vdot(x, a_new) * x)
         g_v_new = g_entry - alpha_v * a_pv
-        self.bound_trace.append((np.vdot(self.p_v, g_v_new).real,
-                                 np.vdot(self.p_v, self.g_v).real))
         ga_sq = np.vdot(self.g_a, self.g_a).real
         gv_sq = np.vdot(self.g_v, self.g_v).real
         if ga_sq <= BETA_RESTART * np.vdot(g_a_new, g_a_new).real:
@@ -409,13 +416,12 @@ def test_mcg_snapshots_bits_match_oracle():
     engines = []
     for cls in (McgBeamformer, _McgOracle):
         est = SteeringEstimator(make_steering(m, 13.0), 3,
-                                NoisePowerSource("oracle", 1.0, 3),
-                                mode="forgetting", lam=0.998)
+                                NoisePowerSource("oracle", 1.0, 3), lam=0.998)
         engines.append(cls(est))
     new, old = engines
     for i in range(50):
         x = batch.observations[:, i]
-        assert np.array_equal(new.process(x), old.process(x)), i
+        assert _bound_pair(new, x) == _bound_pair(old, x), i
+        assert np.array_equal(new.w, old.w), i
         for field in ("v", "g_a", "g_v", "p_a", "p_v", "a_hat"):
             assert np.array_equal(getattr(new, field), getattr(old, field)), (i, field)
-    assert new.bound_trace == old.bound_trace

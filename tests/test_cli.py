@@ -150,6 +150,9 @@ MALFORMED = [
     pytest.param({"interferer_schedule": 0}, id="schedule-number"),
     pytest.param({"algorithms": [{"name": "okspme-mcg", "eta_v": 0.1}]},
                  id="mcg-eta-v"),
+    pytest.param({"algorithms": [{"name": "okspme-mcg", "tracker": "sample_mean",
+                                  "lam": 0.5}]},
+                 id="mcg-tracker"),
 ]
 
 
@@ -194,10 +197,13 @@ def _run_counting_snapshots(tmp_path, monkeypatch, capsys, cfg):
 OUT_OF_RANGE_PARAMETERS = [
     {"name": "okspme-ccg", "n_inner": 0},
     {"name": "okspme-ccg", "n_inner": -3},
+    # not a parameter of any entry: rejected as early as a bad value
     {"name": "okspme", "tracker": "window"},
     {"name": "okspme-sg", "noise_mode": "guess"},
     {"name": "okspme-mcg", "lam": 1.5},
     {"name": "okspme-ccg", "lam": 0.0},
+    {"name": "okspme", "lam": 1.5},
+    {"name": "okspme-sg", "lam": 0.0},
     {"name": "okspme-mcg", "eta_a": 0.6},
     {"name": "okspme-mcg", "eta_a": -0.1},
     {"name": "okspme-sg", "mu_scale": 0.0},

@@ -17,7 +17,6 @@ from rabsim.config import (AlgorithmSpec, ScenarioConfig, config_from_dict,
 from rabsim.errors import ConfigError, ExperimentError, NumericError
 from rabsim.harness import (ALGORITHMS, run_experiment, run_trial,
                             simulate_trial_data, write_csv)
-from rabsim.tracking import FORGETTING, SAMPLE_MEAN
 
 
 def _base_doc(**overrides):
@@ -66,7 +65,7 @@ def test_unknown_algorithm_and_parameter_rejected():
     for entry in MISTYPED_PARAMETERS + [
             {"name": "okspme-ccg", "n_inner": True},
             {"name": "okspme-mcg", "eta_a": False},
-            {"name": "okspme", "tracker": 1}]:
+            {"name": "okspme", "noise_mode": 1}]:
         param = next(key for key in entry if key != "name")
         with pytest.raises(ConfigError, match=param):
             config_from_dict(_base_doc(algorithms=[entry]))
@@ -228,26 +227,19 @@ def test_registry_defaults_written_out_change_nothing(name):
 
 
 # One alternative value per parameter name, for every registry parameter.
-ALTERNATIVES = {"delta": 0.5, "delta0": 0.5, "tracker": FORGETTING, "lam": 0.99,
-                "noise_mode": "eigen", "unit_norm": True, "mu_scale": 0.02,
-                "smooth_power": False, "n_inner": 2, "eta_a": 0.3,
-                "loading_scale": 1.0}
-# What both rosters set so the alternative differs from the base and acts:
-# lam only acts under the forgetting tracker.
-PINNED = {"tracker": {"tracker": SAMPLE_MEAN}, "lam": {"tracker": FORGETTING}}
+ALTERNATIVES = {"delta": 0.5, "delta0": 0.5, "lam": 0.99, "noise_mode": "eigen",
+                "unit_norm": True, "mu_scale": 0.02, "smooth_power": False,
+                "n_inner": 2, "eta_a": 0.3, "loading_scale": 1.0}
 
 
 @pytest.mark.parametrize("name, param, value", [
     (name, param, ALTERNATIVES[param])
     for name, entry in ALGORITHMS.items() for param in entry.params])
 def test_engine_parameter_changes_only_its_algorithm(name, param, value):
-    pinned = PINNED.get(param, {})
-    assert value != ALGORITHMS[name].resolve(pinned)[param]
+    assert value != ALGORITHMS[name].resolve({})[param]
     roster = list(ALGORITHMS)
-    i = roster.index(name)
-    roster[i] = {"name": name, **pinned}
     base = run_trial(config_from_dict(_base_doc(algorithms=roster)), 0)
-    roster[i] = {"name": name, **pinned, param: value}
+    roster[roster.index(name)] = {"name": name, param: value}
     changed = run_trial(config_from_dict(_base_doc(algorithms=roster)), 0)
     for other in ALGORITHMS:
         assert _same_record(base, changed, other) == (other != name), other

@@ -13,7 +13,7 @@ def _absorb(t, x, y):
 
 
 def test_init_is_loaded_identity():
-    t = CovarianceTracker(3, "sample_mean", delta0=0.1)
+    t = CovarianceTracker(3, delta0=0.1)
     assert np.allclose(t.covariance(), 0.1 * np.eye(3))
     assert np.allclose(t.crosscorr(), 0.0)
     assert t.count == 0
@@ -25,15 +25,14 @@ def test_init_zero_loading_is_singular():
 
 
 def test_init_mode_independent():
-    a = CovarianceTracker(3, "sample_mean", delta0=0.25)
-    b = CovarianceTracker(3, "forgetting", lam=0.99, delta0=0.25)
+    a = CovarianceTracker(3, lam=1.0, delta0=0.25)
+    b = CovarianceTracker(3, lam=0.99, delta0=0.25)
     assert np.array_equal(a.covariance(), b.covariance())
     assert np.array_equal(a.crosscorr(), b.crosscorr())
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(mode="forgetting", lam=0.0), dict(mode="forgetting", lam=1.5),
-    dict(delta0=-0.1), dict(mode="window"),
+    dict(lam=0.0), dict(lam=1.5), dict(delta0=-0.1), dict(lam=float("nan")),
 ])
 def test_init_validation(kwargs):
     with pytest.raises(ParameterError):
@@ -49,7 +48,7 @@ def test_first_snapshot_sample_mean_rank_one():
 
 
 def test_forgetting_one_step_hand_value():
-    t = CovarianceTracker(2, "forgetting", lam=0.5, delta0=1.0)
+    t = CovarianceTracker(2, lam=0.5, delta0=1.0)
     _absorb(t, np.array([1.0, 0.0], dtype=complex), 0.0)
     assert np.allclose(t.covariance() * t.weight, [[1.5, 0.0], [0.0, 0.5]])
 
@@ -98,7 +97,7 @@ def test_forgetting_matches_brute_force(seed, n, lam):
     m = 3
     xs = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
     ys = g.standard_normal(n) + 1j * g.standard_normal(n)
-    t = CovarianceTracker(m, "forgetting", lam=lam, delta0=0.2)
+    t = CovarianceTracker(m, lam=lam, delta0=0.2)
     for x, y in zip(xs, ys):
         _absorb(t, x, y)
     brute_r = (lam**n) * 0.2 * np.eye(m)
@@ -112,10 +111,54 @@ def test_forgetting_matches_brute_force(seed, n, lam):
     assert np.abs(raw_d - brute_d).max() < 1e-10 * max(1.0, np.abs(brute_d).max())
 
 
+class _SampleMeanOracle:
+    """Reference sample mean: plain sums ``R <- R + x x^H`` and
+    ``d <- d + x y*`` divided by the count, whose bits ``lam = 1`` keeps."""
+
+    def __init__(self, m, delta0):
+        self.sr = delta0 * np.eye(m, dtype=complex)
+        self.sd = np.zeros(m, dtype=complex)
+        self.count = self.count_d = 0
+
+    def update_covariance(self, x):
+        self.sr = self.sr + x[:, None] * x.conj()
+        self.sr = 0.5 * (self.sr + self.sr.conj().T)
+        self.count += 1
+
+    def update_crosscorr(self, x, y):
+        self.sd = self.sd + x * np.conj(y)
+        self.count_d += 1
+
+    def covariance(self):
+        return self.sr / float(self.count) if self.count else self.sr
+
+    def crosscorr(self):
+        return self.sd / float(self.count_d) if self.count_d else self.sd
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=complex_vec, n=st.integers(1, 40), m=st.integers(1, 12),
+       delta0=st.floats(0.0, 1.0))
+def test_lambda_one_bits_match_sample_mean_oracle(seed, n, m, delta0):
+    g = np.random.default_rng(seed)
+    xs = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+    ys = g.standard_normal(n) + 1j * g.standard_normal(n)
+    t = CovarianceTracker(m, lam=1.0, delta0=delta0)
+    oracle = _SampleMeanOracle(m, delta0)
+    for x, y in zip(xs, ys):
+        for tracker in (t, oracle):
+            tracker.update_covariance(x)
+        assert np.array_equal(t.covariance(), oracle.covariance())
+        assert np.array_equal(t.crosscorr(), oracle.crosscorr())
+        for tracker in (t, oracle):
+            tracker.update_crosscorr(x, y)
+        assert np.array_equal(t.crosscorr(), oracle.crosscorr())
+
+
 def test_forgetting_lambda_one_is_cumulative_sum():
     g = np.random.default_rng(0)
     xs = g.standard_normal((5, 3)) + 1j * g.standard_normal((5, 3))
-    t = CovarianceTracker(3, "forgetting", lam=1.0, delta0=0.0)
+    t = CovarianceTracker(3, lam=1.0, delta0=0.0)
     for x in xs:
         _absorb(t, x, 1.0)
     total = sum(np.outer(x, x.conj()) for x in xs)
@@ -135,7 +178,7 @@ def test_split_updates_track_separate_counts():
 
 
 def test_normalized_accessors_forgetting():
-    t = CovarianceTracker(2, "forgetting", lam=0.5, delta0=0.0)
+    t = CovarianceTracker(2, lam=0.5, delta0=0.0)
     x = np.array([1.0, 0.0], dtype=complex)
     for _ in range(20):
         _absorb(t, x, 1.0)
