@@ -3,7 +3,8 @@
 Steering vectors for a half-wavelength ULA, the two local-scattering
 mismatch models (coherent: one fixed composite vector per trial;
 incoherent: a fresh random composite every snapshot), and the snapshot
-generator that mixes sources and sensor noise.
+generator that mixes sources and sensor noise.  A trial's realized desired
+steering is always an M x n matrix, one column per snapshot.
 
 Conventions: a plain steering vector has element ``k = exp(j*pi*k*sin(theta))``
 and therefore Euclidean norm ``sqrt(M)``.  Angles at the API boundary are
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,20 +62,15 @@ class ScatteringSpec:
 
 @dataclass
 class SnapshotBatch:
-    """Array observations plus the ground truth needed to score them.
+    """A trial's array observations plus the ground truth that scores them.
 
-    ``observations`` is M x count (one column per snapshot).
-    ``true_steering`` is the realized desired-signal steering vector: a single
-    M vector when it is snapshot-invariant, else an M x count matrix.
+    ``observations`` is M x n, one column per snapshot, and ``true_steering``
+    is the realized desired-signal steering vector of each snapshot, also
+    M x n and C-ordered, so column ``i`` is the truth of snapshot ``i``.
     """
 
     observations: np.ndarray
     true_steering: np.ndarray
-
-    def steering_at(self, i: int) -> np.ndarray:
-        if self.true_steering.ndim == 1:
-            return self.true_steering
-        return self.true_steering[:, i]
 
 
 def make_steering(m_sensors: int, theta_deg: float) -> np.ndarray:
@@ -99,42 +95,35 @@ def make_coherent_mismatch(
     nominal: np.ndarray,
     spec: ScatteringSpec,
     rng: np.random.Generator,
-    *,
-    phases: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Composite steering vector for time-invariant multipath.
 
     Returns ``p + sum_k exp(j*phi_k) b(theta_k)`` where ``p`` is the direct
     path (the nominal vector), path angles follow ``spec`` and path phases are
     uniform on [0, 2*pi].  One draw per trial; constant across snapshots.
-    ``phases`` overrides the random phase draw (test hook).
     """
     if spec.kind != "coherent":
         raise ParameterError(f"spec.kind must be 'coherent', got {spec.kind!r}")
     m = nominal.shape[0]
     thetas = scatter_angles(spec, rng)
-    if phases is None:
-        phis = rng.uniform(0.0, 2.0 * math.pi, size=spec.num_paths)
-    else:
-        phis = np.asarray(phases, dtype=float)
-        if phis.shape != (spec.num_paths,):
-            raise ParameterError("phases must provide one phase per path")
+    phis = rng.uniform(0.0, 2.0 * math.pi, size=spec.num_paths)
     out = nominal.astype(complex, copy=True)
     for theta, phi in zip(thetas, phis):
         out += np.exp(1j * phi) * make_steering(m, theta)
     return out
 
 
-def make_incoherent_mismatch_stream(
+def make_incoherent_mismatch(
     nominal: np.ndarray,
     spec: ScatteringSpec,
     rng: np.random.Generator,
-) -> Iterator[np.ndarray]:
-    """Generator of per-snapshot steering vectors for time-varying multipath.
+    count: int,
+) -> np.ndarray:
+    """Per-snapshot steering vectors for time-varying multipath, M x ``count``.
 
-    Yields ``s_0(i) p + sum_k s_k(i) b(theta_k)`` with i.i.d. unit-variance
-    circular complex Gaussian gains redrawn every snapshot.  Path angles are
-    drawn once, when the generator is created.
+    Column ``i`` is ``s_0(i) p + sum_k s_k(i) b(theta_k)`` with i.i.d.
+    unit-variance circular complex Gaussian gains redrawn every snapshot.
+    Path angles are drawn once, before the first snapshot's gains.
     """
     if spec.kind != "incoherent":
         raise ParameterError(f"spec.kind must be 'incoherent', got {spec.kind!r}")
@@ -144,28 +133,30 @@ def make_incoherent_mismatch_stream(
     paths[0] = nominal
     for k, theta in enumerate(thetas):
         paths[k + 1] = make_steering(m, theta)
-    while True:
+    out = np.empty((m, count), dtype=complex)
+    for i in range(count):
         z = rng.standard_normal((spec.num_paths + 1, 2))
         gains = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-        yield gains @ paths
+        out[:, i] = gains @ paths
+    return out
 
 
 def generate_snapshots(
     sources: Sequence[SourceConfig],
-    desired_sv,
+    truth: np.ndarray,
     noise_power: float,
-    count: int,
     rng: np.random.Generator,
-) -> SnapshotBatch:
-    """Simulate ``count`` snapshots of ``x(i) = sum_k a_k s_k(i) + n(i)``.
+) -> np.ndarray:
+    """Simulate ``x(i) = sum_k a_k s_k(i) + n(i)`` for each column of ``truth``.
 
-    ``desired_sv`` is either a fixed M vector or an iterator yielding one per
-    snapshot (incoherent scattering).  Source symbols are zero-mean circular
-    complex Gaussian at the configured powers; sensor noise is circular
-    complex Gaussian with per-element variance ``noise_power``.
+    ``truth`` is the M x count realized desired steering, one column per
+    snapshot; the M x count observations are returned.  Source symbols are
+    zero-mean circular complex Gaussian at the configured powers; sensor noise
+    is circular complex Gaussian with per-element variance ``noise_power``.
     """
     if not sources:
         raise ParameterError("source list must not be empty")
+    m, count = truth.shape
     if count < 1:
         raise ParameterError("snapshot count must be >= 1")
     if noise_power < 0:
@@ -174,16 +165,7 @@ def generate_snapshots(
     if len(desired) != 1:
         raise ParameterError("exactly one source must be flagged is_desired")
 
-    streaming = not isinstance(desired_sv, np.ndarray)
     interferers = [s for s in sources if not s.is_desired]
-    if streaming:
-        sv_iter = iter(desired_sv)
-        first = np.asarray(next(sv_iter))
-        m = first.shape[0]
-    else:
-        first = None
-        m = desired_sv.shape[0]
-
     a_int = np.column_stack([make_steering(m, s.doa_deg) for s in interferers]) \
         if interferers else np.zeros((m, 0), dtype=complex)
     p_int = np.array([s.power for s in interferers], dtype=float)
@@ -193,18 +175,7 @@ def generate_snapshots(
         return math.sqrt(power / 2.0) * (z[:, 0] + 1j * z[:, 1])
 
     obs = np.zeros((m, count), dtype=complex)
-    # Desired-signal contribution; the realized steering is recorded as truth.
-    s_des = draw_symbols(desired[0].power, count)
-    if streaming:
-        truth = np.empty((m, count), dtype=complex)
-        truth[:, 0] = first
-        for i in range(1, count):
-            truth[:, i] = np.asarray(next(sv_iter))
-        obs += truth * s_des[None, :]
-    else:
-        truth = np.asarray(desired_sv, dtype=complex)
-        obs += np.outer(truth, s_des)
-
+    obs += truth * draw_symbols(desired[0].power, count)[None, :]
     for k in range(a_int.shape[1]):
         obs += np.outer(a_int[:, k], draw_symbols(p_int[k], count))
 
@@ -212,4 +183,4 @@ def generate_snapshots(
         z = rng.standard_normal((m, count, 2))
         obs += math.sqrt(noise_power / 2.0) * (z[..., 0] + 1j * z[..., 1])
 
-    return SnapshotBatch(observations=obs, true_steering=truth)
+    return obs

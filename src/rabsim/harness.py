@@ -21,12 +21,12 @@ from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
-from . import rng
+from . import kernels, rng
 from .adaptive import CcgBeamformer, McgBeamformer, SgBeamformer
 from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
                        smi_weights, steering_mse)
 from .arrays import (SnapshotBatch, generate_snapshots, make_coherent_mismatch,
-                     make_incoherent_mismatch_stream, make_steering)
+                     make_incoherent_mismatch, make_steering)
 from .errors import ExperimentError, NumericError, ParameterError
 from .okspme import NoisePowerSource, OkspmeBeamformer, SteeringEstimator
 from .tracking import CovarianceTracker
@@ -84,7 +84,9 @@ class TrialContext:
     ``a_init`` seeds the adaptive steering estimators (a draw inside the
     presumed sector); the SMI baselines are pinned to ``a_nominal``, the
     presumed-direction steering vector.  Only the clairvoyant optimum reads
-    the truth: ``batch`` and the per-snapshot INC matrices ``inc``.
+    the truth: ``batch.true_steering`` and ``segments``, the
+    ``(start, end, R_in)`` spans of snapshots that share one true INC matrix
+    ``R_in``, in order and tiling ``[0, n)``.
     """
 
     a_init: np.ndarray
@@ -92,7 +94,7 @@ class TrialContext:
     num_sources: int
     noise_power: float
     batch: SnapshotBatch
-    inc: list
+    segments: list
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ ALGORITHMS = {
                                   loading=p["loading_scale"] * ctx.noise_power)),
     "optimal": Algorithm(
         {},
-        lambda p, ctx: _OptimalRunner(ctx.batch, ctx.inc)),
+        lambda p, ctx: _OptimalRunner(ctx.batch.true_steering, ctx.segments)),
 }
 
 
@@ -182,11 +184,11 @@ def nominal_context(cfg: ScenarioConfig) -> TrialContext:
     checks before any trial data is generated.
     """
     a_nominal = make_steering(cfg.sensors, cfg.desired_doa_deg)
-    empty = SnapshotBatch(observations=np.empty((cfg.sensors, 0), dtype=complex),
-                          true_steering=a_nominal)
+    no_snapshots = np.empty((cfg.sensors, 0), dtype=complex)
     return TrialContext(a_init=a_nominal, a_nominal=a_nominal,
                         num_sources=cfg.num_sources, noise_power=cfg.noise_power,
-                        batch=empty, inc=[])
+                        batch=SnapshotBatch(no_snapshots, no_snapshots),
+                        segments=[])
 
 
 class _SmiRunner:
@@ -213,75 +215,64 @@ class _OptimalRunner:
 
     name = "optimal"
 
-    def __init__(self, batch: SnapshotBatch, inc: list):
-        self.batch, self.inc, self.i = batch, inc, 0
+    def __init__(self, truth: np.ndarray, segments: list):
+        # Columns go out as strided views: a contiguous copy changes the bits
+        # of the solve.
+        self.steps = ((truth[:, i], r_in) for start, end, r_in in segments
+                      for i in range(start, end))
         self.a_hat = self.constraint_steering = None
 
     def process(self, x):
-        self.a_hat = self.constraint_steering = self.batch.steering_at(self.i)
-        w = optimal_weights(self.a_hat, self.inc[self.i])
-        self.i += 1
-        return w
+        self.a_hat, r_in = next(self.steps)
+        self.constraint_steering = self.a_hat
+        return optimal_weights(self.a_hat, r_in)
 
 
-def simulate_trial_data(cfg: ScenarioConfig, snr_db: float, snr_index: int,
-                        trial: int):
-    """Generate one trial's observations and ground truth.
+def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
+    """Generate one trial's observations and ground truth at one SNR point.
 
-    Returns ``(batch, inc_per_snapshot, a_init, desired_power)`` where
-    ``inc_per_snapshot`` maps snapshot index to the segment's true INC matrix.
+    Returns ``(ctx, desired_power)``: the :class:`TrialContext` every engine
+    of the trial is built from, holding the M x n observations and true
+    steering and the INC segments, and the desired signal's linear power.
     """
+    snr_db = cfg.snr_points()[snr_index]
     seed = cfg.master_seed
     data_rng = rng.stream(seed, snr_index, trial, rng.ROLE_DATA)
     scat_rng = rng.stream(seed, snr_index, trial, rng.ROLE_SCATTER)
     init_rng = rng.stream(seed, snr_index, trial, rng.ROLE_INIT)
 
+    n = cfg.snapshots
     a_nom = make_steering(cfg.sensors, cfg.desired_doa_deg)
     kind = cfg.scattering.kind
-    if kind == "coherent":
-        desired_sv = make_coherent_mismatch(a_nom, cfg.scattering, scat_rng)
-        sv_source = desired_sv
-    elif kind == "incoherent":
-        sv_source = make_incoherent_mismatch_stream(a_nom, cfg.scattering, scat_rng)
+    if kind == "incoherent":
+        truth = make_incoherent_mismatch(a_nom, cfg.scattering, scat_rng, n)
     else:
-        sv_source = a_nom
+        sv = make_coherent_mismatch(a_nom, cfg.scattering, scat_rng) \
+            if kind == "coherent" else a_nom
+        truth = np.repeat(sv[:, None], n, axis=1)
 
-    segments = cfg.segments(snr_db)
-    bounds = [start for start, _ in segments] + [cfg.snapshots]
-    obs_parts, truth_parts = [], []
-    inc_by_segment = []
-    for (start, sources), end in zip(segments, bounds[1:]):
-        count = end - start
-        if count <= 0:
-            continue
-        batch = generate_snapshots(sources, sv_source, cfg.noise_power, count, data_rng)
-        obs_parts.append(batch.observations)
-        truth_parts.append(batch.true_steering if batch.true_steering.ndim == 2
-                           else np.repeat(batch.true_steering[:, None], count, axis=1))
-        inc_by_segment.append((start, end,
-                               _interference_covariance(sources, cfg.sensors,
-                                                        cfg.noise_power)))
-
-    observations = np.concatenate(obs_parts, axis=1)
-    truth = np.concatenate(truth_parts, axis=1)
-    batch = SnapshotBatch(observations=observations, true_steering=truth)
-
-    inc = [None] * cfg.snapshots
-    for start, end, r in inc_by_segment:
-        for i in range(start, end):
-            inc[i] = r
+    starts = cfg.segments(snr_db)
+    ends = [start for start, _ in starts[1:]] + [n]
+    observations = np.empty((cfg.sensors, n), dtype=complex)
+    segments = []
+    for (start, sources), end in zip(starts, ends):
+        observations[:, start:end] = generate_snapshots(
+            sources, truth[:, start:end], cfg.noise_power, data_rng)
+        segments.append((start, end, _interference_covariance(
+            sources, cfg.sensors, cfg.noise_power)))
 
     theta0 = init_rng.uniform(cfg.desired_doa_deg - cfg.sector_halfwidth_deg,
                               cfg.desired_doa_deg + cfg.sector_halfwidth_deg)
-    a_init = make_steering(cfg.sensors, theta0)
-    return batch, inc, a_init, cfg.desired_power(snr_db)
+    ctx = TrialContext(a_init=make_steering(cfg.sensors, theta0), a_nominal=a_nom,
+                       num_sources=cfg.num_sources, noise_power=cfg.noise_power,
+                       batch=SnapshotBatch(observations, truth), segments=segments)
+    return ctx, cfg.desired_power(snr_db)
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> TrialRecord:
     """Run every configured algorithm over one seeded trial at one SNR point."""
-    snr_db = cfg.snr_points()[snr_index]
-    batch, inc, a_init, p_des = simulate_trial_data(cfg, snr_db, snr_index,
-                                                    trial_index)
+    ctx, p_des = simulate_trial_data(cfg, snr_index, trial_index)
+    observations = ctx.batch.observations
     n = cfg.snapshots
     sinr = {spec.name: np.full(n, np.nan) for spec in cfg.algorithms}
     mse = {spec.name: np.full(n, np.nan) for spec in cfg.algorithms}
@@ -289,32 +280,27 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> Tria
     # Rows are strided views of the truth columns: OpenBLAS rounds a
     # unit-stride dot product differently, and the scores keep the bits of
     # the per-snapshot evaluation.
-    truth = batch.true_steering.T
-    bounds = [0] + [i for i in range(1, n) if inc[i] is not inc[i - 1]] + [n]
+    truth = ctx.batch.true_steering.T
     weights = np.empty((n, cfg.sensors), dtype=complex)
     a_hats = np.empty((n, cfg.sensors), dtype=complex)
 
-    ctx = TrialContext(a_init=a_init,
-                       a_nominal=make_steering(cfg.sensors, cfg.desired_doa_deg),
-                       num_sources=cfg.num_sources, noise_power=cfg.noise_power,
-                       batch=batch, inc=inc)
     for spec in cfg.algorithms:
         bf = build_beamformer(spec, ctx)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for i in range(n):
-                    weights[i] = bf.process(batch.observations[:, i])
+                    weights[i] = bf.process(observations[:, i])
                     a_hats[i] = bf.a_hat
-                for start, end in zip(bounds, bounds[1:]):
+                for start, end, r_in in ctx.segments:
                     sinr[spec.name][start:end] = output_sinr(
-                        weights[start:end], p_des, truth[start:end], inc[start])
+                        weights[start:end], p_des, truth[start:end], r_in)
                 mse[spec.name][:] = steering_mse(a_hats, truth)
         except (NumericError, np.linalg.LinAlgError, FloatingPointError,
                 ZeroDivisionError):
             failed[spec.name] = True
 
-    return TrialRecord(trial_index=trial_index, snr_db=snr_db, sinr_db=sinr,
-                       steering_mse=mse, failed=failed)
+    return TrialRecord(trial_index=trial_index, snr_db=cfg.snr_points()[snr_index],
+                       sinr_db=sinr, steering_mse=mse, failed=failed)
 
 
 def _trial_job(args):
@@ -325,7 +311,8 @@ def _collect_trials(cfg: ScenarioConfig, snr_index: int, workers: int) -> list:
     jobs = [(cfg, t, snr_index) for t in range(cfg.trials)]
     if workers <= 1 or cfg.trials == 1:
         return [_trial_job(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=kernels.pin_blas_threads) as pool:
         return list(pool.map(_trial_job, jobs, chunksize=max(1, cfg.trials // (4 * workers))))
 
 
@@ -349,19 +336,20 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> AggregateResult:
     mean_mse = {name: [] for name in names}
     contributing = {name: [] for name in names}
     failures = {name: 0 for name in names}
-    for j, snr_db in enumerate(cfg.snr_points()):
-        records = _collect_trials(cfg, j, workers)
-        for name in names:
-            good = [r for r in records if not r.failed[name]]
-            failures[name] += cfg.trials - len(good)
-            if not good:
-                raise ExperimentError(
-                    f"all trials failed for algorithm {name!r} at SNR {snr_db} dB")
-            point = np.mean([reduce(r.sinr_db[name]) for r in good], axis=0)
-            mean_sinr[name].append(point)
-            mean_mse[name].append(np.mean([reduce(r.steering_mse[name]) for r in good],
-                                          axis=0))
-            contributing[name] += [len(good)] * point.size
+    with kernels.single_blas_thread():
+        for j, snr_db in enumerate(cfg.snr_points()):
+            records = _collect_trials(cfg, j, workers)
+            for name in names:
+                good = [r for r in records if not r.failed[name]]
+                failures[name] += cfg.trials - len(good)
+                if not good:
+                    raise ExperimentError(
+                        f"all trials failed for algorithm {name!r} at SNR {snr_db} dB")
+                point = np.mean([reduce(r.sinr_db[name]) for r in good], axis=0)
+                mean_sinr[name].append(point)
+                mean_mse[name].append(np.mean([reduce(r.steering_mse[name]) for r in good],
+                                              axis=0))
+                contributing[name] += [len(good)] * point.size
     return AggregateResult(x_kind, x_values,
                            {name: np.ravel(v) for name, v in mean_sinr.items()},
                            {name: np.ravel(v) for name, v in mean_mse.items()},

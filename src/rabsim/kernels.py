@@ -25,10 +25,17 @@ Non-finite input raises ``ValueError`` (scipy's ``check_finite``), a matrix
 that is not positive definite (``cholesky``) or is exactly singular
 (``her_solve``) raises ``LinAlgError``, and a negative LAPACK ``info`` raises
 ``ValueError``.
+
+NumPy and SciPy each load their own OpenBLAS, by default with one thread per
+core.  Trials run one per process, so ``single_blas_thread`` and the pool
+initializer ``pin_blas_threads`` keep every loaded OpenBLAS on one thread:
+threaded BLAS inside parallel trial workers oversubscribes the cores.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import warnings
 
@@ -137,3 +144,64 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     if x.dtype.kind == "c":
         return np.sqrt(row_dots(x.real) + row_dots(x.imag))
     return np.sqrt(row_dots(x))
+
+
+# (get, set) thread-count symbols of the scipy-openblas 64-bit, scipy-openblas
+# and plain OpenBLAS builds.
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS the process maps."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+def blas_threads() -> list:
+    """Thread count of each loaded OpenBLAS; empty when none is found."""
+    return [get() for get, _ in _openblas()]
+
+
+def set_blas_threads(counts) -> None:
+    """Give each loaded OpenBLAS the thread count at its place in ``counts``."""
+    for (_, set_), n in zip(_openblas(), counts):
+        set_(n)
+
+
+def pin_blas_threads() -> None:
+    """Put every loaded OpenBLAS on one thread (the trial workers' initializer)."""
+    set_blas_threads([1] * len(_openblas()))
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore."""
+    before = blas_threads()
+    pin_blas_threads()
+    try:
+        yield
+    finally:
+        set_blas_threads(before)

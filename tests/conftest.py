@@ -10,10 +10,9 @@ import pytest
 from rabsim.config import config_from_dict
 from rabsim.harness import run_experiment
 
-# Aggregates are bit-identical for any worker count, so the M <= 12 fixtures
-# run two pool workers to cut the wall time.  The M = 40 fixtures stay serial:
-# there each worker's OpenBLAS starts its own thread, and two workers on two
-# cores ran those fixtures 1.5-2x slower than one.
+# Aggregates are bit-identical for any worker count, so every fixture runs two
+# pool workers to cut the wall time.  Each worker keeps its BLAS on one thread,
+# so at M = 40 too the two workers share the cores instead of oversubscribing.
 WORKERS = 2
 
 FULL_ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
@@ -68,9 +67,10 @@ def tracking_run():
 
 @pytest.fixture(scope="session")
 def m40_coherent_run():
-    return run_experiment(config_from_dict(_mismatch_doc(40)))
+    return run_experiment(config_from_dict(_mismatch_doc(40)), workers=WORKERS)
 
 
 @pytest.fixture(scope="session")
 def m40_incoherent_run():
-    return run_experiment(config_from_dict(_mismatch_doc(40, kind="incoherent")))
+    return run_experiment(config_from_dict(_mismatch_doc(40, kind="incoherent")),
+                          workers=WORKERS)

@@ -16,10 +16,9 @@ import pytest
 from rabsim import rng
 from rabsim.adaptive import ccg_inner
 from rabsim.analysis import FlopModel, epsilon_moments, flops, mse_bounds
-from rabsim.arrays import make_steering
 from rabsim.config import config_from_dict
-from rabsim.harness import (TrialContext, build_beamformer, run_experiment,
-                            simulate_trial_data, write_csv)
+from rabsim.harness import (build_beamformer, run_experiment, simulate_trial_data,
+                            write_csv)
 from rabsim.krylov import BREAKDOWN, arnoldi_mgs, make_projector
 from rabsim.okspme import inc_matrix
 
@@ -31,15 +30,6 @@ def report(criterion, ok, detail):
 
 def final_window_mean(agg, name, window=50):
     return float(np.mean(agg.mean_sinr_db[name][-window:]))
-
-
-def _trial_context(cfg, snr_db):
-    """Trial 0 of a single-point scenario, as ``run_trial`` hands it to engines."""
-    batch, inc, a_init, _ = simulate_trial_data(cfg, snr_db, 0, 0)
-    return TrialContext(a_init=a_init,
-                        a_nominal=make_steering(cfg.sensors, cfg.desired_doa_deg),
-                        num_sources=cfg.num_sources, noise_power=cfg.noise_power,
-                        batch=batch, inc=inc)
 
 
 # ------------------------------------------------------------- criterion 1
@@ -218,7 +208,7 @@ def test_criterion_6_constraint_satisfaction():
         "scattering": {"kind": "coherent"},
         "algorithms": ["okspme", "okspme-ccg", "okspme-mcg"],
     })
-    ctx = _trial_context(cfg, 10.0)
+    ctx, _ = simulate_trial_data(cfg, 0, 0)
     worst = 0.0
     for spec in cfg.algorithms:
         bf = build_beamformer(spec, ctx)
@@ -254,7 +244,7 @@ def test_criterion_7_mcg_convergence_band():
             "snr_db": 0.0, "snapshots": 300, "trials": 1, "master_seed": seed,
             "algorithms": ["okspme-mcg"],
         })
-        ctx = _trial_context(cfg, 0.0)
+        ctx, _ = simulate_trial_data(cfg, 0, 0)
         bf = build_beamformer(cfg.algorithms[0], ctx)
         pairs = []
         for x in ctx.batch.observations.T:

@@ -72,12 +72,13 @@ def test_sg_stability_long_stationary_run():
     m = 6
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    batch = generate_snapshots(sources, a_true, 1.0, 10_000, rng.stream(3, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 10_000, axis=1),
+                             1.0, rng.stream(3, 0, 0))
     est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1))
     bf = SgBeamformer(est)
     norms = []
     for i in range(10_000):
-        w = bf.process(batch.observations[:, i])
+        w = bf.process(obs[:, i])
         norms.append(np.linalg.norm(w))
     norms = np.array(norms)
     assert np.isfinite(norms).all()
@@ -191,13 +192,14 @@ def test_ccg_beamformer_constraint_and_determinism():
     sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
 
     def run():
-        batch = generate_snapshots(sources, a_true, 1.0, 40, rng.stream(8, 0, 0))
+        obs = generate_snapshots(sources, np.repeat(a_true[:, None], 40, axis=1),
+                                 1.0, rng.stream(8, 0, 0))
         est = SteeringEstimator(make_steering(m, 12.0), 2,
                                 NoisePowerSource("oracle", 1.0, 2), lam=0.998)
         bf = CcgBeamformer(est)
         out = []
         for i in range(40):
-            w = bf.process(batch.observations[:, i])
+            w = bf.process(obs[:, i])
             assert abs(np.vdot(w, bf.constraint_steering) - 1.0) < 1e-10
             out.append(w)
         return np.array(out)
@@ -242,13 +244,14 @@ def test_mcg_constraint_and_bound_trace():
     m = 6
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
-    batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(10, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 50, axis=1),
+                             1.0, rng.stream(10, 0, 0))
     est = SteeringEstimator(make_steering(m, 11.0), 2,
                             NoisePowerSource("oracle", 1.0, 2), lam=0.998)
     bf = McgBeamformer(est)
     pairs = []
     for i in range(50):
-        pairs.append(_bound_pair(bf, batch.observations[:, i]))
+        pairs.append(_bound_pair(bf, obs[:, i]))
         assert abs(np.vdot(bf.w, bf.constraint_steering) - 1.0) < 1e-10
     # the line-search step keeps the direction/gradient alignment nonnegative
     post = np.array([b[0] for b in pairs[5:]])
@@ -259,12 +262,13 @@ def test_mcg_runs_on_sample_mean_tracker():
     m = 5
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
-    batch = generate_snapshots(sources, a_true, 1.0, 30, rng.stream(11, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 30, axis=1),
+                             1.0, rng.stream(11, 0, 0))
     est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1),
                             lam=1.0)
     bf = McgBeamformer(est)
     for i in range(30):
-        w = bf.process(batch.observations[:, i])
+        w = bf.process(obs[:, i])
     assert np.isfinite(w).all()
 
 
@@ -412,7 +416,8 @@ def test_mcg_snapshots_bits_match_oracle():
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0),
                SourceConfig(-40.0, 5.0)]
-    batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(9, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 50, axis=1),
+                             1.0, rng.stream(9, 0, 0))
     engines = []
     for cls in (McgBeamformer, _McgOracle):
         est = SteeringEstimator(make_steering(m, 13.0), 3,
@@ -420,7 +425,7 @@ def test_mcg_snapshots_bits_match_oracle():
         engines.append(cls(est))
     new, old = engines
     for i in range(50):
-        x = batch.observations[:, i]
+        x = obs[:, i]
         assert _bound_pair(new, x) == _bound_pair(old, x), i
         assert np.array_equal(new.w, old.w), i
         for field in ("v", "g_a", "g_v", "p_a", "p_v", "a_hat"):

@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from rabsim import rng
 from rabsim.arrays import (ScatteringSpec, SourceConfig, generate_snapshots,
-                           make_coherent_mismatch,
-                           make_incoherent_mismatch_stream, make_steering)
+                           make_coherent_mismatch, make_incoherent_mismatch,
+                           make_steering)
 from rabsim.errors import ParameterError
+
+
+def _fixed(a, count):
+    """The M x count truth of a steering vector that holds for every snapshot."""
+    return np.repeat(a[:, None], count, axis=1)
 
 
 def test_steering_broadside_is_all_ones():
@@ -51,13 +56,17 @@ def test_coherent_zero_paths_returns_nominal():
 
 
 def test_coherent_degenerate_draw():
-    # zero angle spread and forced zero phases: p + 4 b(mean)
+    # zero angle spread: every path is b(mean) = p, so the composite is
+    # p (1 + sum_k exp(j phi_k)) with the phases replayed from the same stream
     nominal = make_steering(5, 10.0)
     spec = ScatteringSpec(kind="coherent", num_paths=4, angle_mean_deg=10.0,
                           angle_std_deg=0.0)
-    out = make_coherent_mismatch(nominal, spec, rng.stream(1, 0, 0),
-                                 phases=[0.0, 0.0, 0.0, 0.0])
-    assert np.allclose(out, 5.0 * nominal, atol=1e-12)
+    out = make_coherent_mismatch(nominal, spec, rng.stream(1, 0, 0))
+
+    g = rng.stream(1, 0, 0)
+    g.uniform(10.0, 10.0, size=4)
+    phis = g.uniform(0.0, 2 * math.pi, size=4)
+    assert np.allclose(out, (1.0 + np.exp(1j * phis).sum()) * nominal, atol=1e-12)
 
 
 def test_coherent_seeded_redraw_matches_brute_force():
@@ -99,41 +108,55 @@ class _ForcedGains:
 def test_incoherent_zero_paths_forced_unit_gain():
     nominal = make_steering(4, 10.0)
     spec = ScatteringSpec(kind="incoherent", num_paths=0)
-    stream_gen = make_incoherent_mismatch_stream(nominal, spec, _ForcedGains())
-    for _ in range(3):
-        assert np.allclose(next(stream_gen), nominal)
+    truth = make_incoherent_mismatch(nominal, spec, _ForcedGains(), 3)
+    assert np.allclose(truth, _fixed(nominal, 3))
 
 
 def test_incoherent_successive_snapshots_differ():
     nominal = make_steering(6, 10.0)
     spec = ScatteringSpec(kind="incoherent")
-    gen = make_incoherent_mismatch_stream(nominal, spec, rng.stream(4, 0, 0))
-    first, second = next(gen), next(gen)
-    assert not np.allclose(first, second)
+    truth = make_incoherent_mismatch(nominal, spec, rng.stream(4, 0, 0), 2)
+    assert truth.shape == (6, 2)
+    assert not np.allclose(truth[:, 0], truth[:, 1])
+
+
+def test_incoherent_seeded_redraw_matches_brute_force():
+    nominal = make_steering(8, 10.0)
+    spec = ScatteringSpec(kind="incoherent", num_paths=3, angle_std_deg=2.0)
+    truth = make_incoherent_mismatch(nominal, spec, rng.stream(7, 1, rng.ROLE_SCATTER), 5)
+
+    # replay the draw order: the path angles, then one gain draw per snapshot
+    g = rng.stream(7, 1, rng.ROLE_SCATTER)
+    half = math.sqrt(3.0) * 2.0
+    paths = [nominal] + [make_steering(8, th)
+                         for th in g.uniform(10.0 - half, 10.0 + half, size=3)]
+    for i in range(5):
+        z = g.standard_normal((4, 2))
+        gains = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+        expect = sum(s * p for s, p in zip(gains, paths))
+        assert np.allclose(truth[:, i], expect, atol=1e-14)
 
 
 def test_incoherent_gain_variance():
     # over many snapshots, var of s0(i) * p element-wise approaches |p_k|^2
     nominal = make_steering(3, 10.0)
     spec = ScatteringSpec(kind="incoherent", num_paths=0)
-    gen = make_incoherent_mismatch_stream(nominal, spec, rng.stream(5, 0, 0))
-    draws = np.array([next(gen) for _ in range(10_000)])
+    draws = make_incoherent_mismatch(nominal, spec, rng.stream(5, 0, 0), 10_000).T
     var = np.var(draws, axis=0)
     assert np.all(np.abs(var - np.abs(nominal) ** 2) < 0.05 * np.abs(nominal) ** 2)
 
 
 def test_generate_snapshots_zero_everything():
     sources = [SourceConfig(10.0, 0.0, is_desired=True)]
-    batch = generate_snapshots(sources, make_steering(4, 10.0), 0.0, 5,
-                               rng.stream(0, 0, 0))
-    assert np.allclose(batch.observations, 0.0)
+    x = generate_snapshots(sources, _fixed(make_steering(4, 10.0), 5), 0.0,
+                           rng.stream(0, 0, 0))
+    assert np.allclose(x, 0.0)
 
 
 def test_generate_snapshots_covariance_matches_model():
     a = make_steering(4, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
-    batch = generate_snapshots(sources, a, 0.0, 100_000, rng.stream(9, 0, 0))
-    x = batch.observations
+    x = generate_snapshots(sources, _fixed(a, 100_000), 0.0, rng.stream(9, 0, 0))
     scm = x @ x.conj().T / x.shape[1]
     model = 2.0 * np.outer(a, a.conj())
     err = np.linalg.norm(scm - model) / np.linalg.norm(model)
@@ -141,35 +164,38 @@ def test_generate_snapshots_covariance_matches_model():
 
 
 def test_generate_snapshots_validation():
-    a = make_steering(4, 0.0)
+    a = _fixed(make_steering(4, 0.0), 5)
     with pytest.raises(ParameterError):
-        generate_snapshots([], a, 1.0, 10, rng.stream(0, 0, 0))
+        generate_snapshots([], a, 1.0, rng.stream(0, 0, 0))
     with pytest.raises(ParameterError):
-        generate_snapshots([SourceConfig(0.0, 1.0, is_desired=True)], a, 1.0, 0,
+        generate_snapshots([SourceConfig(0.0, 1.0, is_desired=True)], a[:, :0], 1.0,
                            rng.stream(0, 0, 0))
     with pytest.raises(ParameterError):
-        generate_snapshots([SourceConfig(0.0, 1.0, is_desired=True)], a, -1.0, 5,
+        generate_snapshots([SourceConfig(0.0, 1.0, is_desired=True)], a, -1.0,
                            rng.stream(0, 0, 0))
     with pytest.raises(ParameterError):
-        generate_snapshots([SourceConfig(0.0, 1.0)], a, 1.0, 5, rng.stream(0, 0, 0))
+        generate_snapshots([SourceConfig(0.0, 1.0)], a, 1.0, rng.stream(0, 0, 0))
 
 
-def test_generate_snapshots_streaming_truth_per_snapshot():
+def test_generate_snapshots_desired_term_follows_truth_columns():
+    # noise free, desired source only: column i is truth[:, i] times one symbol
     nominal = make_steering(4, 10.0)
     spec = ScatteringSpec(kind="incoherent")
-    gen = make_incoherent_mismatch_stream(nominal, spec, rng.stream(2, 0, 0))
+    truth = make_incoherent_mismatch(nominal, spec, rng.stream(2, 0, 0), 7)
     sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    batch = generate_snapshots(sources, gen, 1.0, 7, rng.stream(3, 0, 0))
-    assert batch.true_steering.shape == (4, 7)
-    assert not np.allclose(batch.steering_at(0), batch.steering_at(1))
+    x = generate_snapshots(sources, truth, 0.0, rng.stream(3, 0, 0))
+    assert x.shape == (4, 7)
+    ratio = x / truth
+    assert np.allclose(ratio, ratio[:1], atol=1e-12)
+    assert not np.allclose(ratio[0, 0], ratio[0, 1])
 
 
 def test_reproducibility_bit_identical():
     sources = [SourceConfig(10.0, 1.0, is_desired=True), SourceConfig(30.0, 1.0)]
-    a = make_steering(6, 10.0)
-    b1 = generate_snapshots(sources, a, 1.0, 50, rng.stream(11, 2, rng.ROLE_DATA))
-    b2 = generate_snapshots(sources, a, 1.0, 50, rng.stream(11, 2, rng.ROLE_DATA))
-    assert np.array_equal(b1.observations, b2.observations)
+    a = _fixed(make_steering(6, 10.0), 50)
+    x1 = generate_snapshots(sources, a, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
+    x2 = generate_snapshots(sources, a, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
+    assert np.array_equal(x1, x2)
 
 
 def test_scattering_spec_validation():

@@ -11,6 +11,7 @@ import pytest
 
 import rabsim
 import rabsim.okspme
+from rabsim import harness, kernels
 from rabsim.arrays import make_steering
 from rabsim.config import (AlgorithmSpec, ScenarioConfig, config_from_dict,
                            load_config)
@@ -180,14 +181,37 @@ def test_interference_dimension_changes_at_schedule_point():
         sensors=12, snapshots=30, interferer_doas_deg=[30.0, 50.0],
         interferer_schedule=[{"start_snapshot": 16,
                               "interferer_doas_deg": [20.0, 30.0, 40.0, 50.0, 60.0]}]))
-    _, inc, _, _ = simulate_trial_data(cfg, 10.0, 0, 0)
+    ctx, _ = simulate_trial_data(cfg, 0, 0)
 
     def interference_rank(r):
         eigs = np.linalg.eigvalsh(r)
         return int(np.sum(eigs > 1.5 * cfg.noise_power))
 
-    assert interference_rank(inc[14]) == 2
-    assert interference_rank(inc[15]) == 5
+    (start0, end0, r0), (start1, end1, r1) = ctx.segments
+    assert (start0, end0, start1, end1) == (0, 15, 15, 30)
+    assert interference_rank(r0) == 2
+    assert interference_rank(r1) == 5
+
+
+@pytest.mark.parametrize("schedule", [
+    [], [{"start_snapshot": 8, "interferer_doas_deg": [20.0, 40.0]}],
+    [{"start_snapshot": 2, "interferer_doas_deg": [20.0]},
+     {"start_snapshot": 20, "interferer_doas_deg": [40.0]}],
+], ids=["fixed", "switch", "one-snapshot-ends"])
+@pytest.mark.parametrize("kind", ["none", "coherent", "incoherent"])
+def test_trial_truth_is_m_by_n_and_segments_tile_the_trial(kind, schedule):
+    cfg = config_from_dict(_base_doc(scattering={"kind": kind},
+                                     interferer_schedule=schedule))
+    ctx, _ = simulate_trial_data(cfg, 0, 0)
+    m, n = cfg.sensors, cfg.snapshots
+    truth = ctx.batch.true_steering
+    assert ctx.batch.observations.shape == truth.shape == (m, n)
+    assert truth.flags.c_contiguous
+    assert np.array_equal(truth, truth[:, :1].repeat(n, axis=1)) == (kind != "incoherent")
+    bounds = [(start, end) for start, end, _ in ctx.segments]
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(start < end for start, end in bounds)
+    assert all(end == start for (_, end), (start, _) in zip(bounds, bounds[1:]))
 
 
 def test_single_snapshot_trace():
@@ -286,6 +310,37 @@ def test_parallel_equals_serial():
 
 
 # ------------------------------------------------------------------- CSV
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, workers):
+    before = kernels.blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    trial, collect = harness.run_trial, harness._collect_trials
+    seen = []
+
+    def reporting_trial(*args):
+        record = trial(*args)
+        record.blas_threads = kernels.blas_threads()
+        return record
+
+    def collecting(*args):
+        records = collect(*args)
+        seen.extend(r.blas_threads for r in records)
+        return records
+
+    monkeypatch.setattr(harness, "run_trial", reporting_trial)
+    monkeypatch.setattr(harness, "_collect_trials", collecting)
+    # two threads each, so the restored counts differ from the pinned ones
+    kernels.set_blas_threads([2] * len(before))
+    try:
+        run_experiment(config_from_dict(_base_doc(trials=2)), workers=workers)
+        after = kernels.blas_threads()
+    finally:
+        kernels.set_blas_threads(before)
+    assert seen == [[1] * len(before)] * 2
+    assert after == [2] * len(before)
+
 
 def test_csv_header_only_for_empty_roster(tmp_path):
     # A scenario file must name an algorithm; the Python API may still pass none.

@@ -171,10 +171,11 @@ def test_snapshot_ideal_conditions():
     m = 4
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    batch = generate_snapshots(sources, a_true, 0.0, 10, rng.stream(1, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 10, axis=1),
+                             0.0, rng.stream(1, 0, 0))
     bf = _beamformer(m=m, noise=0.0)
     for i in range(10):
-        w = bf.process(batch.observations[:, i])
+        w = bf.process(obs[:, i])
     assert abs(np.vdot(w, a_true) - 1.0) < 1e-6
     # interference-free, noise-free scenario attains unbounded SINR
     assert output_sinr(w, 1.0, a_true, np.zeros((m, m), dtype=complex)) == math.inf
@@ -184,9 +185,10 @@ def test_first_snapshot_well_posed_with_loading():
     m = 6
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    batch = generate_snapshots(sources, a_true, 1.0, 1, rng.stream(2, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 1, axis=1),
+                             1.0, rng.stream(2, 0, 0))
     bf = _beamformer(m=m, noise=1.0, delta0=0.1)
-    w = bf.process(batch.observations[:, 0])
+    w = bf.process(obs[:, 0])
     assert np.isfinite(w).all()
 
 
@@ -194,10 +196,11 @@ def test_steering_norm_invariant_every_snapshot():
     m = 5
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True), SourceConfig(40.0, 2.0)]
-    batch = generate_snapshots(sources, a_true, 1.0, 40, rng.stream(3, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 40, axis=1),
+                             1.0, rng.stream(3, 0, 0))
     bf = _beamformer(m=m, num_sources=2, noise=1.0)
     for i in range(40):
-        bf.process(batch.observations[:, i])
+        bf.process(obs[:, i])
         assert abs(np.linalg.norm(bf.a_hat) - math.sqrt(m)) < 1e-8
 
 
@@ -205,10 +208,11 @@ def test_unit_norm_option():
     m = 5
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
-    batch = generate_snapshots(sources, a_true, 1.0, 20, rng.stream(4, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 20, axis=1),
+                             1.0, rng.stream(4, 0, 0))
     bf = _beamformer(m=m, noise=1.0, unit_norm=True)
     for i in range(20):
-        bf.process(batch.observations[:, i])
+        bf.process(obs[:, i])
     assert abs(np.linalg.norm(bf.a_hat) - 1.0) < 1e-8
 
 
@@ -216,11 +220,12 @@ def test_constraint_satisfaction_during_run():
     m = 6
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
-    batch = generate_snapshots(sources, a_true, 1.0, 60, rng.stream(5, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 60, axis=1),
+                             1.0, rng.stream(5, 0, 0))
     bf = _beamformer(m=m, num_sources=2, noise=1.0,
                      a_init=make_steering(m, 12.0))
     for i in range(60):
-        w = bf.process(batch.observations[:, i])
+        w = bf.process(obs[:, i])
         assert abs(np.vdot(w, bf.a_hat) - 1.0) < 1e-10
 
 
@@ -247,9 +252,10 @@ def test_run_is_deterministic():
     sources = [SourceConfig(10.0, 2.0, is_desired=True), SourceConfig(30.0, 2.0)]
 
     def run():
-        batch = generate_snapshots(sources, a_true, 1.0, 30, rng.stream(6, 1, 0))
+        obs = generate_snapshots(sources, np.repeat(a_true[:, None], 30, axis=1),
+                                 1.0, rng.stream(6, 1, 0))
         bf = _beamformer(m=m, num_sources=2, noise=1.0)
-        return np.array([bf.process(batch.observations[:, i]) for i in range(30)])
+        return np.array([bf.process(obs[:, i]) for i in range(30)])
 
     assert np.array_equal(run(), run())
 
@@ -275,12 +281,13 @@ def test_eigen_noise_mode_runs():
     m = 6
     a_true = make_steering(m, 10.0)
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
-    batch = generate_snapshots(sources, a_true, 1.0, 50, rng.stream(8, 0, 0))
+    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 50, axis=1),
+                             1.0, rng.stream(8, 0, 0))
     est = SteeringEstimator(make_steering(m, 11.0), 1,
                             NoisePowerSource("eigen", num_sources=1))
     bf = OkspmeBeamformer(est)
     for i in range(50):
-        w = bf.process(batch.observations[:, i])
+        w = bf.process(obs[:, i])
     assert np.isfinite(w).all()
     # eigen estimate should land near the true unit noise power
     assert 0.3 < est.noise.noise_power(est.tracker.covariance()) < 3.0

@@ -38,10 +38,10 @@ def drift_db():
     simulate = harness.simulate_trial_data
 
     def perturbed(*args):
-        batch, inc, a_init, p_des = simulate(*args)
-        batch = dataclasses.replace(batch,
-                                    observations=batch.observations * PERTURBATION)
-        return batch, inc, a_init, p_des
+        ctx, p_des = simulate(*args)
+        batch = dataclasses.replace(ctx.batch,
+                                    observations=ctx.batch.observations * PERTURBATION)
+        return dataclasses.replace(ctx, batch=batch), p_des
 
     doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
     drift = {}
