@@ -114,15 +114,15 @@ class SgBeamformer:
         return self.estimator.a_hat
 
     def process(self, x: np.ndarray) -> np.ndarray:
-        info = self.estimator.begin_snapshot(x)
-        ref = self.estimator.sigma1_sq_mean if self.smooth_power else info.sigma1_sq
+        _, s1 = self.estimator.begin_snapshot(x)
+        a = self.estimator.a_hat
+        ref = self.estimator.sigma1_sq_mean if self.smooth_power else s1
         # Stability requires mu sigma1^2 ||a||^2 < 1 (the rank-one multiplier's
         # eigenvalue), so the cap scales with the squared steering norm.
-        gram = np.vdot(info.a_hat, info.a_hat).real
-        mu = min(self.mu_scale / (ref * gram),
-                 MU_CAP / (info.sigma1_sq * gram))
+        gram = np.vdot(a, a).real
+        mu = min(self.mu_scale / (ref * gram), MU_CAP / (s1 * gram))
         y_curr = np.vdot(self.w, x)
-        self.w = sg_update(self.w, mu, info.a_hat, info.sigma1_sq, x, y_curr)
+        self.w = sg_update(self.w, mu, a, s1, x, y_curr)
         record_normalized_output(self.estimator, self.w, x)
         return self.w
 
@@ -222,12 +222,13 @@ class CcgBeamformer:
         return self.estimator.a_hat
 
     def process(self, x: np.ndarray) -> np.ndarray:
-        info = self.estimator.begin_snapshot(x)
+        R, s1 = self.estimator.begin_snapshot(x)
+        a = self.estimator.a_hat
         # The warm-started inner loop needs a slowly varying quadratic, so the
         # subtraction uses the smoothed power estimate (the instantaneous one
         # teleports the solve target from snapshot to snapshot).
-        quad = inc_matrix(info.R, info.a_hat, self.estimator.sigma1_sq_mean)
-        it = ccg_inner(quad, info.a_hat, self.v, info.sigma1_sq, self.n_inner)
+        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
+        it = ccg_inner(quad, a, self.v, s1, self.n_inner)
         denom = np.vdot(it.a, it.v)
         if abs(denom) > 0:
             self.w = it.v / denom
@@ -296,10 +297,9 @@ class McgBeamformer:
         return self.estimator.a_hat
 
     def process(self, x: np.ndarray) -> np.ndarray:
-        info = self.estimator.begin_snapshot(x)
-        a = info.a_hat
-        s1, lam = info.sigma1_sq, self.estimator.tracker.lam
-        quad = inc_matrix(info.R, a, self.estimator.sigma1_sq_mean)
+        R, s1 = self.estimator.begin_snapshot(x)
+        a, lam = self.estimator.a_hat, self.estimator.tracker.lam
+        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
 
         # Steering branch: band-placed step (capped to the unit scale of the
         # projection update, since this correction persists in the state).

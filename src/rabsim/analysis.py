@@ -60,33 +60,25 @@ def optimal_sinr(sigma1_sq: float, a_true: np.ndarray, R_in_true: np.ndarray) ->
     return 10.0 * math.log10(sigma1_sq * quad)
 
 
-def _rows(x: np.ndarray) -> np.ndarray:
-    """``x`` as a stack of rows: a single vector becomes one row."""
-    return x[None, :] if x.ndim == 1 else x
-
-
 def output_sinr(w: np.ndarray, sigma1_sq: float, a_true: np.ndarray,
-                R_in_true: np.ndarray) -> float | np.ndarray:
-    """Realized SINR of the weights against the true scenario, in dB.
+                R_in_true: np.ndarray) -> np.ndarray:
+    """Realized SINR of each weight row against the true scenario, in dB.
 
     Evaluates ``sigma1^2 |w^H a|^2 / (w^H R_in w)``; a fully nulled desired
     signal reports the floor value instead of -inf, and a zero denominator
     (only possible for a degenerate noise-free scenario) reports +inf.
 
-    ``w`` and ``a_true`` are single vectors (a float is returned) or stacks
-    with one row per snapshot, all scored against ``R_in_true`` (an array is
-    returned).  The inner products run as one stacked ``matmul`` each, which
-    gives the bits of ``np.vdot`` and ``R_in @ w`` row by row; the magnitude,
-    square and logarithm stay scalar operations, element by element, because
-    their array forms round differently.
+    ``w`` and ``a_true`` are stacks with one row per snapshot, all scored
+    against ``R_in_true``.  The inner products run as one stacked ``matmul``
+    each, which gives the bits of ``np.vdot`` and ``R_in @ w`` row by row; the
+    magnitude, square and logarithm stay scalar operations, element by
+    element, because their array forms round differently.
     """
-    W, A = _rows(w), _rows(a_true)
-    nonzero = W.any(axis=1)
-    w_h = W.conj()[:, None, :]
-    gains = (w_h @ A[:, :, None]).ravel()
-    dens = (w_h @ (R_in_true @ W[:, :, None])).real.ravel()
-    out = np.empty(len(W))
-    for i, (ok, gain, den) in enumerate(zip(nonzero, gains, dens)):
+    w_h = w.conj()[:, None, :]
+    gains = (w_h @ a_true[:, :, None]).ravel()
+    dens = (w_h @ (R_in_true @ w[:, :, None])).real.ravel()
+    out = np.empty(len(w))
+    for i, (ok, gain, den) in enumerate(zip(w.any(axis=1), gains, dens)):
         if not ok:
             raise ParameterError("weights must be nonzero")
         num = sigma1_sq * abs(gain) ** 2
@@ -96,23 +88,21 @@ def output_sinr(w: np.ndarray, sigma1_sq: float, a_true: np.ndarray,
             out[i] = SINR_FLOOR_DB
         else:
             out[i] = max(SINR_FLOOR_DB, 10.0 * math.log10(num / den))
-    return out if w.ndim == 2 else float(out[0])
+    return out
 
 
-def steering_mse(a_hat: np.ndarray, a_true: np.ndarray) -> float | np.ndarray:
-    """Squared error between the estimate and the true steering vector.
+def steering_mse(a_hat: np.ndarray, a_true: np.ndarray) -> np.ndarray:
+    """Squared error between each estimate row and its true steering row.
 
     The estimate is rescaled to the true vector's norm first, matching the
-    fixed-norm premise of the analytic bounds.  Takes single vectors (returns
-    a float) or stacks with one row per snapshot (returns an array); the
-    square stays a scalar operation, element by element.
+    fixed-norm premise of the analytic bounds.  Takes stacks with one row per
+    snapshot; the square stays a scalar operation, element by element.
     """
-    A_hat = np.ascontiguousarray(_rows(a_hat))
-    A_true = np.ascontiguousarray(_rows(a_true))
-    scale = row_norms(A_true) / row_norms(A_hat)
-    errors = row_norms(A_hat * scale[:, None] - A_true)
-    out = np.array([float(e ** 2) for e in errors])
-    return out if a_hat.ndim == 2 else float(out[0])
+    a_hat = np.ascontiguousarray(a_hat)
+    a_true = np.ascontiguousarray(a_true)
+    scale = row_norms(a_true) / row_norms(a_hat)
+    errors = row_norms(a_hat * scale[:, None] - a_true)
+    return np.array([float(e ** 2) for e in errors])
 
 
 @dataclass(frozen=True)

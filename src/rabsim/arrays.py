@@ -60,19 +60,6 @@ class ScatteringSpec:
             raise ParameterError("angle_std_deg must be >= 0")
 
 
-@dataclass
-class SnapshotBatch:
-    """A trial's array observations plus the ground truth that scores them.
-
-    ``observations`` is M x n, one column per snapshot, and ``true_steering``
-    is the realized desired-signal steering vector of each snapshot, also
-    M x n and C-ordered, so column ``i`` is the truth of snapshot ``i``.
-    """
-
-    observations: np.ndarray
-    true_steering: np.ndarray
-
-
 def make_steering(m_sensors: int, theta_deg: float) -> np.ndarray:
     """Steering vector of an M-element half-wavelength ULA toward ``theta_deg``."""
     if m_sensors < 2:

@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     sim.add_argument("--config", required=True, help="scenario JSON file")
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--threads", type=int, default=1, help="trial workers")
+    sim.add_argument("--threads", type=int, default=1, help="trial workers (>= 1)")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the scenario master seed")
 
@@ -59,10 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)   # re-validates
-    result = run_experiment(cfg, workers=max(1, args.threads))
+    result = run_experiment(cfg, workers=args.threads)
     write_csv(result, args.out)
     n_rows = len(result.mean_sinr_db) * len(result.x_values)
     print(f"wrote {n_rows} rows to {args.out}")

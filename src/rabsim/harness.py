@@ -25,7 +25,7 @@ from . import kernels, rng
 from .adaptive import CcgBeamformer, McgBeamformer, SgBeamformer
 from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
                        smi_weights, steering_mse)
-from .arrays import (SnapshotBatch, generate_snapshots, make_coherent_mismatch,
+from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
 from .errors import ExperimentError, NumericError, ParameterError
 from .okspme import NoisePowerSource, OkspmeBeamformer, SteeringEstimator
@@ -39,8 +39,6 @@ STEADY_WINDOW = 50  # snapshots averaged for one SNR-sweep point
 
 @dataclass
 class TrialRecord:
-    trial_index: int
-    snr_db: float
     sinr_db: dict
     steering_mse: dict
     failed: dict
@@ -54,7 +52,6 @@ class AggregateResult:
     mean_steering_mse: dict
     contributing: dict             # algorithm -> trials that produced data, per x
     failures: dict                 # algorithm -> failed trial count
-    trials: int
 
 
 def _interference_covariance(sources, m_sensors: int, noise_power: float) -> np.ndarray:
@@ -83,17 +80,20 @@ class TrialContext:
 
     ``a_init`` seeds the adaptive steering estimators (a draw inside the
     presumed sector); the SMI baselines are pinned to ``a_nominal``, the
-    presumed-direction steering vector.  Only the clairvoyant optimum reads
-    the truth: ``batch.true_steering`` and ``segments``, the
-    ``(start, end, R_in)`` spans of snapshots that share one true INC matrix
-    ``R_in``, in order and tiling ``[0, n)``.
+    presumed-direction steering vector.  ``observations`` is M x n, one
+    column per snapshot.  Only the clairvoyant optimum reads the truth:
+    ``truth``, the realized desired steering of each snapshot (M x n and
+    C-ordered, so column ``i`` is the truth of snapshot ``i``), and
+    ``segments``, the ``(start, end, R_in)`` spans of snapshots that share one
+    true INC matrix ``R_in``, in order and tiling ``[0, n)``.
     """
 
     a_init: np.ndarray
     a_nominal: np.ndarray
     num_sources: int
     noise_power: float
-    batch: SnapshotBatch
+    observations: np.ndarray
+    truth: np.ndarray
     segments: list
 
 
@@ -167,7 +167,7 @@ ALGORITHMS = {
                                   loading=p["loading_scale"] * ctx.noise_power)),
     "optimal": Algorithm(
         {},
-        lambda p, ctx: _OptimalRunner(ctx.batch.true_steering, ctx.segments)),
+        lambda p, ctx: _OptimalRunner(ctx.truth, ctx.segments)),
 }
 
 
@@ -187,7 +187,7 @@ def nominal_context(cfg: ScenarioConfig) -> TrialContext:
     no_snapshots = np.empty((cfg.sensors, 0), dtype=complex)
     return TrialContext(a_init=a_nominal, a_nominal=a_nominal,
                         num_sources=cfg.num_sources, noise_power=cfg.noise_power,
-                        batch=SnapshotBatch(no_snapshots, no_snapshots),
+                        observations=no_snapshots, truth=no_snapshots,
                         segments=[])
 
 
@@ -265,14 +265,13 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
                               cfg.desired_doa_deg + cfg.sector_halfwidth_deg)
     ctx = TrialContext(a_init=make_steering(cfg.sensors, theta0), a_nominal=a_nom,
                        num_sources=cfg.num_sources, noise_power=cfg.noise_power,
-                       batch=SnapshotBatch(observations, truth), segments=segments)
+                       observations=observations, truth=truth, segments=segments)
     return ctx, cfg.desired_power(snr_db)
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> TrialRecord:
     """Run every configured algorithm over one seeded trial at one SNR point."""
     ctx, p_des = simulate_trial_data(cfg, snr_index, trial_index)
-    observations = ctx.batch.observations
     n = cfg.snapshots
     sinr = {spec.name: np.full(n, np.nan) for spec in cfg.algorithms}
     mse = {spec.name: np.full(n, np.nan) for spec in cfg.algorithms}
@@ -280,7 +279,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> Tria
     # Rows are strided views of the truth columns: OpenBLAS rounds a
     # unit-stride dot product differently, and the scores keep the bits of
     # the per-snapshot evaluation.
-    truth = ctx.batch.true_steering.T
+    truth = ctx.truth.T
     weights = np.empty((n, cfg.sensors), dtype=complex)
     a_hats = np.empty((n, cfg.sensors), dtype=complex)
 
@@ -289,7 +288,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> Tria
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for i in range(n):
-                    weights[i] = bf.process(observations[:, i])
+                    weights[i] = bf.process(ctx.observations[:, i])
                     a_hats[i] = bf.a_hat
                 for start, end, r_in in ctx.segments:
                     sinr[spec.name][start:end] = output_sinr(
@@ -299,8 +298,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> Tria
                 ZeroDivisionError):
             failed[spec.name] = True
 
-    return TrialRecord(trial_index=trial_index, snr_db=cfg.snr_points()[snr_index],
-                       sinr_db=sinr, steering_mse=mse, failed=failed)
+    return TrialRecord(sinr_db=sinr, steering_mse=mse, failed=failed)
 
 
 def _trial_job(args):
@@ -353,7 +351,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> AggregateResult:
     return AggregateResult(x_kind, x_values,
                            {name: np.ravel(v) for name, v in mean_sinr.items()},
                            {name: np.ravel(v) for name, v in mean_mse.items()},
-                           contributing, failures, cfg.trials)
+                           contributing, failures)
 
 
 def write_csv(result: AggregateResult, path) -> None:

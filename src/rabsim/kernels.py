@@ -6,16 +6,16 @@ arithmetic of one factorization or solve takes a few microseconds, while
 several times that on argument conversion, batching and structure handling,
 and ``np.linalg.norm`` on option dispatch.  Every snapshot of every algorithm
 pays that overhead, so this module calls the same LAPACK routines through the
-handles ``scipy.linalg.get_lapack_funcs`` returns, cached by dtype (real inputs
-still reach the real routines), and evaluates NumPy's own norm formula.
+handles ``scipy.linalg.get_lapack_funcs`` returns, cached by dtype, and
+evaluates NumPy's own norm formula.
 
 Contract: on the same LAPACK build each function returns the same bits as the
 call it replaces and raises the same exception classes.
 
 * ``cholesky(a)`` is ``scipy.linalg.cholesky(a, lower=True)``.
 * ``cho_solve(c, b)`` is ``scipy.linalg.cho_solve((c, True), b)``.
-* ``her_solve(a, b)`` is ``scipy.linalg.solve(a, b, assume_a="her")``: the
-  upper triangle is factored by ``hetrf`` (``sytrf`` for real input) with the
+* ``her_solve(a, b)`` is ``scipy.linalg.solve(a, b, assume_a="her")`` for a
+  complex ``a`` or ``b``: the upper triangle is factored by ``hetrf`` with the
   optimal workspace, and ``LinAlgWarning`` is emitted when the ``hecon``
   reciprocal condition number falls below the dtype's machine epsilon.
 * ``norm(x)`` is ``np.linalg.norm(x)`` for a float or complex array, and
@@ -53,16 +53,13 @@ def _routines(names: tuple, *dtypes) -> list:
 
 @functools.cache
 def _her_routines(a_dtype, b_dtype, n: int) -> tuple:
-    """Factor, solve and condition routines, the workspace size and epsilon.
+    """Hermitian factor, solve and condition routines, workspace and epsilon.
 
-    Complex inputs take the Hermitian routines, real ones the symmetric ones;
-    the workspace is LAPACK's optimal size, as ``scipy.linalg.solve`` queries
+    The workspace is LAPACK's optimal size, as ``scipy.linalg.solve`` queries
     it (it decides between the blocked and unblocked factorization).
     """
-    kind = "he" if _routines(("lange",), a_dtype, b_dtype)[0].typecode in "cz" else "sy"
     trf, trs, con, lange, query = _routines(
-        (kind + "trf", kind + "trs", kind + "con", "lange", kind + "trf_lwork"),
-        a_dtype, b_dtype)
+        ("hetrf", "hetrs", "hecon", "lange", "hetrf_lwork"), a_dtype, b_dtype)
     work, info = query(n)
     _check_info(info, query)
     return trf, trs, con, lange, int(work.real), np.finfo(trf.dtype).eps
@@ -101,11 +98,12 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def her_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for a Hermitian (real: symmetric) ``a``.
+    """Solve ``a x = b`` for a Hermitian ``a``; ``a`` or ``b`` must be complex.
 
-    Reads the upper triangle of ``a``.  An exactly singular pivot raises
-    ``LinAlgError``; an ill-conditioned matrix still returns the solution,
-    with a ``LinAlgWarning``.
+    Reads the upper triangle of ``a``; a real ``a`` is read as a symmetric
+    matrix.  An exactly singular pivot raises ``LinAlgError``; an
+    ill-conditioned matrix still returns the solution, with a
+    ``LinAlgWarning``.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError(_NON_FINITE)
@@ -125,12 +123,13 @@ def her_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def norm(x: np.ndarray) -> np.floating:
-    """Euclidean (Frobenius, for a matrix) norm of a float or complex array."""
+    """Euclidean (Frobenius, for a matrix) norm of a float or complex array.
+
+    A float array's imaginary dot is ``+0.0``, which leaves the bits alone.
+    """
     x = x.ravel(order="K")
-    if x.dtype.kind == "c":
-        x_real, x_imag = x.real, x.imag
-        return np.sqrt(x_real.dot(x_real) + x_imag.dot(x_imag))
-    return np.sqrt(x.dot(x))
+    x_real, x_imag = x.real, x.imag
+    return np.sqrt(x_real.dot(x_real) + x_imag.dot(x_imag))
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -141,9 +140,7 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     def row_dots(p):
         return (p[:, None, :] @ p[:, :, None]).ravel()
 
-    if x.dtype.kind == "c":
-        return np.sqrt(row_dots(x.real) + row_dots(x.imag))
-    return np.sqrt(row_dots(x))
+    return np.sqrt(row_dots(x.real) + row_dots(x.imag))
 
 
 # (get, set) thread-count symbols of the scipy-openblas 64-bit, scipy-openblas

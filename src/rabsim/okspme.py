@@ -22,7 +22,6 @@ Steps 1-3 are shared verbatim by the gradient-based weight engines in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -145,15 +144,6 @@ class NoisePowerSource:
         return float(np.mean(eigs[:tail]))
 
 
-@dataclass
-class StepInfo:
-    """Per-snapshot products of steps 1-3 consumed by the weight engines."""
-
-    R: np.ndarray
-    sigma1_sq: float
-    a_hat: np.ndarray
-
-
 class SteeringEstimator:
     """Shared state machine for steps 1-3 (statistics, power, steering).
 
@@ -185,8 +175,11 @@ class SteeringEstimator:
             return POWER_FLOOR
         return max(POWER_FLOOR, self._sigma1_num / self._sigma1_den)
 
-    def begin_snapshot(self, x: np.ndarray) -> StepInfo:
+    def begin_snapshot(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Absorb a snapshot into the covariance and run steps 1-3.
+
+        Returns the covariance estimate ``R`` and this snapshot's power
+        estimate ``sigma1_sq``; the updated steering estimate is ``a_hat``.
 
         The cross-correlation consumed here runs through the previous
         snapshot; this snapshot's output joins it via ``record_output`` once
@@ -208,7 +201,7 @@ class SteeringEstimator:
             basis = arnoldi_mgs(R, t1, self.num_sources)
             self.a_hat = update_steering(self.a_hat, make_projector(basis), d,
                                          self.norm_target)
-        return StepInfo(R=R, sigma1_sq=sigma1, a_hat=self.a_hat)
+        return R, sigma1
 
     def record_output(self, x: np.ndarray, y: complex) -> None:
         """Feed this snapshot's beamformer output into the cross-correlation."""
@@ -234,8 +227,8 @@ class OkspmeBeamformer:
 
     def process(self, x: np.ndarray) -> np.ndarray:
         """Absorb one snapshot, refresh the weights, return them."""
-        info = self.estimator.begin_snapshot(x)
-        r_in = inc_matrix(info.R, info.a_hat, info.sigma1_sq)
-        self.w = mvdr_weights(r_in, info.a_hat)
+        R, sigma1_sq = self.estimator.begin_snapshot(x)
+        a_hat = self.estimator.a_hat
+        self.w = mvdr_weights(inc_matrix(R, a_hat, sigma1_sq), a_hat)
         self.estimator.record_output(x, np.vdot(self.w, x))
         return self.w

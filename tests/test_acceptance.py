@@ -213,7 +213,7 @@ def test_criterion_6_constraint_satisfaction():
     for spec in cfg.algorithms:
         bf = build_beamformer(spec, ctx)
         for i in range(300):
-            w = bf.process(ctx.batch.observations[:, i])
+            w = bf.process(ctx.observations[:, i])
             worst = max(worst, abs(np.vdot(w, bf.constraint_steering) - 1.0))
     ok = worst < 1e-10
     assert report("6", ok, f"max |w^H a - 1| = {worst:.2e} over 300 snapshots x 3 engines")
@@ -247,7 +247,7 @@ def test_criterion_7_mcg_convergence_band():
         ctx, _ = simulate_trial_data(cfg, 0, 0)
         bf = build_beamformer(cfg.algorithms[0], ctx)
         pairs = []
-        for x in ctx.batch.observations.T:
+        for x in ctx.observations.T:
             # Re p_v^H g_v after the step against before it, along the same p_v
             p_v, g_v = bf.p_v, bf.g_v
             bf.process(x)

@@ -338,10 +338,9 @@ def _ccg_oracle(A, a0, v0, sigma1_sq, n_inner):
 
 class _McgOracle(McgBeamformer):
     def process(self, x):
-        info = self.estimator.begin_snapshot(x)
-        a = info.a_hat
-        s1, lam = info.sigma1_sq, self.estimator.tracker.lam
-        quad = inc_matrix(info.R, a, self.estimator.sigma1_sq_mean)
+        R, s1 = self.estimator.begin_snapshot(x)
+        a, lam = self.estimator.a_hat, self.estimator.tracker.lam
+        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
         alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam,
                               self.eta_a)
         step = abs(alpha_a) * norm(self.p_a)

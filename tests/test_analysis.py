@@ -90,7 +90,8 @@ def test_output_sinr_attains_optimum():
     a = make_steering(6, 10.0)
     r_in = _pd(g, 6)
     w = optimal_weights(a, r_in)
-    assert abs(output_sinr(w, 2.0, a, r_in) - optimal_sinr(2.0, a, r_in)) < 1e-9
+    assert abs(output_sinr(w[None], 2.0, a[None], r_in)[0]
+               - optimal_sinr(2.0, a, r_in)) < 1e-9
 
 
 def test_output_sinr_scale_invariant():
@@ -98,19 +99,19 @@ def test_output_sinr_scale_invariant():
     a = make_steering(5, 10.0)
     r_in = _pd(g, 5)
     w = g.standard_normal(5) + 1j * g.standard_normal(5)
-    s0 = output_sinr(w, 1.0, a, r_in)
-    assert abs(output_sinr((0.3 - 2.1j) * w, 1.0, a, r_in) - s0) < 1e-9
+    s0 = output_sinr(w[None], 1.0, a[None], r_in)[0]
+    assert abs(output_sinr((0.3 - 2.1j) * w[None], 1.0, a[None], r_in)[0] - s0) < 1e-9
 
 
 def test_output_sinr_floor_for_orthogonal_weights():
     a = np.array([1.0, 0.0], dtype=complex)
     w = np.array([0.0, 1.0], dtype=complex)
-    assert output_sinr(w, 1.0, a, np.eye(2, dtype=complex)) == -200.0
+    assert output_sinr(w[None], 1.0, a[None], np.eye(2, dtype=complex))[0] == -200.0
 
 
 def test_output_sinr_rejects_zero_weights():
     with pytest.raises(ParameterError):
-        output_sinr(np.zeros(3, dtype=complex), 1.0, make_steering(3, 0.0),
+        output_sinr(np.zeros((1, 3), dtype=complex), 1.0, make_steering(3, 0.0)[None],
                     np.eye(3, dtype=complex))
 
 
@@ -122,15 +123,16 @@ def test_output_never_exceeds_optimal(seed):
     a = make_steering(m, 12.0)
     r_in = _pd(g, m)
     w = g.standard_normal(m) + 1j * g.standard_normal(m)
-    assert output_sinr(w, 3.0, a, r_in) <= optimal_sinr(3.0, a, r_in) + 1e-9
+    assert output_sinr(w[None], 3.0, a[None], r_in)[0] <= optimal_sinr(3.0, a, r_in) + 1e-9
 
 
 def test_steering_mse_scale_free_in_estimate():
     g = np.random.default_rng(4)
     a_true = make_steering(6, 10.0) * 1.7
     est = g.standard_normal(6) + 1j * g.standard_normal(6)
-    assert abs(steering_mse(est, a_true) - steering_mse(5.0 * est, a_true)) < 1e-9
-    assert steering_mse(a_true, a_true) < 1e-20
+    assert abs(steering_mse(est[None], a_true[None])[0]
+               - steering_mse(5.0 * est[None], a_true[None])[0]) < 1e-9
+    assert steering_mse(a_true[None], a_true[None])[0] < 1e-20
 
 
 # ---------------------------------------------------------------- bounds
@@ -283,9 +285,6 @@ def test_stacked_scoring_bits_match_scalar_rows(m):
     for i in range(n):
         assert sinr[i] == _output_sinr_scalar(weights[i], 3.0, truth[:, i], r_in)
         assert mse[i] == _steering_mse_scalar(a_hats[i], truth[:, i])
-    # single vectors still score as before
-    assert output_sinr(weights[5], 3.0, truth[:, 5], r_in) == sinr[5]
-    assert steering_mse(a_hats[5], truth[:, 5]) == mse[5]
 
 
 def test_stacked_scoring_floor_inf_and_zero_rows():

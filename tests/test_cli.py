@@ -156,18 +156,30 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("override", MALFORMED)
-def test_malformed_scenario_exits_2_with_one_error_line(tmp_path, override):
-    cfg = _scenario(tmp_path, **override)
+def _assert_one_config_error(tmp_path, cfg, *args):
+    """``simulate`` in a fresh process exits 2 with one error line, no CSV."""
     out = tmp_path / "x.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(rabsim.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-m", "rabsim.cli", "simulate",
-                          "--config", str(cfg), "--out", str(out)],
+                          "--config", str(cfg), "--out", str(out), *args],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 2, res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
     assert not out.exists()
+    return lines[0]
+
+
+@pytest.mark.parametrize("override", MALFORMED)
+def test_malformed_scenario_exits_2_with_one_error_line(tmp_path, override):
+    _assert_one_config_error(tmp_path, _scenario(tmp_path, **override))
+
+
+# A worker count below one once ran serially without a word.
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_exits_2_with_one_error_line(tmp_path, threads):
+    line = _assert_one_config_error(tmp_path, _scenario(tmp_path), "--threads", threads)
+    assert "--threads" in line
 
 
 def test_negative_seed_override_is_config_error(tmp_path, capsys):

@@ -204,8 +204,8 @@ def test_trial_truth_is_m_by_n_and_segments_tile_the_trial(kind, schedule):
                                      interferer_schedule=schedule))
     ctx, _ = simulate_trial_data(cfg, 0, 0)
     m, n = cfg.sensors, cfg.snapshots
-    truth = ctx.batch.true_steering
-    assert ctx.batch.observations.shape == truth.shape == (m, n)
+    truth = ctx.truth
+    assert ctx.observations.shape == truth.shape == (m, n)
     assert truth.flags.c_contiguous
     assert np.array_equal(truth, truth[:, :1].repeat(n, axis=1)) == (kind != "incoherent")
     bounds = [(start, end) for start, end, _ in ctx.segments]

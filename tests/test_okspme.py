@@ -178,7 +178,8 @@ def test_snapshot_ideal_conditions():
         w = bf.process(obs[:, i])
     assert abs(np.vdot(w, a_true) - 1.0) < 1e-6
     # interference-free, noise-free scenario attains unbounded SINR
-    assert output_sinr(w, 1.0, a_true, np.zeros((m, m), dtype=complex)) == math.inf
+    assert output_sinr(w[None], 1.0, a_true[None],
+                       np.zeros((m, m), dtype=complex))[0] == math.inf
 
 
 def test_first_snapshot_well_posed_with_loading():

@@ -39,9 +39,8 @@ def drift_db():
 
     def perturbed(*args):
         ctx, p_des = simulate(*args)
-        batch = dataclasses.replace(ctx.batch,
-                                    observations=ctx.batch.observations * PERTURBATION)
-        return dataclasses.replace(ctx, batch=batch), p_des
+        return dataclasses.replace(
+            ctx, observations=ctx.observations * PERTURBATION), p_des
 
     doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
     drift = {}
