@@ -4,7 +4,9 @@ Everything here is closed-form: the sample-matrix-inversion baselines, the
 oracle SINR used to judge every algorithm, the analytic bounds on the
 steering-estimate mean squared error as a function of the presumed angular
 sector, and per-snapshot flop counts for the algorithm family and the usual
-competitors.
+competitors.  The flop counts are one table, ``algorithm -> (needs m,
+needs n, count(M, m, n))``; a ``FlopModel`` checks its order and inner
+counts against its row when it is built.
 """
 
 from __future__ import annotations
@@ -118,6 +120,24 @@ def _check_sector(theta_rad: float):
             f"sector half-angle must lie in (0, pi/4) rad, got {theta_rad}")
 
 
+def _sine_tail(first: float, x2: float) -> float:
+    """Sum the alternating series ``first * (1 - x2/(4*5) + x2^2/(4*5*6*7) - ...)``.
+
+    Both sector terms below are such a tail of the sine series.  The loop
+    stops once a term no longer moves the total, or once it underflows to
+    zero, which happens for a small enough sector.
+    """
+    term = total = first
+    k = 1
+    while True:
+        # next factor: -x^2 / ((2k+2)(2k+3))
+        term *= -x2 / ((2 * k + 2) * (2 * k + 3))
+        if term == 0.0 or abs(term) < 1e-20 * abs(total):
+            return total
+        total += term
+        k += 1
+
+
 def _one_minus_sinc(t: float) -> float:
     """``1 - sin(t)/t`` without the cancellation that direct evaluation hits.
 
@@ -128,16 +148,7 @@ def _one_minus_sinc(t: float) -> float:
     if abs(t) > 0.5:
         return 1.0 - math.sin(t) / t
     t2 = t * t
-    term = t2 / 6.0
-    total = term
-    k = 1
-    while True:
-        # next factor: -t^2 / ((2k+2)(2k+3))
-        term *= -t2 / ((2 * k + 2) * (2 * k + 3))
-        if abs(term) < 1e-20 * abs(total):
-            return total
-        total += term
-        k += 1
+    return _sine_tail(t2 / 6.0, t2)
 
 
 def _x_minus_sin(x: float) -> float:
@@ -145,15 +156,7 @@ def _x_minus_sin(x: float) -> float:
     if abs(x) > 0.5:
         return x - math.sin(x)
     x2 = x * x
-    term = x * x2 / 6.0
-    total = term
-    k = 1
-    while True:
-        term *= -x2 / ((2 * k + 2) * (2 * k + 3))
-        if abs(term) < 1e-20 * abs(total):
-            return total
-        total += term
-        k += 1
+    return _sine_tail(x * x2 / 6.0, x2)
 
 
 def mse_bounds(theta_rad: float, a_norm_sq: float, method: str = "okspme") -> MseBounds:
@@ -167,8 +170,8 @@ def mse_bounds(theta_rad: float, a_norm_sq: float, method: str = "okspme") -> Ms
     (chord/arc geometry), which makes its bounds strictly smaller.
     """
     _check_sector(theta_rad)
-    if a_norm_sq <= 0:
-        raise ParameterError("a_norm_sq must be > 0")
+    if not 0.0 < a_norm_sq < math.inf:
+        raise ParameterError(f"a_norm_sq must be finite and > 0, got {a_norm_sq}")
     t = theta_rad
     base = 2.0 * _one_minus_sinc(t)
     if method == "sqp":
@@ -190,8 +193,8 @@ def epsilon_moments(theta_rad: float, a_norm: float) -> tuple[float, float, floa
     Returns ``(mean, variance, mean_square)`` of that chord length.
     """
     _check_sector(theta_rad)
-    if a_norm <= 0:
-        raise ParameterError("a_norm must be > 0")
+    if not 0.0 < a_norm < math.inf:
+        raise ParameterError(f"a_norm must be finite and > 0, got {a_norm}")
     t = theta_rad
     mean = 8.0 * a_norm * math.sin(t / 4.0) ** 2 / t
     mean_square = 2.0 * a_norm**2 * _one_minus_sinc(t)
@@ -199,12 +202,27 @@ def epsilon_moments(theta_rad: float, a_norm: float) -> tuple[float, float, floa
     return mean, variance, mean_square
 
 
-# Flop models: per-snapshot adds+multiplies as polynomials in the sensor
-# count M, the subspace order m and the inner-iteration count n.
-FLOP_ALGORITHMS = (
-    "locsme", "rcb", "sqp", "locme", "lcwc",
-    "okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
-)
+# Per-snapshot flop counts (adds + multiplies) as polynomials in the sensor
+# count M, the Krylov subspace order m and the inner-iteration count n:
+# algorithm -> (needs m, needs n, count(M, m, n)).  The
+# sequential-quadratic-programming row is an asymptotic O(M^3.5) label,
+# evaluated as ``round(M^3.5)``.
+_FLOP_COUNTS = {
+    "locsme": (False, False, lambda M, m, n: 4 * M**3 + 3 * M**2 + 20 * M),
+    "rcb": (False, False, lambda M, m, n: 2 * M**3 + 11 * M**2),
+    "sqp": (False, False, lambda M, m, n: round(M**3.5)),
+    "locme": (False, False, lambda M, m, n: 2 * M**3 + 4 * M**2 + 5 * M),
+    "lcwc": (False, True, lambda M, m, n: 2 * n * M**2 + 7 * n * M),
+    "okspme": (True, False, lambda M, m, n:
+               M**3 + (4 * m + 11) * M**2 + (3 * m**2 + 5 * m + 20) * M),
+    "okspme-sg": (True, False, lambda M, m, n:
+                  (4 * m + 7) * M**2 + (3 * m**2 + 5 * m + 33) * M),
+    "okspme-ccg": (True, True, lambda M, m, n:
+                   (4 * m + 8 * n + 8) * M**2 + (3 * m**2 + 5 * m + 33 * n + 29) * M),
+    "okspme-mcg": (True, False, lambda M, m, n:
+                   (4 * m + 14) * M**2 + (3 * m**2 + 5 * m + 86) * M),
+}
+FLOP_ALGORITHMS = tuple(_FLOP_COUNTS)
 
 
 @dataclass(frozen=True)
@@ -215,51 +233,25 @@ class FlopModel:
     inner: int | None = None     # inner iterations n
 
     def __post_init__(self):
-        if self.algorithm not in FLOP_ALGORITHMS:
+        if self.algorithm not in _FLOP_COUNTS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         if self.m_sensors < 2:
             raise ParameterError("m_sensors must be >= 2")
+        needs_order, needs_inner, _ = _FLOP_COUNTS[self.algorithm]
+        if needs_order and self.order is None:
+            raise ParameterError(f"{self.algorithm} needs the subspace order m")
+        if needs_inner and self.inner is None:
+            raise ParameterError(f"{self.algorithm} needs the inner-iteration count n")
+        for name, value in (("order", self.order), ("inner", self.inner)):
+            if value is not None and value < 1:
+                raise ParameterError(f"{name} must be >= 1, got {value}")
 
 
 def flops(model: FlopModel) -> int:
-    """Evaluate the per-snapshot flop count of ``model``.
-
-    The sequential-quadratic-programming row is an asymptotic O(M^3.5) label,
-    evaluated as ``round(M^3.5)``.
-    """
-    M = model.m_sensors
-    m, n = model.order, model.inner
-
-    def need_order():
-        if m is None:
-            raise ParameterError(f"{model.algorithm} needs the subspace order m")
-        return m
-
-    def need_inner():
-        if n is None:
-            raise ParameterError(f"{model.algorithm} needs the inner-iteration count n")
-        return n
-
-    if model.algorithm == "locsme":
-        return 4 * M**3 + 3 * M**2 + 20 * M
-    if model.algorithm == "rcb":
-        return 2 * M**3 + 11 * M**2
-    if model.algorithm == "sqp":
-        return round(M**3.5)
-    if model.algorithm == "locme":
-        return 2 * M**3 + 4 * M**2 + 5 * M
-    if model.algorithm == "lcwc":
-        k = need_inner()
-        return 2 * k * M**2 + 7 * k * M
-    if model.algorithm == "okspme":
-        k = need_order()
-        return M**3 + (4 * k + 11) * M**2 + (3 * k**2 + 5 * k + 20) * M
-    if model.algorithm == "okspme-sg":
-        k = need_order()
-        return (4 * k + 7) * M**2 + (3 * k**2 + 5 * k + 33) * M
-    if model.algorithm == "okspme-ccg":
-        k, j = need_order(), need_inner()
-        return (4 * k + 8 * j + 8) * M**2 + (3 * k**2 + 5 * k + 33 * j + 29) * M
-    # okspme-mcg
-    k = need_order()
-    return (4 * k + 14) * M**2 + (3 * k**2 + 5 * k + 86) * M
+    """Evaluate the per-snapshot flop count of ``model``."""
+    count = _FLOP_COUNTS[model.algorithm][2]
+    try:
+        return count(model.m_sensors, model.order, model.inner)
+    except OverflowError as exc:    # round(M**3.5) beyond the float range
+        raise ParameterError(
+            f"the {model.algorithm} flop count overflows at this M") from exc

@@ -98,9 +98,6 @@ def main(argv=None) -> int:
         if args.command == "mse-bounds":
             return _cmd_mse_bounds(args)
         return _cmd_flops(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .arrays import SQRT3, ScatteringSpec, SourceConfig
 from .errors import ConfigError, ParameterError
 from .harness import ALGORITHMS, build_beamformer, nominal_context
@@ -103,6 +105,7 @@ class ScenarioConfig:
             raise ConfigError("sensors must be >= 2")
         if self.snapshots < 1 or self.trials < 1:
             raise ConfigError("snapshots and trials must be >= 1")
+        self._check_array_sizes()
         if isinstance(self.snr_db, list) and not self.snr_db:
             raise ConfigError("snr_db sweep list must not be empty")
         if self.noise_power <= 0:
@@ -137,6 +140,22 @@ class ScenarioConfig:
                 build_beamformer(spec, ctx)
             except ParameterError as exc:
                 raise ConfigError(f"algorithm {spec.name!r}: {exc}") from exc
+
+    def _check_array_sizes(self) -> None:
+        """Reject sizes no array can have, before any array is made.
+
+        Each complex array a trial makes, M x M, M x snapshots and, with
+        scattering on, (num_paths + 1) x M, must fit the largest byte count
+        an array index can address.
+        """
+        m = self.sensors
+        shapes = [(m, m), (m, self.snapshots)]
+        if self.scattering.kind != "none":
+            shapes.append((self.scattering.num_paths + 1, m))
+        for rows, cols in shapes:
+            if rows * cols * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+                raise ConfigError(f"a {rows} x {cols} complex array is too large "
+                                  "to allocate (check sensors, snapshots and num_paths)")
 
     def _check_drawn_angles(self) -> None:
         doa = self.desired_doa_deg
@@ -312,9 +331,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    # ValueError: not UTF-8, not JSON, or an integer with too many digits;
+    # RecursionError: arrays or objects nested too deeply for the parser
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(doc)

@@ -307,7 +307,10 @@ def _trial_job(args):
 
 def _collect_trials(cfg: ScenarioConfig, snr_index: int, workers: int) -> list:
     jobs = [(cfg, t, snr_index) for t in range(cfg.trials)]
-    if workers <= 1 or cfg.trials == 1:
+    # A fork pool starts all of its workers at the first submit, so ask for
+    # no more than there are trials.
+    workers = min(workers, cfg.trials)
+    if workers <= 1:
         return [_trial_job(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=kernels.pin_blas_threads) as pool:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rabsim
 from rabsim import rng
 from rabsim.analysis import (FlopModel, epsilon_moments, flops,
                              loaded_smi_weights, mse_bounds, optimal_sinr,
@@ -169,10 +174,34 @@ def test_mse_bounds_monotone_in_theta():
         assert all(a < b for a, b in zip(ups, ups[1:]))
 
 
-@pytest.mark.parametrize("theta", [0.0, -0.1, math.pi / 4, 1.0])
-def test_mse_bounds_domain(theta):
+@pytest.mark.parametrize("theta, norm", [
+    *[pytest.param(t, 1.0, id=repr(t)) for t in (0.0, -0.1, math.pi / 4, 1.0)],
+    *[pytest.param(0.1, v, id=f"norm-{v}") for v in (0.0, -1.0, math.nan, math.inf)],
+])
+def test_mse_bounds_domain(theta, norm):
+    for method in ("okspme", "sqp"):
+        with pytest.raises(ParameterError):
+            mse_bounds(theta, norm, method)
     with pytest.raises(ParameterError):
-        mse_bounds(theta, 1.0, "okspme")
+        epsilon_moments(theta, norm)
+
+
+def test_tiny_sectors_return():
+    # The leading series term underflows to zero here; these calls once
+    # looped forever, so they run in a child process with a time limit.
+    code = """
+from rabsim.analysis import epsilon_moments, mse_bounds
+for t in (1e-108, 1e-162, 1e-300, 5e-324):
+    for method in ("okspme", "sqp"):
+        b = mse_bounds(t, 1.0, method)
+        assert 0.0 <= b.lower <= b.upper < 1e-200, (t, method, b)
+    mean, var, msq = epsilon_moments(t, 1.0)
+    assert 0.0 <= mean < 1e-100 and 0.0 <= msq < 1e-200, (t, mean, msq)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(rabsim.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_epsilon_moments_tiny_sector():
@@ -218,12 +247,13 @@ def test_flop_competitor_rows():
 
 
 def test_flop_missing_parameters():
+    # rejected when the model is built, not when it is evaluated
     with pytest.raises(ParameterError):
-        flops(FlopModel("okspme", 10))
+        FlopModel("okspme", 10)
     with pytest.raises(ParameterError):
-        flops(FlopModel("lcwc", 10))
+        FlopModel("lcwc", 10)
     with pytest.raises(ParameterError):
-        flops(FlopModel("okspme-ccg", 10, order=4))
+        FlopModel("okspme-ccg", 10, order=4)
 
 
 def test_flop_model_validation():
@@ -231,6 +261,14 @@ def test_flop_model_validation():
         FlopModel("fancy", 10)
     with pytest.raises(ParameterError):
         FlopModel("okspme", 1, order=4)
+    for kwargs in ({"order": 0}, {"order": -5}, {"order": 3, "inner": -1},
+                   {"order": 3, "inner": 0}):
+        with pytest.raises(ParameterError):
+            FlopModel("okspme-ccg", 10, **kwargs)
+    with pytest.raises(ParameterError):
+        FlopModel("lcwc", 10, inner=0)
+    with pytest.raises(ParameterError):     # round(M**3.5) beyond the float range
+        flops(FlopModel("sqp", 10**100))
 
 
 @given(m=st.integers(2, 100))

@@ -51,6 +51,21 @@ def test_flops_unknown_algorithm_is_config_error(capsys):
     assert main(["flops", "--algorithm", "magic", "--m-sensors", "10"]) == 2
 
 
+# Counts that once printed a number (exit 0) or overflowed with a traceback.
+@pytest.mark.parametrize("args", [
+    ["okspme", "10", "--order", "-5"],
+    ["okspme-ccg", "10", "--order", "3", "--inner", "-1"],
+    ["lcwc", "10", "--inner", "0"],
+    ["sqp", str(10**100)],
+], ids=["order-negative", "inner-negative", "inner-zero", "sqp-overflow"])
+def test_flops_bad_counts_are_config_errors(capsys, args):
+    algorithm, m_sensors, *rest = args
+    assert main(["flops", "--algorithm", algorithm, "--m-sensors", m_sensors, *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
 def test_mse_bounds_subcommand(capsys):
     assert main(["mse-bounds", "--theta-deg", "5", "--norm-sq", "12"]) == 0
     out = capsys.readouterr().out
@@ -61,6 +76,22 @@ def test_mse_bounds_subcommand(capsys):
 
 def test_mse_bounds_domain_error(capsys):
     assert main(["mse-bounds", "--theta-deg", "80", "--norm-sq", "1"]) == 2
+    for norm_sq in ("nan", "inf", "0"):
+        assert main(["mse-bounds", "--theta-deg", "5", "--norm-sq", norm_sq]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("method", ["okspme", "sqp"])
+def test_mse_bounds_tiny_sector_returns(method):
+    # The series term underflows to zero at this angle; it once looped
+    # forever, so the command runs in a child process with a time limit.
+    env = dict(os.environ, PYTHONPATH=str(Path(rabsim.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "rabsim.cli", "mse-bounds",
+                          "--theta-deg", "1e-300", "--norm-sq", "12",
+                          "--method", method],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "lower=0.0 upper=0.0" in res.stdout
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -153,6 +184,11 @@ MALFORMED = [
     pytest.param({"algorithms": [{"name": "okspme-mcg", "tracker": "sample_mean",
                                   "lam": 0.5}]},
                  id="mcg-tracker"),
+    # sizes no array can have: checked before anything is allocated
+    pytest.param({"sensors": 10**30}, id="sensors-huge"),
+    pytest.param({"snapshots": 10**30}, id="snapshots-huge"),
+    pytest.param({"scattering": {"kind": "coherent", "num_paths": 10**30}},
+                 id="paths-huge"),
 ]
 
 
@@ -173,6 +209,18 @@ def _assert_one_config_error(tmp_path, cfg, *args):
 @pytest.mark.parametrize("override", MALFORMED)
 def test_malformed_scenario_exits_2_with_one_error_line(tmp_path, override):
     _assert_one_config_error(tmp_path, _scenario(tmp_path, **override))
+
+
+# Files that are not a JSON document Python can parse.
+@pytest.mark.parametrize("text", [
+    b'{"sensors": 6, "x": "\xff"}',
+    b"[" * 100_000,
+    b'{"sensors": 1' + b"0" * 5000 + b"}",
+], ids=["not-utf8", "nested-deep", "integer-digits"])
+def test_unreadable_scenario_exits_2_with_one_error_line(tmp_path, text):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_bytes(text)
+    _assert_one_config_error(tmp_path, cfg)
 
 
 # A worker count below one once ran serially without a word.

@@ -309,6 +309,34 @@ def test_parallel_equals_serial():
                               parallel.mean_sinr_db[name])
 
 
+def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch):
+    # A fork pool starts every worker it is asked for, once per SNR point;
+    # this stand-in records the count and runs the trials in this process.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = config_from_dict(_base_doc(trials=3, snr_db=[0.0, 10.0]))
+    pooled = run_experiment(cfg, workers=64)
+    assert requested == [3, 3]
+    serial = run_experiment(cfg, workers=1)
+    assert requested == [3, 3]
+    for name in ("okspme", "smi"):
+        assert np.array_equal(serial.mean_sinr_db[name], pooled.mean_sinr_db[name])
+
+
 # ------------------------------------------------------------------- CSV
 
 @pytest.mark.parametrize("workers", [1, 2])
