@@ -88,21 +88,19 @@ class SgBeamformer:
     """Steering estimator + the stochastic-gradient weight recursion.
 
     The step size adapts to the running power estimate,
-    ``mu = mu_scale / mean(sigma1^2)``; smoothing (rather than the raw
-    per-snapshot estimate) keeps a single floor-clamped power snapshot from
-    exploding the data term.  A cap enforces ``mu < MU_CAP / sigma1^2`` at
-    every applied step.
+    ``mu = mu_scale / (mean(sigma1^2) ||a||^2)``; the smoothed estimate
+    (rather than the raw per-snapshot one) keeps a single floor-clamped power
+    snapshot from exploding the data term.  A cap enforces
+    ``mu < MU_CAP / (sigma1^2 ||a||^2)`` at every applied step.
     """
 
     name = "okspme-sg"
 
-    def __init__(self, estimator: SteeringEstimator, mu_scale: float = 0.005,
-                 smooth_power: bool = True):
+    def __init__(self, estimator: SteeringEstimator, mu_scale: float = 0.005):
         if mu_scale <= 0:
             raise ParameterError("mu_scale must be > 0")
         self.estimator = estimator
         self.mu_scale = float(mu_scale)
-        self.smooth_power = smooth_power
         self.w = np.ones(estimator.m, dtype=complex)
 
     @property
@@ -116,11 +114,11 @@ class SgBeamformer:
     def process(self, x: np.ndarray) -> np.ndarray:
         _, s1 = self.estimator.begin_snapshot(x)
         a = self.estimator.a_hat
-        ref = self.estimator.sigma1_sq_mean if self.smooth_power else s1
         # Stability requires mu sigma1^2 ||a||^2 < 1 (the rank-one multiplier's
         # eigenvalue), so the cap scales with the squared steering norm.
         gram = np.vdot(a, a).real
-        mu = min(self.mu_scale / (ref * gram), MU_CAP / (s1 * gram))
+        mu = min(self.mu_scale / (self.estimator.sigma1_sq_mean * gram),
+                 MU_CAP / (s1 * gram))
         y_curr = np.vdot(self.w, x)
         self.w = sg_update(self.w, mu, a, s1, x, y_curr)
         record_normalized_output(self.estimator, self.w, x)
@@ -201,9 +199,9 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
 class CcgBeamformer:
     """Steering estimator + conventional-CG weight refinement per snapshot.
 
-    The weight proxy ``v`` carries over between snapshots; the inner steering
-    refinement is local to the snapshot and only shapes this snapshot's
-    normalization ``w = v / (a^H v)``.
+    The weights warm-start the next snapshot's inner loop as its weight proxy
+    ``v``; the inner steering refinement is local to the snapshot and only
+    shapes this snapshot's normalization ``w = v / (a^H v)``.
     """
 
     name = "okspme-ccg"
@@ -213,7 +211,6 @@ class CcgBeamformer:
             raise ParameterError("n_inner must be >= 1")
         self.estimator = estimator
         self.n_inner = int(n_inner)
-        self.v = np.ones(estimator.m, dtype=complex)
         self.w = np.ones(estimator.m, dtype=complex)
         self.constraint_steering = estimator.a_hat
 
@@ -228,15 +225,14 @@ class CcgBeamformer:
         # subtraction uses the smoothed power estimate (the instantaneous one
         # teleports the solve target from snapshot to snapshot).
         quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
-        it = ccg_inner(quad, a, self.v, s1, self.n_inner)
+        # Warm-start the proxy at the normalized scale of the weights: the
+        # emitted weights are scale invariant in v, and an O(1) start keeps
+        # the inner loop's trust caps meaningful from snapshot to snapshot.
+        it = ccg_inner(quad, a, self.w, s1, self.n_inner)
         denom = np.vdot(it.a, it.v)
         if abs(denom) > 0:
             self.w = it.v / denom
             self.constraint_steering = it.a
-        # Carry the weight proxy at its normalized scale: the emitted weights
-        # are scale invariant in v, and an O(1) warm start keeps the inner
-        # loop's trust caps meaningful from snapshot to snapshot.
-        self.v = self.w.copy()
         record_normalized_output(self.estimator, self.w, x)
         return self.w
 

@@ -159,6 +159,13 @@ def _x_minus_sin(x: float) -> float:
     return _sine_tail(x * x2 / 6.0, x2)
 
 
+def _finite(what: str, *values: float) -> tuple:
+    """``values``, or a ``ParameterError`` if one left the float range."""
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"{what} overflow the float range")
+    return values
+
+
 def mse_bounds(theta_rad: float, a_norm_sq: float, method: str = "okspme") -> MseBounds:
     """Closed-form bounds on the steering-estimate MSE.
 
@@ -182,7 +189,9 @@ def mse_bounds(theta_rad: float, a_norm_sq: float, method: str = "okspme") -> Ms
         upper = base + _x_minus_sin(2 * t) ** 2 / 4.0 + t**2
     else:
         raise ParameterError(f"unknown bound method {method!r}")
-    return MseBounds(lower=lower * a_norm_sq, upper=upper * a_norm_sq, method=method)
+    lower, upper = _finite(f"the bounds for a_norm_sq {a_norm_sq}",
+                           lower * a_norm_sq, upper * a_norm_sq)
+    return MseBounds(lower=lower, upper=upper, method=method)
 
 
 def epsilon_moments(theta_rad: float, a_norm: float) -> tuple[float, float, float]:
@@ -196,10 +205,14 @@ def epsilon_moments(theta_rad: float, a_norm: float) -> tuple[float, float, floa
     if not 0.0 < a_norm < math.inf:
         raise ParameterError(f"a_norm must be finite and > 0, got {a_norm}")
     t = theta_rad
+    what = f"the moments for a_norm {a_norm}"
     mean = 8.0 * a_norm * math.sin(t / 4.0) ** 2 / t
-    mean_square = 2.0 * a_norm**2 * _one_minus_sinc(t)
-    variance = mean_square - mean**2
-    return mean, variance, mean_square
+    try:
+        mean_square = 2.0 * a_norm**2 * _one_minus_sinc(t)
+        variance = mean_square - mean**2
+    except OverflowError as exc:    # a float power beyond the float range
+        raise ParameterError(f"{what} overflow the float range") from exc
+    return _finite(what, mean, variance, mean_square)
 
 
 # Per-snapshot flop counts (adds + multiplies) as polynomials in the sensor

@@ -20,13 +20,13 @@ from .arrays import SQRT3, ScatteringSpec, SourceConfig
 from .errors import ConfigError, ParameterError
 from .harness import ALGORITHMS, build_beamformer, nominal_context
 
-_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
+_JSON_NAMES = {int: "integer", float: "number"}
 
 
 def _has_json_type(value, kind: type) -> bool:
-    """JSON typing: booleans only as true/false, an int parameter only as an
-    integer, a float parameter as any number."""
-    if isinstance(value, bool) != (kind is bool):
+    """JSON typing: true/false is never a number, an int value only an
+    integer, a float value any number."""
+    if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
 

@@ -28,7 +28,7 @@ from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
 from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
 from .errors import ExperimentError, NumericError, ParameterError
-from .okspme import NoisePowerSource, OkspmeBeamformer, SteeringEstimator
+from .okspme import OkspmeBeamformer, SteeringEstimator
 from .tracking import CovarianceTracker
 
 if TYPE_CHECKING:
@@ -126,18 +126,13 @@ def _okspme_params(lam: float, **extra) -> dict:
         "delta": Param(float, 0.1),
         "delta0": Param(float, 0.1),
         "lam": Param(float, lam),
-        "noise_mode": Param(str, "oracle"),
-        "unit_norm": Param(bool, False),
         **extra,
     }
 
 
 def _estimator(p: dict, ctx: TrialContext):
-    noise = NoisePowerSource(mode=p["noise_mode"], value=ctx.noise_power,
-                             num_sources=ctx.num_sources)
-    return SteeringEstimator(ctx.a_init, ctx.num_sources, noise,
-                             delta=p["delta"], delta0=p["delta0"],
-                             lam=p["lam"], unit_norm=p["unit_norm"])
+    return SteeringEstimator(ctx.a_init, ctx.num_sources, ctx.noise_power,
+                             delta=p["delta"], delta0=p["delta0"], lam=p["lam"])
 
 
 # The roster.  Build functions look classes and functions up by module name
@@ -148,10 +143,8 @@ ALGORITHMS = {
         _okspme_params(1.0),
         lambda p, ctx: OkspmeBeamformer(_estimator(p, ctx))),
     "okspme-sg": Algorithm(
-        _okspme_params(1.0, mu_scale=Param(float, 0.005),
-                       smooth_power=Param(bool, True)),
-        lambda p, ctx: SgBeamformer(_estimator(p, ctx), mu_scale=p["mu_scale"],
-                                    smooth_power=p["smooth_power"])),
+        _okspme_params(1.0, mu_scale=Param(float, 0.005)),
+        lambda p, ctx: SgBeamformer(_estimator(p, ctx), mu_scale=p["mu_scale"])),
     "okspme-ccg": Algorithm(
         _okspme_params(0.998, n_inner=Param(int, 5)),
         lambda p, ctx: CcgBeamformer(_estimator(p, ctx), n_inner=p["n_inner"])),

@@ -74,8 +74,8 @@ def update_steering(a_hat: np.ndarray, P: np.ndarray, d_hat: np.ndarray,
                     norm_target: float) -> np.ndarray:
     """Add the projected cross-correlation direction and renormalize.
 
-    ``norm_target`` is ``sqrt(M)`` for the physical ULA steering norm, or 1.0
-    for the plain unit renormalization.  A negligible projection leaves the
+    ``norm_target`` is the steering norm to restore, ``sqrt(M)`` for the
+    physical ULA steering vector.  A negligible projection leaves the
     estimate untouched.
     """
     proj = P @ d_hat
@@ -121,47 +121,37 @@ def mvdr_weights(R_in: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
 
 
 class NoisePowerSource:
-    """Where the noise variance in step 1 comes from.
+    """The noise variance of step 1: a fixed, externally supplied value (the
+    scenario truth in simulations)."""
 
-    ``oracle`` uses a fixed externally supplied value (the scenario truth in
-    simulations); ``eigen`` averages the ``M - K`` smallest eigenvalues of the
-    current covariance estimate.
-    """
-
-    def __init__(self, mode: str = "oracle", value: float = 1.0, num_sources: int = 1):
-        if mode not in ("oracle", "eigen"):
-            raise ParameterError(f"unknown noise mode {mode!r}")
-        self.mode = mode
-        self.oracle_value = float(value)
-        self.num_sources = int(num_sources)
+    def __init__(self, value: float):
+        self.value = float(value)
 
     def noise_power(self, R: np.ndarray) -> float:
-        if self.mode == "oracle":
-            return self.oracle_value
-        m = R.shape[0]
-        tail = max(1, m - self.num_sources)
-        eigs = scipy.linalg.eigvalsh(R)
-        return float(np.mean(eigs[:tail]))
+        return self.value
 
 
 class SteeringEstimator:
     """Shared state machine for steps 1-3 (statistics, power, steering).
 
     Owns the covariance tracker (forgetting factor ``lam`` and initial
-    loading ``delta0``) that supplies the snapshot statistics; ``lam = 1``
-    tracks the sample mean.
+    loading ``delta0``) that supplies the snapshot statistics, and the noise
+    power source; ``lam = 1`` tracks the sample mean.  The steering estimate
+    keeps the physical ULA norm ``sqrt(M)``; ``delta >= 0`` loads the linear
+    system of step 2.
     """
 
-    def __init__(self, a_init: np.ndarray, num_sources: int, noise: NoisePowerSource,
-                 delta: float = 0.1, delta0: float = 0.1, lam: float = 1.0,
-                 unit_norm: bool = False):
+    def __init__(self, a_init: np.ndarray, num_sources: int, noise_power: float,
+                 delta: float = 0.1, delta0: float = 0.1, lam: float = 1.0):
+        if delta < 0:
+            raise ParameterError(f"delta must be >= 0, got {delta}")
         a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
         self.tracker = CovarianceTracker(self.m, lam=lam, delta0=delta0)
-        self.norm_target = 1.0 if unit_norm else math.sqrt(self.m)
+        self.noise = NoisePowerSource(noise_power)
+        self.norm_target = math.sqrt(self.m)
         self.a_hat = a_init * (self.norm_target / norm(a_init))
         self.num_sources = int(num_sources)
-        self.noise = noise
         self.delta = float(delta)
         # Smoothed power estimate, weighted like the tracker statistics
         # (forgetting-factor mean, or plain arithmetic mean when lam = 1).

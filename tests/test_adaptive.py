@@ -12,8 +12,7 @@ from rabsim.analysis import FlopModel, flops
 from rabsim.arrays import SourceConfig, generate_snapshots, make_steering
 from rabsim.errors import ParameterError
 from rabsim.kernels import norm
-from rabsim.okspme import (NoisePowerSource, SteeringEstimator, inc_matrix,
-                           mvdr_weights)
+from rabsim.okspme import SteeringEstimator, inc_matrix, mvdr_weights
 
 
 def _rand(g, m):
@@ -74,7 +73,7 @@ def test_sg_stability_long_stationary_run():
     sources = [SourceConfig(10.0, 1.0, is_desired=True)]
     obs = generate_snapshots(sources, np.repeat(a_true[:, None], 10_000, axis=1),
                              1.0, rng.stream(3, 0, 0))
-    est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1))
+    est = SteeringEstimator(a_true.copy(), 1, 1.0)
     bf = SgBeamformer(est)
     norms = []
     for i in range(10_000):
@@ -194,8 +193,7 @@ def test_ccg_beamformer_constraint_and_determinism():
     def run():
         obs = generate_snapshots(sources, np.repeat(a_true[:, None], 40, axis=1),
                                  1.0, rng.stream(8, 0, 0))
-        est = SteeringEstimator(make_steering(m, 12.0), 2,
-                                NoisePowerSource("oracle", 1.0, 2), lam=0.998)
+        est = SteeringEstimator(make_steering(m, 12.0), 2, 1.0, lam=0.998)
         bf = CcgBeamformer(est)
         out = []
         for i in range(40):
@@ -222,14 +220,12 @@ def test_mcg_alpha_a_matches_independent_recomputation():
 
 
 def test_mcg_eta_validation():
-    est = SteeringEstimator(make_steering(4, 10.0), 1,
-                            NoisePowerSource("oracle", 1.0, 1))
+    est = SteeringEstimator(make_steering(4, 10.0), 1, 1.0)
     with pytest.raises(ParameterError):
         McgBeamformer(est, eta_a=0.6)
     # MCG's step rule reads the tracker's forgetting factor, checked there
     with pytest.raises(ParameterError):
-        SteeringEstimator(make_steering(4, 10.0), 1,
-                          NoisePowerSource("oracle", 1.0, 1), lam=0.0)
+        SteeringEstimator(make_steering(4, 10.0), 1, 1.0, lam=0.0)
 
 
 def _bound_pair(bf, x):
@@ -246,8 +242,7 @@ def test_mcg_constraint_and_bound_trace():
     sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
     obs = generate_snapshots(sources, np.repeat(a_true[:, None], 50, axis=1),
                              1.0, rng.stream(10, 0, 0))
-    est = SteeringEstimator(make_steering(m, 11.0), 2,
-                            NoisePowerSource("oracle", 1.0, 2), lam=0.998)
+    est = SteeringEstimator(make_steering(m, 11.0), 2, 1.0, lam=0.998)
     bf = McgBeamformer(est)
     pairs = []
     for i in range(50):
@@ -264,8 +259,7 @@ def test_mcg_runs_on_sample_mean_tracker():
     sources = [SourceConfig(10.0, 2.0, is_desired=True)]
     obs = generate_snapshots(sources, np.repeat(a_true[:, None], 30, axis=1),
                              1.0, rng.stream(11, 0, 0))
-    est = SteeringEstimator(a_true.copy(), 1, NoisePowerSource("oracle", 1.0, 1),
-                            lam=1.0)
+    est = SteeringEstimator(a_true.copy(), 1, 1.0, lam=1.0)
     bf = McgBeamformer(est)
     for i in range(30):
         w = bf.process(obs[:, i])
@@ -419,8 +413,7 @@ def test_mcg_snapshots_bits_match_oracle():
                              1.0, rng.stream(9, 0, 0))
     engines = []
     for cls in (McgBeamformer, _McgOracle):
-        est = SteeringEstimator(make_steering(m, 13.0), 3,
-                                NoisePowerSource("oracle", 1.0, 3), lam=0.998)
+        est = SteeringEstimator(make_steering(m, 13.0), 3, 1.0, lam=0.998)
         engines.append(cls(est))
     new, old = engines
     for i in range(50):

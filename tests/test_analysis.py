@@ -186,6 +186,15 @@ def test_mse_bounds_domain(theta, norm):
         epsilon_moments(theta, norm)
 
 
+def test_bounds_and_moments_beyond_the_float_range():
+    theta = math.radians(40.0)
+    with pytest.raises(ParameterError, match="overflow"):
+        mse_bounds(theta, 1e308, "sqp")
+    assert math.isfinite(mse_bounds(theta, 1e308, "okspme").upper)
+    with pytest.raises(ParameterError, match="overflow"):
+        epsilon_moments(0.7, 1e200)
+
+
 def test_tiny_sectors_return():
     # The leading series term underflows to zero here; these calls once
     # looped forever, so they run in a child process with a time limit.

@@ -78,6 +78,9 @@ def test_mse_bounds_domain_error(capsys):
     assert main(["mse-bounds", "--theta-deg", "80", "--norm-sq", "1"]) == 2
     for norm_sq in ("nan", "inf", "0"):
         assert main(["mse-bounds", "--theta-deg", "5", "--norm-sq", norm_sq]) == 2
+    # a finite norm whose bound overflows once printed upper=inf
+    assert main(["mse-bounds", "--theta-deg", "40", "--norm-sq", "1e308",
+                 "--method", "sqp"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -260,6 +263,9 @@ OUT_OF_RANGE_PARAMETERS = [
     # not a parameter of any entry: rejected as early as a bad value
     {"name": "okspme", "tracker": "window"},
     {"name": "okspme-sg", "noise_mode": "guess"},
+    {"name": "okspme", "noise_mode": "eigen"},
+    {"name": "okspme", "unit_norm": True},
+    {"name": "okspme-sg", "smooth_power": False},
     {"name": "okspme-mcg", "lam": 1.5},
     {"name": "okspme-ccg", "lam": 0.0},
     {"name": "okspme", "lam": 1.5},
@@ -268,6 +274,8 @@ OUT_OF_RANGE_PARAMETERS = [
     {"name": "okspme-mcg", "eta_a": -0.1},
     {"name": "okspme-sg", "mu_scale": 0.0},
     {"name": "okspme-sg", "mu_scale": -1.0},
+    {"name": "okspme-ccg", "delta": -5},
+    {"name": "okspme", "delta": -1e300},
 ]
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ MISTYPED_PARAMETERS = [
     {"name": "loaded-smi", "loading_scale": "x"},
     {"name": "okspme-ccg", "n_inner": "5"},
     {"name": "okspme-ccg", "n_inner": 2.5},
-    {"name": "okspme", "unit_norm": "yes"},
+    {"name": "okspme", "delta": True},
 ]
 
 
@@ -66,7 +67,7 @@ def test_unknown_algorithm_and_parameter_rejected():
     for entry in MISTYPED_PARAMETERS + [
             {"name": "okspme-ccg", "n_inner": True},
             {"name": "okspme-mcg", "eta_a": False},
-            {"name": "okspme", "noise_mode": 1}]:
+            {"name": "okspme", "delta0": "0.1"}]:
         param = next(key for key in entry if key != "name")
         with pytest.raises(ConfigError, match=param):
             config_from_dict(_base_doc(algorithms=[entry]))
@@ -251,8 +252,7 @@ def test_registry_defaults_written_out_change_nothing(name):
 
 
 # One alternative value per parameter name, for every registry parameter.
-ALTERNATIVES = {"delta": 0.5, "delta0": 0.5, "lam": 0.99, "noise_mode": "eigen",
-                "unit_norm": True, "mu_scale": 0.02, "smooth_power": False,
+ALTERNATIVES = {"delta": 0.5, "delta0": 0.5, "lam": 0.99, "mu_scale": 0.02,
                 "n_inner": 2, "eta_a": 0.3, "loading_scale": 1.0}
 
 
@@ -267,6 +267,16 @@ def test_engine_parameter_changes_only_its_algorithm(name, param, value):
     changed = run_trial(config_from_dict(_base_doc(algorithms=roster)), 0)
     for other in ALGORITHMS:
         assert _same_record(base, changed, other) == (other != name), other
+
+
+def test_readme_parameter_table_lists_the_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("| parameter | type | default | algorithms |")[1]
+    rows = rows.split("\n\n")[0].strip().splitlines()[1:]
+    documented = {name for row in rows
+                  for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert documented == {param for entry in ALGORITHMS.values()
+                          for param in entry.params}
 
 
 # ------------------------------------------------------------- aggregates
