@@ -38,6 +38,12 @@ BETA_RESTART = 1e-14
 STEP_CAP = 10.0
 # SG step-size cap, as a fraction of the stability limit 1 / (sigma1^2 ||a||^2).
 MU_CAP = 0.5
+# SG step size relative to the stability limit, taken at the smoothed power.
+MU_SCALE = 0.005
+# CCG inner iterations per snapshot.
+N_INNER = 5
+# MCG's convergence-band constant, in [0, 0.5].
+ETA_A = 0.1
 
 
 def _capped(alpha, p_norm, ref: float):
@@ -88,7 +94,7 @@ class SgBeamformer:
     """Steering estimator + the stochastic-gradient weight recursion.
 
     The step size adapts to the running power estimate,
-    ``mu = mu_scale / (mean(sigma1^2) ||a||^2)``; the smoothed estimate
+    ``mu = MU_SCALE / (mean(sigma1^2) ||a||^2)``; the smoothed estimate
     (rather than the raw per-snapshot one) keeps a single floor-clamped power
     snapshot from exploding the data term.  A cap enforces
     ``mu < MU_CAP / (sigma1^2 ||a||^2)`` at every applied step.
@@ -96,11 +102,8 @@ class SgBeamformer:
 
     name = "okspme-sg"
 
-    def __init__(self, estimator: SteeringEstimator, mu_scale: float = 0.005):
-        if mu_scale <= 0:
-            raise ParameterError("mu_scale must be > 0")
+    def __init__(self, estimator: SteeringEstimator):
         self.estimator = estimator
-        self.mu_scale = float(mu_scale)
         self.w = np.ones(estimator.m, dtype=complex)
 
     @property
@@ -117,7 +120,7 @@ class SgBeamformer:
         # Stability requires mu sigma1^2 ||a||^2 < 1 (the rank-one multiplier's
         # eigenvalue), so the cap scales with the squared steering norm.
         gram = np.vdot(a, a).real
-        mu = min(self.mu_scale / (self.estimator.sigma1_sq_mean * gram),
+        mu = min(MU_SCALE / (self.estimator.sigma1_sq_mean * gram),
                  MU_CAP / (s1 * gram))
         y_curr = np.vdot(self.w, x)
         self.w = sg_update(self.w, mu, a, s1, x, y_curr)
@@ -205,12 +208,10 @@ class CcgBeamformer:
     """
 
     name = "okspme-ccg"
+    n_inner = N_INNER
 
-    def __init__(self, estimator: SteeringEstimator, n_inner: int = 5):
-        if n_inner < 1:
-            raise ParameterError("n_inner must be >= 1")
+    def __init__(self, estimator: SteeringEstimator):
         self.estimator = estimator
-        self.n_inner = int(n_inner)
         self.w = np.ones(estimator.m, dtype=complex)
         self.constraint_steering = estimator.a_hat
 
@@ -263,7 +264,7 @@ class McgBeamformer:
     interference-plus-noise quadratic, with the direction vector carried
     across snapshots (Polak-Ribiere update, restart on a collapsed
     denominator).  The steering branch applies the convergence-band step
-    rule with constant ``eta_a`` on top of the projection update, trust
+    rule with constant ``ETA_A`` on top of the projection update, trust
     capped to the same unit scale as the projection step.  The step rule
     and the steering gradient recursion use the tracker's forgetting factor
     ``estimator.tracker.lam``.
@@ -271,11 +272,8 @@ class McgBeamformer:
 
     name = "okspme-mcg"
 
-    def __init__(self, estimator: SteeringEstimator, eta_a: float = 0.1):
-        if not 0.0 <= eta_a <= 0.5:
-            raise ParameterError("eta_a must lie in [0, 0.5]")
+    def __init__(self, estimator: SteeringEstimator):
         self.estimator = estimator
-        self.eta_a = float(eta_a)
         m = estimator.m
         self.v = np.ones(m, dtype=complex)
         self.w = np.ones(m, dtype=complex)
@@ -299,8 +297,7 @@ class McgBeamformer:
 
         # Steering branch: band-placed step (capped to the unit scale of the
         # projection update, since this correction persists in the state).
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam,
-                              self.eta_a)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)

@@ -1,10 +1,9 @@
 """Scenario configuration: dataclasses plus strict JSON ingestion.
 
 A scenario file describes the array, the sources and their power ratios, the
-mismatch model, the algorithm roster with per-algorithm parameters, and the
-Monte Carlo shape (snapshots, trials, master seed).  Unknown keys anywhere in
-the document are rejected so typos fail fast instead of silently running the
-default.
+mismatch model, the algorithm roster (a list of names), and the Monte Carlo
+shape (snapshots, trials, master seed).  Unknown keys anywhere in the document
+are rejected so typos fail fast instead of silently running the default.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ import numpy as np
 
 from .arrays import SQRT3, ScatteringSpec, SourceConfig
 from .errors import ConfigError, ParameterError
-from .harness import ALGORITHMS, build_beamformer, nominal_context
-
-_JSON_NAMES = {int: "integer", float: "number"}
+from .harness import ALGORITHMS
 
 
 def _has_json_type(value, kind: type) -> bool:
@@ -29,33 +26,6 @@ def _has_json_type(value, kind: type) -> bool:
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """One roster entry, checked against the registry ``harness.ALGORITHMS``.
-
-    Parameter types are checked here; ranges are checked by the engine's
-    constructor, which ``ScenarioConfig`` runs once when it is created.
-    """
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not isinstance(self.name, str) or self.name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.name!r}; "
-                              f"expected one of {tuple(ALGORITHMS)}")
-        accepted = ALGORITHMS[self.name].params
-        extra = set(self.params) - set(accepted)
-        if extra:
-            raise ConfigError(f"unknown parameter(s) {sorted(extra)} for "
-                              f"algorithm {self.name!r}")
-        for key, value in self.params.items():
-            kind = accepted[key].kind
-            if not _has_json_type(value, kind):
-                raise ConfigError(f"parameter {key!r} of algorithm {self.name!r} "
-                                  f"must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,12 +47,11 @@ def _check_angles(what: str, lo: float, hi: float) -> None:
 class ScenarioConfig:
     """One scenario, checked when created.
 
-    Every angle a trial can draw must lie in [-90, 90] degrees: the source
-    DoAs (schedule included), the presumed sector ``desired +- halfwidth`` the
+    ``algorithms`` lists distinct names from ``harness.ALGORITHMS``.  Every
+    angle a trial can draw must lie in [-90, 90] degrees: the source DoAs
+    (schedule included), the presumed sector ``desired +- halfwidth`` the
     initial steering is drawn from, and the scattered-path support
-    ``mean +- sqrt(3) std``.  Each roster entry is built once against a
-    nominal context, so a parameter outside its range fails here rather than
-    inside a trial.
+    ``mean +- sqrt(3) std``.
     """
 
     sensors: int
@@ -123,23 +92,23 @@ class ScenarioConfig:
             if not finite:
                 raise ConfigError(f"the source powers at SNR {snr_db} dB overflow "
                                   "(check snr_db, sir_db and inr_db)")
-        names = [spec.name for spec in self.algorithms]
-        if len(names) != len(set(names)):
+        for name in self.algorithms:
+            if not isinstance(name, str):
+                raise ConfigError(f"algorithm entries must be names, got {name!r}")
+            if name not in ALGORITHMS:
+                raise ConfigError(f"unknown algorithm {name!r}; "
+                                  f"expected one of {tuple(ALGORITHMS)}")
+        if len(self.algorithms) != len(set(self.algorithms)):
             raise ConfigError("algorithm names must be unique within a scenario")
+        # The first segment must hold at least one snapshot.
         prev = 1
         for change in self.interferer_schedule:
-            if not 1 <= change.start_snapshot <= self.snapshots:
-                raise ConfigError("schedule change-points must lie in [1, snapshots]")
+            if not 2 <= change.start_snapshot <= self.snapshots:
+                raise ConfigError("schedule change-points must lie in [2, snapshots]")
             if change.start_snapshot <= prev:
                 raise ConfigError("schedule change-points must be strictly increasing")
             prev = change.start_snapshot
         self._check_drawn_angles()
-        ctx = nominal_context(self)
-        for spec in self.algorithms:
-            try:
-                build_beamformer(spec, ctx)
-            except ParameterError as exc:
-                raise ConfigError(f"algorithm {spec.name!r}: {exc}") from exc
 
     def _check_array_sizes(self) -> None:
         """Reject sizes no array can have, before any array is made.
@@ -295,18 +264,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     roster = doc.get("algorithms")
     if not isinstance(roster, list) or not roster:
         raise ConfigError("'algorithms' must be a non-empty JSON array")
-    algorithms = []
-    for entry in roster:
-        if isinstance(entry, str):
-            algorithms.append(AlgorithmSpec(entry))
-        elif isinstance(entry, dict):
-            if "name" not in entry:
-                raise ConfigError("algorithm entries must carry a 'name'")
-            params = {k: v for k, v in entry.items() if k != "name"}
-            algorithms.append(AlgorithmSpec(entry["name"], params))
-        else:
-            raise ConfigError("algorithm entries must be strings or objects")
-
     schedule = []
     schedule_doc = doc.get("interferer_schedule", [])
     if not isinstance(schedule_doc, list):
@@ -324,7 +281,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
               if k in _TOP_KEYS.keys() - {"scattering", "algorithms", "interferer_schedule"}}
     kwargs["interferer_doas_deg"] = tuple(doc.get("interferer_doas_deg", ()))
     try:
-        return ScenarioConfig(scattering=scattering, algorithms=algorithms,
+        return ScenarioConfig(scattering=scattering, algorithms=roster,
                               interferer_schedule=schedule, **kwargs)
     except (TypeError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -8,16 +8,16 @@ one scoring call per trajectory and INC segment.  Trials are
 embarrassingly parallel and keyed by ``(master_seed, snr_index, trial, role)``
 so results are bit-identical for any worker count.
 
-``ALGORITHMS`` is the one table of the algorithm roster: each entry lists the
-accepted parameters (type and default) and builds the engine.  Every engine
-has the same interface (:class:`Engine`), the clairvoyant optimum included.
+``ALGORITHMS`` is the one table of the algorithm roster: it maps each name a
+scenario may list to the function that builds the engine.  Every engine has
+the same interface (:class:`Engine`), the clairvoyant optimum included.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -27,14 +27,15 @@ from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
                        smi_weights, steering_mse)
 from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
-from .errors import ExperimentError, NumericError, ParameterError
+from .errors import ExperimentError, NumericError
 from .okspme import OkspmeBeamformer, SteeringEstimator
 from .tracking import CovarianceTracker
 
 if TYPE_CHECKING:
-    from .config import AlgorithmSpec, ScenarioConfig
+    from .config import ScenarioConfig
 
 STEADY_WINDOW = 50  # snapshots averaged for one SNR-sweep point
+LOADING_SCALE = 10.0  # loaded-smi's diagonal loading, in units of the noise power
 
 
 @dataclass
@@ -97,99 +98,32 @@ class TrialContext:
     segments: list
 
 
-@dataclass(frozen=True)
-class Param:
-    """One accepted algorithm parameter: its JSON type and its default."""
-
-    kind: type
-    default: object
+def _estimator(ctx: TrialContext, lam: float) -> SteeringEstimator:
+    """The shared steering estimator; ``lam`` is its tracker's forgetting
+    factor (1.0 is the sample mean), which MCG's step rule reads too."""
+    return SteeringEstimator(ctx.a_init, ctx.num_sources, ctx.noise_power, lam=lam)
 
 
-@dataclass(frozen=True)
-class Algorithm:
-    params: dict        # parameter name -> Param
-    build: Callable     # (resolved params, TrialContext) -> Engine
-
-    def resolve(self, given: dict) -> dict:
-        """``given`` completed with the default of every missing parameter."""
-        return {key: given.get(key, param.default)
-                for key, param in self.params.items()}
-
-
-def _okspme_params(lam: float, **extra) -> dict:
-    """The shared steering estimator's parameters, then the engine's own.
-
-    ``lam`` is the default forgetting factor of the estimator's tracker (1.0
-    is the sample mean); MCG's step rule reads the same value.
-    """
-    return {
-        "delta": Param(float, 0.1),
-        "delta0": Param(float, 0.1),
-        "lam": Param(float, lam),
-        **extra,
-    }
-
-
-def _estimator(p: dict, ctx: TrialContext):
-    return SteeringEstimator(ctx.a_init, ctx.num_sources, ctx.noise_power,
-                             delta=p["delta"], delta0=p["delta0"], lam=p["lam"])
-
-
-# The roster.  Build functions look classes and functions up by module name
-# at call time and the table holds no reference to them, so rebinding a name
-# (as perfbench's call tracer does) reaches every engine built here.
+# The roster: name -> build(TrialContext) -> Engine.  Build functions look
+# classes and functions up by module name at call time and the table holds no
+# reference to them, so rebinding a name (as perfbench's call tracer does)
+# reaches every engine built here.
 ALGORITHMS = {
-    "okspme": Algorithm(
-        _okspme_params(1.0),
-        lambda p, ctx: OkspmeBeamformer(_estimator(p, ctx))),
-    "okspme-sg": Algorithm(
-        _okspme_params(1.0, mu_scale=Param(float, 0.005)),
-        lambda p, ctx: SgBeamformer(_estimator(p, ctx), mu_scale=p["mu_scale"])),
-    "okspme-ccg": Algorithm(
-        _okspme_params(0.998, n_inner=Param(int, 5)),
-        lambda p, ctx: CcgBeamformer(_estimator(p, ctx), n_inner=p["n_inner"])),
-    "okspme-mcg": Algorithm(
-        _okspme_params(0.998, eta_a=Param(float, 0.1)),
-        lambda p, ctx: McgBeamformer(_estimator(p, ctx), eta_a=p["eta_a"])),
-    "smi": Algorithm(
-        {"delta0": Param(float, 0.1)},
-        lambda p, ctx: _SmiRunner("smi", ctx.a_nominal, p["delta0"], loading=0.0)),
-    "loaded-smi": Algorithm(
-        {"delta0": Param(float, 0.0), "loading_scale": Param(float, 10.0)},
-        lambda p, ctx: _SmiRunner("loaded-smi", ctx.a_nominal, p["delta0"],
-                                  loading=p["loading_scale"] * ctx.noise_power)),
-    "optimal": Algorithm(
-        {},
-        lambda p, ctx: _OptimalRunner(ctx.truth, ctx.segments)),
+    "okspme": lambda ctx: OkspmeBeamformer(_estimator(ctx, 1.0)),
+    "okspme-sg": lambda ctx: SgBeamformer(_estimator(ctx, 1.0)),
+    "okspme-ccg": lambda ctx: CcgBeamformer(_estimator(ctx, 0.998)),
+    "okspme-mcg": lambda ctx: McgBeamformer(_estimator(ctx, 0.998)),
+    "smi": lambda ctx: _SmiRunner("smi", ctx.a_nominal, delta0=0.1, loading=0.0),
+    "loaded-smi": lambda ctx: _SmiRunner("loaded-smi", ctx.a_nominal, delta0=0.0,
+                                         loading=LOADING_SCALE * ctx.noise_power),
+    "optimal": lambda ctx: _OptimalRunner(ctx.truth, ctx.segments),
 }
-
-
-def build_beamformer(spec: AlgorithmSpec, ctx: TrialContext) -> Engine:
-    """Instantiate one roster entry for the trial ``ctx``."""
-    entry = ALGORITHMS[spec.name]
-    return entry.build(entry.resolve(spec.params), ctx)
-
-
-def nominal_context(cfg: ScenarioConfig) -> TrialContext:
-    """A context without trial data: the presumed steering, no snapshots.
-
-    Building every roster entry against it runs the engines' own parameter
-    checks before any trial data is generated.
-    """
-    a_nominal = make_steering(cfg.sensors, cfg.desired_doa_deg)
-    no_snapshots = np.empty((cfg.sensors, 0), dtype=complex)
-    return TrialContext(a_init=a_nominal, a_nominal=a_nominal,
-                        num_sources=cfg.num_sources, noise_power=cfg.noise_power,
-                        observations=no_snapshots, truth=no_snapshots,
-                        segments=[])
 
 
 class _SmiRunner:
     """Sample-matrix-inversion baseline pinned to the nominal steering vector."""
 
     def __init__(self, name, a_nominal, delta0, loading):
-        if not loading >= 0.0:
-            raise ParameterError(f"{name}: loading_scale must be >= 0")
         self.name = name
         self.tracker = CovarianceTracker(len(a_nominal), delta0=delta0)
         self.a_hat = self.constraint_steering = np.asarray(a_nominal, dtype=complex)
@@ -266,9 +200,9 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> Tria
     """Run every configured algorithm over one seeded trial at one SNR point."""
     ctx, p_des = simulate_trial_data(cfg, snr_index, trial_index)
     n = cfg.snapshots
-    sinr = {spec.name: np.full(n, np.nan) for spec in cfg.algorithms}
-    mse = {spec.name: np.full(n, np.nan) for spec in cfg.algorithms}
-    failed = {spec.name: False for spec in cfg.algorithms}
+    sinr = {name: np.full(n, np.nan) for name in cfg.algorithms}
+    mse = {name: np.full(n, np.nan) for name in cfg.algorithms}
+    failed = {name: False for name in cfg.algorithms}
     # Rows are strided views of the truth columns: OpenBLAS rounds a
     # unit-stride dot product differently, and the scores keep the bits of
     # the per-snapshot evaluation.
@@ -276,20 +210,20 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> Tria
     weights = np.empty((n, cfg.sensors), dtype=complex)
     a_hats = np.empty((n, cfg.sensors), dtype=complex)
 
-    for spec in cfg.algorithms:
-        bf = build_beamformer(spec, ctx)
+    for name in cfg.algorithms:
+        bf = ALGORITHMS[name](ctx)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for i in range(n):
                     weights[i] = bf.process(ctx.observations[:, i])
                     a_hats[i] = bf.a_hat
                 for start, end, r_in in ctx.segments:
-                    sinr[spec.name][start:end] = output_sinr(
+                    sinr[name][start:end] = output_sinr(
                         weights[start:end], p_des, truth[start:end], r_in)
-                mse[spec.name][:] = steering_mse(a_hats, truth)
+                mse[name][:] = steering_mse(a_hats, truth)
         except (NumericError, np.linalg.LinAlgError, FloatingPointError,
                 ZeroDivisionError):
-            failed[spec.name] = True
+            failed[name] = True
 
     return TrialRecord(sinr_db=sinr, steering_mse=mse, failed=failed)
 
@@ -318,7 +252,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> AggregateResult:
     trace, while SNR sweeps reduce a trial to its steady-state mean (last
     ``STEADY_WINDOW`` snapshots).
     """
-    names = [spec.name for spec in cfg.algorithms]
+    names = cfg.algorithms
     if cfg.is_sweep:
         x_kind, x_values = "snr_db", cfg.snr_points()
         reduce = lambda trace: np.mean(trace[-STEADY_WINDOW:])

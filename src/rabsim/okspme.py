@@ -33,6 +33,8 @@ from .tracking import CovarianceTracker
 
 POWER_FLOOR = 1e-8
 TINY = 1e-12
+DELTA = 0.1     # loading of step 2's linear system
+DELTA0 = 0.1    # initial covariance loading of the estimator's tracker
 
 
 def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float) -> float:
@@ -134,25 +136,22 @@ class NoisePowerSource:
 class SteeringEstimator:
     """Shared state machine for steps 1-3 (statistics, power, steering).
 
-    Owns the covariance tracker (forgetting factor ``lam`` and initial
-    loading ``delta0``) that supplies the snapshot statistics, and the noise
-    power source; ``lam = 1`` tracks the sample mean.  The steering estimate
-    keeps the physical ULA norm ``sqrt(M)``; ``delta >= 0`` loads the linear
-    system of step 2.
+    Owns the covariance tracker (forgetting factor ``lam``, initial loading
+    ``DELTA0``) that supplies the snapshot statistics, and the noise power
+    source; ``lam = 1`` tracks the sample mean.  The steering estimate keeps
+    the physical ULA norm ``sqrt(M)``; ``DELTA`` loads the linear system of
+    step 2.
     """
 
     def __init__(self, a_init: np.ndarray, num_sources: int, noise_power: float,
-                 delta: float = 0.1, delta0: float = 0.1, lam: float = 1.0):
-        if delta < 0:
-            raise ParameterError(f"delta must be >= 0, got {delta}")
+                 lam: float = 1.0):
         a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
-        self.tracker = CovarianceTracker(self.m, lam=lam, delta0=delta0)
+        self.tracker = CovarianceTracker(self.m, lam=lam, delta0=DELTA0)
         self.noise = NoisePowerSource(noise_power)
         self.norm_target = math.sqrt(self.m)
         self.a_hat = a_init * (self.norm_target / norm(a_init))
         self.num_sources = int(num_sources)
-        self.delta = float(delta)
         # Smoothed power estimate, weighted like the tracker statistics
         # (forgetting-factor mean, or plain arithmetic mean when lam = 1).
         self._sigma1_num = 0.0
@@ -185,7 +184,7 @@ class SteeringEstimator:
         self._sigma1_num = lam * self._sigma1_num + sigma1
         self._sigma1_den = lam * self._sigma1_den + 1.0
 
-        b = build_rhs(self.a_hat, sigma1, sigma_n, self.delta)
+        b = build_rhs(self.a_hat, sigma1, sigma_n, DELTA)
         _, t1, converged = residue(R, self.a_hat, b)
         if not converged:
             basis = arnoldi_mgs(R, t1, self.num_sources)

@@ -17,7 +17,7 @@ from rabsim import rng
 from rabsim.adaptive import ccg_inner
 from rabsim.analysis import FlopModel, epsilon_moments, flops, mse_bounds
 from rabsim.config import config_from_dict
-from rabsim.harness import (build_beamformer, run_experiment, simulate_trial_data,
+from rabsim.harness import (ALGORITHMS, run_experiment, simulate_trial_data,
                             write_csv)
 from rabsim.krylov import BREAKDOWN, arnoldi_mgs, make_projector
 from rabsim.okspme import inc_matrix
@@ -210,8 +210,8 @@ def test_criterion_6_constraint_satisfaction():
     })
     ctx, _ = simulate_trial_data(cfg, 0, 0)
     worst = 0.0
-    for spec in cfg.algorithms:
-        bf = build_beamformer(spec, ctx)
+    for name in cfg.algorithms:
+        bf = ALGORITHMS[name](ctx)
         for i in range(300):
             w = bf.process(ctx.observations[:, i])
             worst = max(worst, abs(np.vdot(w, bf.constraint_steering) - 1.0))
@@ -245,7 +245,7 @@ def test_criterion_7_mcg_convergence_band():
             "algorithms": ["okspme-mcg"],
         })
         ctx, _ = simulate_trial_data(cfg, 0, 0)
-        bf = build_beamformer(cfg.algorithms[0], ctx)
+        bf = ALGORITHMS["okspme-mcg"](ctx)
         pairs = []
         for x in ctx.observations.T:
             # Re p_v^H g_v after the step against before it, along the same p_v

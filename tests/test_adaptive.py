@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabsim import rng
-from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE,
+from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE, ETA_A,
                              CcgBeamformer, CgIterate, McgBeamformer,
                              SgBeamformer, _capped, ccg_inner, mcg_alpha_a,
                              record_normalized_output, sg_update)
@@ -220,9 +220,6 @@ def test_mcg_alpha_a_matches_independent_recomputation():
 
 
 def test_mcg_eta_validation():
-    est = SteeringEstimator(make_steering(4, 10.0), 1, 1.0)
-    with pytest.raises(ParameterError):
-        McgBeamformer(est, eta_a=0.6)
     # MCG's step rule reads the tracker's forgetting factor, checked there
     with pytest.raises(ParameterError):
         SteeringEstimator(make_steering(4, 10.0), 1, 1.0, lam=0.0)
@@ -335,8 +332,7 @@ class _McgOracle(McgBeamformer):
         R, s1 = self.estimator.begin_snapshot(x)
         a, lam = self.estimator.a_hat, self.estimator.tracker.lam
         quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam,
-                              self.eta_a)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)

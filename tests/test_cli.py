@@ -182,6 +182,9 @@ MALFORMED = [
     pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]},
                  id="loading-negative"),
     pytest.param({"interferer_schedule": 0}, id="schedule-number"),
+    # a change-point at snapshot 1 would leave the first segment empty
+    pytest.param({"interferer_schedule": [
+        {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]}, id="schedule-at-1"),
     pytest.param({"algorithms": [{"name": "okspme-mcg", "eta_v": 0.1}]},
                  id="mcg-eta-v"),
     pytest.param({"algorithms": [{"name": "okspme-mcg", "tracker": "sample_mean",
@@ -256,7 +259,8 @@ def _run_counting_snapshots(tmp_path, monkeypatch, capsys, cfg):
     return code, capsys.readouterr().err.splitlines(), len(calls)
 
 
-# Parameter values outside the range their engine accepts.
+# Object entries setting an engine value, once outside the range the engine
+# accepted: a roster entry is a name, so each is rejected before any trial.
 OUT_OF_RANGE_PARAMETERS = [
     {"name": "okspme-ccg", "n_inner": 0},
     {"name": "okspme-ccg", "n_inner": -3},
@@ -276,6 +280,12 @@ OUT_OF_RANGE_PARAMETERS = [
     {"name": "okspme-sg", "mu_scale": -1.0},
     {"name": "okspme-ccg", "delta": -5},
     {"name": "okspme", "delta": -1e300},
+    # these once passed the range checks, generated every trial's data and
+    # exited 3 with "all trials failed"
+    {"name": "okspme", "delta": math.nan},
+    {"name": "okspme", "delta": math.inf},
+    {"name": "okspme", "delta0": math.nan},
+    {"name": "okspme-sg", "mu_scale": math.nan},
 ]
 
 
@@ -332,18 +342,15 @@ VALID = {
                    "angle_std_deg": 2.0},
     "sector_halfwidth_deg": 5.0, "snapshots": 4, "trials": 1, "master_seed": 3,
     "interferer_schedule": [{"start_snapshot": 3, "interferer_doas_deg": [-30.0]}],
-    "algorithms": ["okspme", {"name": "okspme-sg", "mu_scale": 0.005},
-                   {"name": "okspme-ccg", "n_inner": 2},
-                   {"name": "okspme-mcg", "lam": 0.99, "eta_a": 0.1},
-                   "smi", {"name": "loaded-smi", "loading_scale": 10.0}, "optimal"],
+    "algorithms": ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
+                   "smi", "loaded-smi", "optimal"],
 }
 # Paths to the fields a mutation may hit: top-level keys, scattering keys,
-# the schedule entry's keys and the parameters of the roster entries.
+# the schedule entry's keys and the roster entries.
 FIELDS = ([(k,) for k in VALID]
           + [("scattering", k) for k in VALID["scattering"]]
           + [("interferer_schedule", 0, k) for k in VALID["interferer_schedule"][0]]
-          + [("algorithms", i, k) for i, e in enumerate(VALID["algorithms"])
-             if isinstance(e, dict) for k in e])
+          + [("algorithms", i) for i in range(len(VALID["algorithms"]))])
 ANGLE_KEYS = {"desired_doa_deg", "interferer_doas_deg", "angle_mean_deg"}
 WRONG_TYPES = st.sampled_from(["x", "", [1.0], [], {}, {"a": 1}, True, None])
 
@@ -367,7 +374,9 @@ def _mutated_documents(draw):
     owner = doc
     for step in path[:-1]:
         owner = owner[step]
-    if kind == "unknown-key":
+    if kind == "unknown-key" and isinstance(owner, list):
+        owner[path[-1]] += "_typo"      # a misspelt algorithm name
+    elif kind == "unknown-key":
         owner[path[-1] + "_typo"] = 1
     else:
         owner[path[-1]] = draw(_mutation(path))

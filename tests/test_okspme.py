@@ -158,9 +158,9 @@ def test_mvdr_rejects_indefinite():
                      np.array([1.0, 1.0], dtype=complex))
 
 
-def _beamformer(m=4, num_sources=1, noise=0.0, a_init=None, **kwargs):
+def _beamformer(m=4, num_sources=1, noise=0.0, a_init=None):
     a_init = make_steering(m, 10.0) if a_init is None else a_init
-    est = SteeringEstimator(a_init, num_sources, noise, **kwargs)
+    est = SteeringEstimator(a_init, num_sources, noise)
     return OkspmeBeamformer(est)
 
 
@@ -187,7 +187,7 @@ def test_first_snapshot_well_posed_with_loading():
     sources = [SourceConfig(10.0, 1.0, is_desired=True)]
     obs = generate_snapshots(sources, np.repeat(a_true[:, None], 1, axis=1),
                              1.0, rng.stream(2, 0, 0))
-    bf = _beamformer(m=m, noise=1.0, delta0=0.1)
+    bf = _beamformer(m=m, noise=1.0)
     w = bf.process(obs[:, 0])
     assert np.isfinite(w).all()
 
