@@ -3,8 +3,9 @@
 Steering vectors for a half-wavelength ULA, the two local-scattering
 mismatch models (coherent: one fixed composite vector per trial;
 incoherent: a fresh random composite every snapshot), and the snapshot
-generator that mixes sources and sensor noise.  A trial's realized desired
-steering is always an M x n matrix, one column per snapshot.
+generator that mixes the desired signal, a segment's interferers and sensor
+noise.  A trial's realized desired steering is always an M x n matrix, one
+column per snapshot; interferers are plain steering vectors.
 
 Conventions: a plain steering vector has element ``k = exp(j*pi*k*sin(theta))``
 and therefore Euclidean norm ``sqrt(M)``.  Angles at the API boundary are
@@ -22,19 +23,6 @@ import numpy as np
 from .errors import ParameterError
 
 SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """One narrowband plane-wave source: direction, linear power, role."""
-
-    doa_deg: float
-    power: float
-    is_desired: bool = False
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ParameterError(f"source power must be >= 0, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -129,42 +117,38 @@ def make_incoherent_mismatch(
 
 
 def generate_snapshots(
-    sources: Sequence[SourceConfig],
     truth: np.ndarray,
+    desired_power: float,
+    interferers: Sequence[np.ndarray],
+    interferer_power: float,
     noise_power: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Simulate ``x(i) = sum_k a_k s_k(i) + n(i)`` for each column of ``truth``.
+    """Simulate ``x(i) = a(i) s(i) + sum_k a_k s_k(i) + n(i)`` per column of ``truth``.
 
-    ``truth`` is the M x count realized desired steering, one column per
-    snapshot; the M x count observations are returned.  Source symbols are
-    zero-mean circular complex Gaussian at the configured powers; sensor noise
-    is circular complex Gaussian with per-element variance ``noise_power``.
+    ``truth`` is the M x count realized desired steering ``a(i)``, one column
+    per snapshot, and ``interferers`` holds one segment's interferer steering
+    vectors ``a_k``; the M x count observations are returned.  Symbols are
+    zero-mean circular complex Gaussian, at ``desired_power`` for the desired
+    signal and ``interferer_power`` for each interferer; sensor noise is
+    circular complex Gaussian with per-element variance ``noise_power``.  The
+    stream is drawn in that order: desired symbols, each interferer's symbols
+    in list order, then the noise.
     """
-    if not sources:
-        raise ParameterError("source list must not be empty")
     m, count = truth.shape
     if count < 1:
         raise ParameterError("snapshot count must be >= 1")
     if noise_power < 0:
         raise ParameterError("noise power must be >= 0")
-    desired = [s for s in sources if s.is_desired]
-    if len(desired) != 1:
-        raise ParameterError("exactly one source must be flagged is_desired")
 
-    interferers = [s for s in sources if not s.is_desired]
-    a_int = np.column_stack([make_steering(m, s.doa_deg) for s in interferers]) \
-        if interferers else np.zeros((m, 0), dtype=complex)
-    p_int = np.array([s.power for s in interferers], dtype=float)
-
-    def draw_symbols(power: float, n: int) -> np.ndarray:
-        z = rng.standard_normal((n, 2))
+    def draw_symbols(power: float) -> np.ndarray:
+        z = rng.standard_normal((count, 2))
         return math.sqrt(power / 2.0) * (z[:, 0] + 1j * z[:, 1])
 
     obs = np.zeros((m, count), dtype=complex)
-    obs += truth * draw_symbols(desired[0].power, count)[None, :]
-    for k in range(a_int.shape[1]):
-        obs += np.outer(a_int[:, k], draw_symbols(p_int[k], count))
+    obs += truth * draw_symbols(desired_power)[None, :]
+    for a in interferers:
+        obs += np.outer(a, draw_symbols(interferer_power))
 
     if noise_power > 0:
         z = rng.standard_normal((m, count, 2))

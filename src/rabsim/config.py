@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import SQRT3, ScatteringSpec, SourceConfig
+from .arrays import SQRT3, ScatteringSpec
 from .errors import ConfigError, ParameterError
 from .harness import ALGORITHMS
 
@@ -47,14 +47,15 @@ def _check_angles(what: str, lo: float, hi: float) -> None:
 class ScenarioConfig:
     """One scenario, checked when created.
 
-    ``algorithms`` lists distinct names from ``harness.ALGORITHMS``.  Every
-    angle a trial can draw must lie in [-90, 90] degrees: the source DoAs
-    (schedule included), the presumed sector ``desired +- halfwidth`` the
+    ``algorithms`` lists one or more distinct names from ``harness.ALGORITHMS``.
+    Every angle a trial can draw must lie in [-90, 90] degrees: the source
+    DoAs (schedule included), the presumed sector ``desired +- halfwidth`` the
     initial steering is drawn from, and the scattered-path support
     ``mean +- sqrt(3) std``.
     """
 
     sensors: int
+    algorithms: list
     desired_doa_deg: float = 10.0
     interferer_doas_deg: tuple = ()
     snr_db: float | list = 10.0
@@ -65,7 +66,6 @@ class ScenarioConfig:
     sector_halfwidth_deg: float = 5.0
     snapshots: int = 300
     trials: int = 100
-    algorithms: list = field(default_factory=list)
     master_seed: int = 0
     interferer_schedule: list = field(default_factory=list)
 
@@ -92,6 +92,8 @@ class ScenarioConfig:
             if not finite:
                 raise ConfigError(f"the source powers at SNR {snr_db} dB overflow "
                                   "(check snr_db, sir_db and inr_db)")
+        if not self.algorithms:
+            raise ConfigError("'algorithms' must name at least one algorithm")
         for name in self.algorithms:
             if not isinstance(name, str):
                 raise ConfigError(f"algorithm entries must be names, got {name!r}")
@@ -163,20 +165,14 @@ class ScenarioConfig:
             return self.noise_power * 10.0 ** (self.inr_db / 10.0)
         return self.desired_power(snr_db) / 10.0 ** (self.sir_db / 10.0)
 
-    def segments(self, snr_db: float) -> list:
-        """Resolved ``(start_index0, sources)`` list covering all snapshots."""
-        p_des = self.desired_power(snr_db)
-        p_int = self.interferer_power(snr_db)
-
-        def sources_for(doas):
-            out = [SourceConfig(self.desired_doa_deg, p_des, is_desired=True)]
-            out.extend(SourceConfig(d, p_int) for d in doas)
-            return out
-
-        segs = [(0, sources_for(self.interferer_doas_deg))]
-        for change in self.interferer_schedule:
-            segs.append((change.start_snapshot - 1, sources_for(change.interferer_doas_deg)))
-        return segs
+    def segments(self) -> list:
+        """The ``(start, end, interferer_doas_deg)`` spans of snapshots that
+        share one interferer set, in order and tiling ``[0, snapshots)``."""
+        starts = [0] + [c.start_snapshot - 1 for c in self.interferer_schedule]
+        ends = starts[1:] + [self.snapshots]
+        doas = [self.interferer_doas_deg] + [c.interferer_doas_deg
+                                             for c in self.interferer_schedule]
+        return list(zip(starts, ends, doas))
 
     @property
     def num_sources(self) -> int:
@@ -262,8 +258,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
     roster = doc.get("algorithms")
-    if not isinstance(roster, list) or not roster:
-        raise ConfigError("'algorithms' must be a non-empty JSON array")
+    if not isinstance(roster, list):
+        raise ConfigError("'algorithms' must be a JSON array")
     schedule = []
     schedule_doc = doc.get("interferer_schedule", [])
     if not isinstance(schedule_doc, list):

@@ -55,16 +55,6 @@ class AggregateResult:
     failures: dict                 # algorithm -> failed trial count
 
 
-def _interference_covariance(sources, m_sensors: int, noise_power: float) -> np.ndarray:
-    """True interference-plus-noise covariance of one scenario segment."""
-    r = noise_power * np.eye(m_sensors, dtype=complex)
-    for s in sources:
-        if not s.is_desired:
-            a = make_steering(m_sensors, s.doa_deg)
-            r += s.power * np.outer(a, a.conj())
-    return r
-
-
 class Engine(Protocol):
     """The interface the trial loop scores: one weight vector per snapshot."""
 
@@ -158,6 +148,10 @@ class _OptimalRunner:
 def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
     """Generate one trial's observations and ground truth at one SNR point.
 
+    Each segment of ``cfg.segments()`` makes its interferers' steering
+    vectors once; they drive that span's snapshots and its true INC matrix
+    ``noise_power I + sum_k p_int a_k a_k^H``.
+
     Returns ``(ctx, desired_power)``: the :class:`TrialContext` every engine
     of the trial is built from, holding the M x n observations and true
     steering and the INC segments, and the desired signal's linear power.
@@ -178,22 +172,24 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
             if kind == "coherent" else a_nom
         truth = np.repeat(sv[:, None], n, axis=1)
 
-    starts = cfg.segments(snr_db)
-    ends = [start for start, _ in starts[1:]] + [n]
+    p_des, p_int = cfg.desired_power(snr_db), cfg.interferer_power(snr_db)
     observations = np.empty((cfg.sensors, n), dtype=complex)
     segments = []
-    for (start, sources), end in zip(starts, ends):
+    for start, end, doas in cfg.segments():
+        interferers = [make_steering(cfg.sensors, d) for d in doas]
         observations[:, start:end] = generate_snapshots(
-            sources, truth[:, start:end], cfg.noise_power, data_rng)
-        segments.append((start, end, _interference_covariance(
-            sources, cfg.sensors, cfg.noise_power)))
+            truth[:, start:end], p_des, interferers, p_int, cfg.noise_power, data_rng)
+        r_in = cfg.noise_power * np.eye(cfg.sensors, dtype=complex)
+        for a in interferers:
+            r_in += p_int * np.outer(a, a.conj())
+        segments.append((start, end, r_in))
 
     theta0 = init_rng.uniform(cfg.desired_doa_deg - cfg.sector_halfwidth_deg,
                               cfg.desired_doa_deg + cfg.sector_halfwidth_deg)
     ctx = TrialContext(a_init=make_steering(cfg.sensors, theta0), a_nominal=a_nom,
                        num_sources=cfg.num_sources, noise_power=cfg.noise_power,
                        observations=observations, truth=truth, segments=segments)
-    return ctx, cfg.desired_power(snr_db)
+    return ctx, p_des
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> TrialRecord:

@@ -9,7 +9,7 @@ from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE, ETA_A,
                              SgBeamformer, _capped, ccg_inner, mcg_alpha_a,
                              record_normalized_output, sg_update)
 from rabsim.analysis import FlopModel, flops
-from rabsim.arrays import SourceConfig, generate_snapshots, make_steering
+from rabsim.arrays import generate_snapshots, make_steering
 from rabsim.errors import ParameterError
 from rabsim.kernels import norm
 from rabsim.okspme import SteeringEstimator, inc_matrix, mvdr_weights
@@ -70,9 +70,8 @@ def test_sg_rejects_step_outside_bound():
 def test_sg_stability_long_stationary_run():
     m = 6
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 10_000, axis=1),
-                             1.0, rng.stream(3, 0, 0))
+    obs = generate_snapshots(np.repeat(a_true[:, None], 10_000, axis=1), 1.0,
+                             [], 0.0, 1.0, rng.stream(3, 0, 0))
     est = SteeringEstimator(a_true.copy(), 1, 1.0)
     bf = SgBeamformer(est)
     norms = []
@@ -188,11 +187,11 @@ def test_ccg_gradient_matches_finite_differences():
 def test_ccg_beamformer_constraint_and_determinism():
     m = 6
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
+    interferers = [make_steering(m, 30.0)]
 
     def run():
-        obs = generate_snapshots(sources, np.repeat(a_true[:, None], 40, axis=1),
-                                 1.0, rng.stream(8, 0, 0))
+        obs = generate_snapshots(np.repeat(a_true[:, None], 40, axis=1), 5.0,
+                                 interferers, 5.0, 1.0, rng.stream(8, 0, 0))
         est = SteeringEstimator(make_steering(m, 12.0), 2, 1.0, lam=0.998)
         bf = CcgBeamformer(est)
         out = []
@@ -236,9 +235,9 @@ def _bound_pair(bf, x):
 def test_mcg_constraint_and_bound_trace():
     m = 6
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 50, axis=1),
-                             1.0, rng.stream(10, 0, 0))
+    interferers = [make_steering(m, 30.0)]
+    obs = generate_snapshots(np.repeat(a_true[:, None], 50, axis=1), 5.0,
+                             interferers, 5.0, 1.0, rng.stream(10, 0, 0))
     est = SteeringEstimator(make_steering(m, 11.0), 2, 1.0, lam=0.998)
     bf = McgBeamformer(est)
     pairs = []
@@ -253,9 +252,8 @@ def test_mcg_constraint_and_bound_trace():
 def test_mcg_runs_on_sample_mean_tracker():
     m = 5
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 2.0, is_desired=True)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 30, axis=1),
-                             1.0, rng.stream(11, 0, 0))
+    obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
+                             [], 0.0, 1.0, rng.stream(11, 0, 0))
     est = SteeringEstimator(a_true.copy(), 1, 1.0, lam=1.0)
     bf = McgBeamformer(est)
     for i in range(30):
@@ -403,10 +401,9 @@ def test_ccg_inner_bits_match_oracle():
 def test_mcg_snapshots_bits_match_oracle():
     m = 8
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0),
-               SourceConfig(-40.0, 5.0)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 50, axis=1),
-                             1.0, rng.stream(9, 0, 0))
+    interferers = [make_steering(m, 30.0), make_steering(m, -40.0)]
+    obs = generate_snapshots(np.repeat(a_true[:, None], 50, axis=1), 5.0,
+                             interferers, 5.0, 1.0, rng.stream(9, 0, 0))
     engines = []
     for cls in (McgBeamformer, _McgOracle):
         est = SteeringEstimator(make_steering(m, 13.0), 3, 1.0, lam=0.998)

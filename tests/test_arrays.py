@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rabsim import rng
-from rabsim.arrays import (ScatteringSpec, SourceConfig, generate_snapshots,
-                           make_coherent_mismatch, make_incoherent_mismatch,
-                           make_steering)
+from rabsim.arrays import (ScatteringSpec, generate_snapshots, make_coherent_mismatch,
+                           make_incoherent_mismatch, make_steering)
 from rabsim.errors import ParameterError
 
 
@@ -147,16 +146,14 @@ def test_incoherent_gain_variance():
 
 
 def test_generate_snapshots_zero_everything():
-    sources = [SourceConfig(10.0, 0.0, is_desired=True)]
-    x = generate_snapshots(sources, _fixed(make_steering(4, 10.0), 5), 0.0,
-                           rng.stream(0, 0, 0))
+    x = generate_snapshots(_fixed(make_steering(4, 10.0), 5), 0.0,
+                           [], 0.0, 0.0, rng.stream(0, 0, 0))
     assert np.allclose(x, 0.0)
 
 
 def test_generate_snapshots_covariance_matches_model():
     a = make_steering(4, 10.0)
-    sources = [SourceConfig(10.0, 2.0, is_desired=True)]
-    x = generate_snapshots(sources, _fixed(a, 100_000), 0.0, rng.stream(9, 0, 0))
+    x = generate_snapshots(_fixed(a, 100_000), 2.0, [], 0.0, 0.0, rng.stream(9, 0, 0))
     scm = x @ x.conj().T / x.shape[1]
     model = 2.0 * np.outer(a, a.conj())
     err = np.linalg.norm(scm - model) / np.linalg.norm(model)
@@ -166,15 +163,9 @@ def test_generate_snapshots_covariance_matches_model():
 def test_generate_snapshots_validation():
     a = _fixed(make_steering(4, 0.0), 5)
     with pytest.raises(ParameterError):
-        generate_snapshots([], a, 1.0, rng.stream(0, 0, 0))
+        generate_snapshots(a[:, :0], 1.0, [], 1.0, 1.0, rng.stream(0, 0, 0))
     with pytest.raises(ParameterError):
-        generate_snapshots([SourceConfig(0.0, 1.0, is_desired=True)], a[:, :0], 1.0,
-                           rng.stream(0, 0, 0))
-    with pytest.raises(ParameterError):
-        generate_snapshots([SourceConfig(0.0, 1.0, is_desired=True)], a, -1.0,
-                           rng.stream(0, 0, 0))
-    with pytest.raises(ParameterError):
-        generate_snapshots([SourceConfig(0.0, 1.0)], a, 1.0, rng.stream(0, 0, 0))
+        generate_snapshots(a, 1.0, [], 1.0, -1.0, rng.stream(0, 0, 0))
 
 
 def test_generate_snapshots_desired_term_follows_truth_columns():
@@ -182,8 +173,7 @@ def test_generate_snapshots_desired_term_follows_truth_columns():
     nominal = make_steering(4, 10.0)
     spec = ScatteringSpec(kind="incoherent")
     truth = make_incoherent_mismatch(nominal, spec, rng.stream(2, 0, 0), 7)
-    sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    x = generate_snapshots(sources, truth, 0.0, rng.stream(3, 0, 0))
+    x = generate_snapshots(truth, 1.0, [], 0.0, 0.0, rng.stream(3, 0, 0))
     assert x.shape == (4, 7)
     ratio = x / truth
     assert np.allclose(ratio, ratio[:1], atol=1e-12)
@@ -191,11 +181,35 @@ def test_generate_snapshots_desired_term_follows_truth_columns():
 
 
 def test_reproducibility_bit_identical():
-    sources = [SourceConfig(10.0, 1.0, is_desired=True), SourceConfig(30.0, 1.0)]
+    interferers = [make_steering(6, 30.0)]
     a = _fixed(make_steering(6, 10.0), 50)
-    x1 = generate_snapshots(sources, a, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
-    x2 = generate_snapshots(sources, a, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
+    x1 = generate_snapshots(a, 1.0, interferers, 1.0, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
+    x2 = generate_snapshots(a, 1.0, interferers, 1.0, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
     assert np.array_equal(x1, x2)
+
+
+def test_generate_snapshots_draw_order():
+    # the CSV bytes depend on the stream order: the desired symbols, each
+    # interferer's symbols in list order, then the sensor noise
+    m, count = 5, 9
+    spec = ScatteringSpec(kind="incoherent")
+    truth = make_incoherent_mismatch(make_steering(m, 10.0), spec, rng.stream(4, 0, 0), count)
+    a1, a2 = make_steering(m, 30.0), make_steering(m, -20.0)
+    x = generate_snapshots(truth, 2.0, [a1, a2], 3.0, 0.5, rng.stream(12, 0, rng.ROLE_DATA))
+
+    g = rng.stream(12, 0, rng.ROLE_DATA)
+
+    def symbols(power):
+        z = g.standard_normal((count, 2))
+        return math.sqrt(power / 2.0) * (z[:, 0] + 1j * z[:, 1])
+
+    want = np.zeros((m, count), dtype=complex)
+    want += truth * symbols(2.0)[None, :]
+    want += np.outer(a1, symbols(3.0))
+    want += np.outer(a2, symbols(3.0))
+    z = g.standard_normal((m, count, 2))
+    want += math.sqrt(0.5 / 2.0) * (z[..., 0] + 1j * z[..., 1])
+    assert np.array_equal(x, want)
 
 
 def test_scattering_spec_validation():

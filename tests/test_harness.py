@@ -10,6 +10,7 @@ import pytest
 
 import rabsim
 from rabsim import adaptive, harness, kernels, okspme
+from rabsim.arrays import make_steering
 from rabsim.config import config_from_dict, load_config
 from rabsim.errors import ConfigError, ExperimentError, NumericError
 from rabsim.harness import run_experiment, run_trial, simulate_trial_data, write_csv
@@ -118,14 +119,14 @@ def test_power_resolution():
     assert abs(cfg_inr.interferer_power(10.0) - 10.0) < 1e-12
 
 
-def test_segments_and_source_flags():
-    cfg = config_from_dict(_base_doc(interferer_schedule=[
-        {"start_snapshot": 11, "interferer_doas_deg": [20.0, 40.0, 60.0]}]))
-    segs = cfg.segments(10.0)
-    assert [s[0] for s in segs] == [0, 10]
-    first_sources = segs[0][1]
-    assert sum(s.is_desired for s in first_sources) == 1
-    assert len(segs[1][1]) == 4
+def test_segments_tile_the_snapshots():
+    cfg = config_from_dict(_base_doc(snapshots=20))
+    assert cfg.segments() == [(0, 20, (30.0,))]
+    cfg = config_from_dict(_base_doc(snapshots=20, interferer_schedule=[
+        {"start_snapshot": 11, "interferer_doas_deg": [20.0, 40.0, 60.0]},
+        {"start_snapshot": 15, "interferer_doas_deg": []}]))
+    # 1-based change-points 11 and 15 start the 0-based spans at 10 and 14
+    assert cfg.segments() == [(0, 10, (30.0,)), (10, 14, (20.0, 40.0, 60.0)), (14, 20, ())]
     assert cfg.num_sources == 2  # one desired + one initial interferer
 
 
@@ -203,6 +204,15 @@ def test_interference_dimension_changes_at_schedule_point():
     assert (start0, end0, start1, end1) == (0, 15, 15, 30)
     assert interference_rank(r0) == 2
     assert interference_rank(r1) == 5
+    # each segment's INC is noise I + sum_k p_int a_k a_k^H, term by term in DoA order
+    p_int = cfg.interferer_power(cfg.snr_db)
+    doas_per_segment = ([30.0, 50.0], [20.0, 30.0, 40.0, 50.0, 60.0])
+    for (_, _, r_in), doas in zip(ctx.segments, doas_per_segment):
+        want = cfg.noise_power * np.eye(cfg.sensors, dtype=complex)
+        for d in doas:
+            a = make_steering(cfg.sensors, d)
+            want += p_int * np.outer(a, a.conj())
+        assert np.array_equal(r_in, want)
 
 
 @pytest.mark.parametrize("schedule", [
@@ -366,15 +376,10 @@ def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, workers):
     assert after == [2] * len(before)
 
 
-def test_csv_header_only_for_empty_roster(tmp_path):
-    # A scenario file must name an algorithm; the Python API may still pass none.
-    cfg = dataclasses.replace(config_from_dict(_base_doc(trials=1, snapshots=3)),
-                              algorithms=[])
-    agg = run_experiment(cfg)
-    path = tmp_path / "empty.csv"
-    write_csv(agg, path)
-    assert path.read_text(encoding="utf-8") == \
-        "algorithm,x_kind,x_value,mean_sinr_db,mean_steering_mse,trials\n"
+def test_empty_roster_rejected_by_the_config_itself():
+    cfg = config_from_dict(_base_doc())
+    with pytest.raises(ConfigError, match="at least one algorithm"):
+        dataclasses.replace(cfg, algorithms=[])
 
 
 def test_csv_row_count_and_round_trip(tmp_path):

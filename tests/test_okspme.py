@@ -5,7 +5,7 @@ import pytest
 
 from rabsim import rng
 from rabsim.analysis import output_sinr
-from rabsim.arrays import SourceConfig, generate_snapshots, make_steering
+from rabsim.arrays import generate_snapshots, make_steering
 from rabsim.errors import NumericError, ParameterError
 from rabsim.okspme import (OkspmeBeamformer, SteeringEstimator, build_rhs,
                            estimate_power, inc_matrix, mvdr_weights, residue,
@@ -169,9 +169,8 @@ def test_snapshot_ideal_conditions():
     # steering estimate never leaves the true direction
     m = 4
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 10, axis=1),
-                             0.0, rng.stream(1, 0, 0))
+    obs = generate_snapshots(np.repeat(a_true[:, None], 10, axis=1), 1.0,
+                             [], 0.0, 0.0, rng.stream(1, 0, 0))
     bf = _beamformer(m=m, noise=0.0)
     for i in range(10):
         w = bf.process(obs[:, i])
@@ -184,9 +183,8 @@ def test_snapshot_ideal_conditions():
 def test_first_snapshot_well_posed_with_loading():
     m = 6
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 1.0, is_desired=True)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 1, axis=1),
-                             1.0, rng.stream(2, 0, 0))
+    obs = generate_snapshots(np.repeat(a_true[:, None], 1, axis=1), 1.0,
+                             [], 0.0, 1.0, rng.stream(2, 0, 0))
     bf = _beamformer(m=m, noise=1.0)
     w = bf.process(obs[:, 0])
     assert np.isfinite(w).all()
@@ -195,9 +193,9 @@ def test_first_snapshot_well_posed_with_loading():
 def test_steering_norm_invariant_every_snapshot():
     m = 5
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 2.0, is_desired=True), SourceConfig(40.0, 2.0)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 40, axis=1),
-                             1.0, rng.stream(3, 0, 0))
+    interferers = [make_steering(m, 40.0)]
+    obs = generate_snapshots(np.repeat(a_true[:, None], 40, axis=1), 2.0,
+                             interferers, 2.0, 1.0, rng.stream(3, 0, 0))
     bf = _beamformer(m=m, num_sources=2, noise=1.0)
     for i in range(40):
         bf.process(obs[:, i])
@@ -207,9 +205,9 @@ def test_steering_norm_invariant_every_snapshot():
 def test_constraint_satisfaction_during_run():
     m = 6
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 5.0, is_desired=True), SourceConfig(30.0, 5.0)]
-    obs = generate_snapshots(sources, np.repeat(a_true[:, None], 60, axis=1),
-                             1.0, rng.stream(5, 0, 0))
+    interferers = [make_steering(m, 30.0)]
+    obs = generate_snapshots(np.repeat(a_true[:, None], 60, axis=1), 5.0,
+                             interferers, 5.0, 1.0, rng.stream(5, 0, 0))
     bf = _beamformer(m=m, num_sources=2, noise=1.0,
                      a_init=make_steering(m, 12.0))
     for i in range(60):
@@ -237,11 +235,11 @@ def test_weights_collinear_with_smi_on_exact_input():
 def test_run_is_deterministic():
     m = 5
     a_true = make_steering(m, 10.0)
-    sources = [SourceConfig(10.0, 2.0, is_desired=True), SourceConfig(30.0, 2.0)]
+    interferers = [make_steering(m, 30.0)]
 
     def run():
-        obs = generate_snapshots(sources, np.repeat(a_true[:, None], 30, axis=1),
-                                 1.0, rng.stream(6, 1, 0))
+        obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
+                                 interferers, 2.0, 1.0, rng.stream(6, 1, 0))
         bf = _beamformer(m=m, num_sources=2, noise=1.0)
         return np.array([bf.process(obs[:, i]) for i in range(30)])
 
