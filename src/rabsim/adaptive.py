@@ -1,8 +1,8 @@
 """Low-complexity weight engines sharing the steering estimator.
 
 All three variants run the same per-snapshot statistics / power / steering
-machinery (:class:`rabsim.okspme.SteeringEstimator`) and replace the direct
-MVDR solve with an O(M^2)-per-snapshot recursion:
+machinery (:class:`rabsim.okspme.SteeringEstimator`, held by the engine shell
+:class:`rabsim.okspme.EstimatorEngine`) and replace the direct MVDR solve with an O(M^2)-per-snapshot recursion:
 
 * SG: one projected stochastic-gradient step on the constrained cost.
 * CCG: a conventional conjugate-gradient inner loop (N iterations per
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .kernels import norm
-from .okspme import SteeringEstimator, inc_matrix
+from .okspme import EstimatorEngine, SteeringEstimator, inc_matrix
 
 # Relative collapse thresholds for the CG scale factors and restarts.
 ALPHA_COLLAPSE = 1e-7
@@ -90,8 +90,9 @@ def sg_update(w: np.ndarray, mu: float, a_hat: np.ndarray, sigma1_sq: float,
             - mu * (sigma1_sq * a_hat + np.conj(y) * x_perp))
 
 
-class SgBeamformer:
-    """Steering estimator + the stochastic-gradient weight recursion.
+class SgBeamformer(EstimatorEngine):
+    """Steering estimator + the stochastic-gradient weight recursion, whose
+    weights answer the updated steering estimate.
 
     The step size adapts to the running power estimate,
     ``mu = MU_SCALE / (mean(sigma1^2) ||a||^2)``; the smoothed estimate
@@ -102,21 +103,9 @@ class SgBeamformer:
 
     name = "okspme-sg"
 
-    def __init__(self, estimator: SteeringEstimator):
-        self.estimator = estimator
-        self.w = np.ones(estimator.m, dtype=complex)
-
-    @property
-    def a_hat(self) -> np.ndarray:
-        return self.estimator.a_hat
-
-    @property
-    def constraint_steering(self) -> np.ndarray:
-        return self.estimator.a_hat
-
     def process(self, x: np.ndarray) -> np.ndarray:
         _, s1 = self.estimator.begin_snapshot(x)
-        a = self.estimator.a_hat
+        a = self.constraint_steering = self.estimator.a_hat
         # Stability requires mu sigma1^2 ||a||^2 < 1 (the rank-one multiplier's
         # eigenvalue), so the cap scales with the squared steering norm.
         gram = np.vdot(a, a).real
@@ -199,25 +188,17 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
     return it
 
 
-class CcgBeamformer:
+class CcgBeamformer(EstimatorEngine):
     """Steering estimator + conventional-CG weight refinement per snapshot.
 
     The weights warm-start the next snapshot's inner loop as its weight proxy
     ``v``; the inner steering refinement is local to the snapshot and only
-    shapes this snapshot's normalization ``w = v / (a^H v)``.
+    shapes this snapshot's normalization ``w = v / (a^H v)``, so the weights
+    answer the refined vector, which becomes ``constraint_steering``.
     """
 
     name = "okspme-ccg"
     n_inner = N_INNER
-
-    def __init__(self, estimator: SteeringEstimator):
-        self.estimator = estimator
-        self.w = np.ones(estimator.m, dtype=complex)
-        self.constraint_steering = estimator.a_hat
-
-    @property
-    def a_hat(self) -> np.ndarray:
-        return self.estimator.a_hat
 
     def process(self, x: np.ndarray) -> np.ndarray:
         R, s1 = self.estimator.begin_snapshot(x)
@@ -257,7 +238,7 @@ def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
     return num / den
 
 
-class McgBeamformer:
+class McgBeamformer(EstimatorEngine):
     """Steering estimator + a one-iteration-per-snapshot CG weight update.
 
     Each snapshot takes a single conjugate-gradient step on the current
@@ -267,16 +248,16 @@ class McgBeamformer:
     rule with constant ``ETA_A`` on top of the projection update, trust
     capped to the same unit scale as the projection step.  The step rule
     and the steering gradient recursion use the tracker's forgetting factor
-    ``estimator.tracker.lam``.
+    ``estimator.tracker.lam``.  The branch step moves the estimator's own
+    steering estimate, which the weights then answer.
     """
 
     name = "okspme-mcg"
 
     def __init__(self, estimator: SteeringEstimator):
-        self.estimator = estimator
+        super().__init__(estimator)
         m = estimator.m
         self.v = np.ones(m, dtype=complex)
-        self.w = np.ones(m, dtype=complex)
         self.g_a = np.ones(m, dtype=complex)          # g_a(0) = v(0)
         self.p_a = np.ones(m, dtype=complex)
         self.g_v = estimator.a_hat.astype(complex)    # g_v(0) = a(1)
@@ -284,11 +265,6 @@ class McgBeamformer:
         # Squared gradient norms, carried to the next snapshot's coefficients.
         self.ga_sq = np.vdot(self.g_a, self.g_a).real
         self.gv_sq = np.vdot(self.g_v, self.g_v).real
-        self.constraint_steering = estimator.a_hat
-
-    @property
-    def a_hat(self) -> np.ndarray:
-        return self.estimator.a_hat
 
     def process(self, x: np.ndarray) -> np.ndarray:
         R, s1 = self.estimator.begin_snapshot(x)

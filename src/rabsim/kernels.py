@@ -29,7 +29,9 @@ that is not positive definite (``cholesky``) or is exactly singular
 NumPy and SciPy each load their own OpenBLAS, by default with one thread per
 core.  Trials run one per process, so ``single_blas_thread`` and the pool
 initializer ``pin_blas_threads`` keep every loaded OpenBLAS on one thread:
-threaded BLAS inside parallel trial workers oversubscribes the cores.
+threaded BLAS inside parallel trial workers oversubscribes the cores.  Forked
+workers inherit the pin, so the initializer changes nothing there; it acts in
+workers started afresh (spawn, forkserver), which load at the core count.
 """
 
 from __future__ import annotations
@@ -183,9 +185,15 @@ def blas_threads() -> list:
 
 
 def set_blas_threads(counts) -> None:
-    """Give each loaded OpenBLAS the thread count at its place in ``counts``."""
-    for (_, set_), n in zip(_openblas(), counts):
-        set_(n)
+    """Give each loaded OpenBLAS the thread count at its place in ``counts``.
+
+    A library already at its count is left alone: OpenBLAS's setter starts
+    its thread server, so in a forked worker that inherited the one-thread
+    pin it would start one idle thread per library.
+    """
+    for (get, set_), n in zip(_openblas(), counts):
+        if get() != n:
+            set_(n)
 
 
 def pin_blas_threads() -> None:

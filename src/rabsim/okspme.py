@@ -16,7 +16,8 @@ Per snapshot:
 4. interference-plus-noise reconstruction and the MVDR solve.
 
 Steps 1-3 are shared verbatim by the gradient-based weight engines in
-:mod:`rabsim.adaptive`; only step 4 differs between variants.
+:mod:`rabsim.adaptive`; only step 4 differs between variants, each an
+:class:`EstimatorEngine` with its own ``process``.
 """
 
 from __future__ import annotations
@@ -197,27 +198,35 @@ class SteeringEstimator:
         self.tracker.update_crosscorr(x, y)
 
 
-class OkspmeBeamformer:
-    """The direct method: steps 1-3 plus the per-snapshot MVDR solve."""
+class EstimatorEngine:
+    """The shell every OKSPME weight engine shares.
 
-    name = "okspme"
+    Holds the :class:`SteeringEstimator`, the weights ``w`` (all ones before
+    the first snapshot) and ``constraint_steering``, the vector the weights
+    answer with unit gain, which each engine's ``process`` sets.  ``a_hat``,
+    the steering estimate the trial loop scores, is the estimator's.
+    """
 
     def __init__(self, estimator: SteeringEstimator):
         self.estimator = estimator
         self.w = np.ones(estimator.m, dtype=complex)
+        self.constraint_steering = estimator.a_hat
 
     @property
     def a_hat(self) -> np.ndarray:
         return self.estimator.a_hat
 
-    @property
-    def constraint_steering(self) -> np.ndarray:
-        return self.estimator.a_hat
+
+class OkspmeBeamformer(EstimatorEngine):
+    """The direct method: steps 1-3 plus the per-snapshot MVDR solve, whose
+    weights answer the updated steering estimate."""
+
+    name = "okspme"
 
     def process(self, x: np.ndarray) -> np.ndarray:
         """Absorb one snapshot, refresh the weights, return them."""
         R, sigma1_sq = self.estimator.begin_snapshot(x)
-        a_hat = self.estimator.a_hat
+        a_hat = self.constraint_steering = self.estimator.a_hat
         self.w = mvdr_weights(inc_matrix(R, a_hat, sigma1_sq), a_hat)
         self.estimator.record_output(x, np.vdot(self.w, x))
         return self.w

@@ -256,6 +256,23 @@ def test_optimal_algorithm_tracks_truth():
     assert np.allclose(rec.steering_mse["optimal"], 0.0)
 
 
+@pytest.mark.parametrize("name", ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg"])
+def test_okspme_engines_share_the_estimator_shell(name):
+    cfg = config_from_dict(_base_doc(snapshots=10, algorithms=[name]))
+    ctx, _ = simulate_trial_data(cfg, 0, 0)
+    bf = harness.ALGORITHMS[name](ctx)
+    assert isinstance(bf, okspme.EstimatorEngine)
+    assert bf.a_hat is bf.estimator.a_hat
+    assert bf.constraint_steering is bf.estimator.a_hat
+    assert np.array_equal(bf.w, np.ones(cfg.sensors))
+    for i in range(cfg.snapshots):
+        bf.process(ctx.observations[:, i])
+        assert bf.a_hat is bf.estimator.a_hat
+        # the direct and SG weights answer the updated estimate itself
+        if name in ("okspme", "okspme-sg"):
+            assert bf.constraint_steering is bf.estimator.a_hat
+
+
 # The engine values the README's table documents, in the modules that fix them.
 FIXED_VALUES = {"okspme.DELTA": okspme.DELTA, "okspme.DELTA0": okspme.DELTA0,
                 "adaptive.MU_SCALE": adaptive.MU_SCALE,
@@ -350,17 +367,21 @@ def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, workers):
     before = kernels.blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no per-process thread list to count")
     trial, collect = harness.run_trial, harness._collect_trials
-    seen = []
+    seen, os_threads = [], []
 
     def reporting_trial(*args):
         record = trial(*args)
         record.blas_threads = kernels.blas_threads()
+        record.os_threads = len(os.listdir("/proc/self/task"))
         return record
 
     def collecting(*args):
         records = collect(*args)
         seen.extend(r.blas_threads for r in records)
+        os_threads.extend(r.os_threads for r in records)
         return records
 
     monkeypatch.setattr(harness, "run_trial", reporting_trial)
@@ -374,6 +395,10 @@ def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, workers):
         kernels.set_blas_threads(before)
     assert seen == [[1] * len(before)] * 2
     assert after == [2] * len(before)
+    if workers > 1:
+        # A forked worker inherits the one-thread pin and starts no BLAS
+        # thread server: its trials run on its main thread alone.
+        assert os_threads == [1] * 2
 
 
 def test_empty_roster_rejected_by_the_config_itself():
