@@ -23,37 +23,48 @@ import sys
 import tempfile
 from pathlib import Path
 
-from rabsim.cli import main as rabsim_main
-
 SCENARIOS = Path(__file__).resolve().parent / "scenarios"
 TRIALS = 2
 THREADS = (1, 2)
 
 
+def cut_configs(directory: Path) -> list:
+    """Write each bundled scenario, ``trials`` cut to ``TRIALS``, into
+    ``directory``; return the paths in name order."""
+    configs = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["trials"] = TRIALS
+        config = Path(directory) / path.name
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        configs.append(config)
+    return configs
+
+
 def main() -> int:
+    # Imported here: csv_rowdiff.py imports this module without a rabsim on
+    # its path.
+    from rabsim.cli import main as rabsim_main
+
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for path in sorted(SCENARIOS.glob("*.json")):
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            doc["trials"] = TRIALS
-            config = Path(tmp) / path.name
-            config.write_text(json.dumps(doc), encoding="utf-8")
+        for config in cut_configs(Path(tmp)):
             digests = set()
             for threads in THREADS:
-                out = Path(tmp) / f"{path.stem}-{threads}.csv"
+                out = Path(tmp) / f"{config.stem}-{threads}.csv"
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = rabsim_main(["simulate", "--config", str(config),
                                         "--out", str(out),
                                         "--threads", str(threads)])
                 if code:
-                    print(f"{path.stem} {threads} exit-{code}", flush=True)
+                    print(f"{config.stem} {threads} exit-{code}", flush=True)
                     status = status or code
                     continue
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 digests.add(digest)
-                print(f"{path.stem} {threads} {digest}", flush=True)
+                print(f"{config.stem} {threads} {digest}", flush=True)
             if len(digests) > 1:
-                print(f"error: {path.stem}: --threads {THREADS[0]} and "
+                print(f"error: {config.stem}: --threads {THREADS[0]} and "
                       f"{THREADS[1]} wrote different bytes", file=sys.stderr)
                 status = 1
     return status

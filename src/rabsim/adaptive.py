@@ -206,7 +206,7 @@ class CcgBeamformer(EstimatorEngine):
         # The warm-started inner loop needs a slowly varying quadratic, so the
         # subtraction uses the smoothed power estimate (the instantaneous one
         # teleports the solve target from snapshot to snapshot).
-        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
+        quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
         # Warm-start the proxy at the normalized scale of the weights: the
         # emitted weights are scale invariant in v, and an O(1) start keeps
         # the inner loop's trust caps meaningful from snapshot to snapshot.
@@ -269,7 +269,7 @@ class McgBeamformer(EstimatorEngine):
     def process(self, x: np.ndarray) -> np.ndarray:
         R, s1 = self.estimator.begin_snapshot(x)
         a, lam = self.estimator.a_hat, self.estimator.tracker.lam
-        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
+        quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
 
         # Steering branch: band-placed step (capped to the unit scale of the
         # projection update, since this correction persists in the state).

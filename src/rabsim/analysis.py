@@ -18,17 +18,22 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, ParameterError
-from .kernels import cho_solve, cholesky, her_solve, row_norms
+from .kernels import cho_solve, cholesky, row_norms
 
 SINR_FLOOR_DB = -200.0
 
 
 def smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray) -> np.ndarray:
-    """Sample-matrix-inversion beamformer ``R^-1 a / (a^H R^-1 a)``."""
+    """Sample-matrix-inversion beamformer ``R^-1 a / (a^H R^-1 a)``.
+
+    ``R_hat`` must be Hermitian positive definite (a loaded sample
+    covariance is); it is solved through its Cholesky factor, and any other
+    matrix raises ``NumericError``.
+    """
     try:
-        z = her_solve(R_hat, a_nominal)
+        z = cho_solve(cholesky(R_hat), a_nominal)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError("sample covariance is singular") from exc
+        raise NumericError("sample covariance is not positive definite") from exc
     if not np.isfinite(z).all():
         raise NumericError("sample covariance solve produced non-finite weights")
     return z / np.vdot(a_nominal, z)
@@ -36,29 +41,31 @@ def smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray) -> np.ndarray:
 
 def loaded_smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray,
                        loading: float) -> np.ndarray:
-    """SMI weights from the diagonally loaded covariance ``R + loading I``."""
+    """SMI weights from the diagonally loaded covariance ``R + loading I``,
+    which must be Hermitian positive definite (see ``smi_weights``)."""
     if loading < 0:
         raise ParameterError("loading must be >= 0")
     return smi_weights(R_hat + loading * np.eye(R_hat.shape[0]), a_nominal)
 
 
-def optimal_weights(a_true: np.ndarray, R_in_true: np.ndarray) -> np.ndarray:
-    """Clairvoyant MVDR weights from the true interference-plus-noise matrix."""
+def inc_factor(R_in_true: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a true interference-plus-noise matrix."""
     try:
-        factor = cholesky(R_in_true)
+        return cholesky(R_in_true)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError("true INC matrix is not positive definite") from exc
+
+
+def optimal_weights(a_true: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Clairvoyant MVDR weights; ``factor`` is ``inc_factor`` of the true
+    interference-plus-noise matrix."""
     z = cho_solve(factor, a_true)
     return z / np.vdot(a_true, z)
 
 
 def optimal_sinr(sigma1_sq: float, a_true: np.ndarray, R_in_true: np.ndarray) -> float:
     """Attainable SINR ``10 log10(sigma1^2 a^H R_in^-1 a)`` in dB."""
-    try:
-        factor = cholesky(R_in_true)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("true INC matrix is not positive definite") from exc
-    quad = np.vdot(a_true, cho_solve(factor, a_true)).real
+    quad = np.vdot(a_true, cho_solve(inc_factor(R_in_true), a_true)).real
     return 10.0 * math.log10(sigma1_sq * quad)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import kernels, rng
 from .adaptive import CcgBeamformer, McgBeamformer, SgBeamformer
-from .analysis import (loaded_smi_weights, optimal_weights, output_sinr,
-                       smi_weights, steering_mse)
+from .analysis import (inc_factor, loaded_smi_weights, optimal_weights,
+                       output_sinr, smi_weights, steering_mse)
 from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
 from .errors import ExperimentError, NumericError
@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     from .config import ScenarioConfig
 
 STEADY_WINDOW = 50  # snapshots averaged for one SNR-sweep point
+SMI_DELTA0 = 0.1  # smi's initial covariance loading, in units of the noise power
 LOADING_SCALE = 10.0  # loaded-smi's diagonal loading, in units of the noise power
 
 
@@ -103,7 +104,8 @@ ALGORITHMS = {
     "okspme-sg": lambda ctx: SgBeamformer(_estimator(ctx, 1.0)),
     "okspme-ccg": lambda ctx: CcgBeamformer(_estimator(ctx, 0.998)),
     "okspme-mcg": lambda ctx: McgBeamformer(_estimator(ctx, 0.998)),
-    "smi": lambda ctx: _SmiRunner("smi", ctx.a_nominal, delta0=0.1, loading=0.0),
+    "smi": lambda ctx: _SmiRunner("smi", ctx.a_nominal,
+                                  delta0=SMI_DELTA0 * ctx.noise_power, loading=0.0),
     "loaded-smi": lambda ctx: _SmiRunner("loaded-smi", ctx.a_nominal, delta0=0.0,
                                          loading=LOADING_SCALE * ctx.noise_power),
     "optimal": lambda ctx: _OptimalRunner(ctx.truth, ctx.segments),
@@ -133,16 +135,24 @@ class _OptimalRunner:
     name = "optimal"
 
     def __init__(self, truth: np.ndarray, segments: list):
-        # Columns go out as strided views: a contiguous copy changes the bits
-        # of the solve.
-        self.steps = ((truth[:, i], r_in) for start, end, r_in in segments
-                      for i in range(start, end))
+        self.steps = self._steps(truth, segments)
         self.a_hat = self.constraint_steering = None
 
+    @staticmethod
+    def _steps(truth, segments):
+        """``(true steering, INC factor)`` per snapshot; each segment's INC
+        is factored once, at its first snapshot."""
+        for start, end, r_in in segments:
+            factor = inc_factor(r_in)
+            # Columns go out as strided views: a contiguous copy changes the
+            # bits of the solve.
+            for i in range(start, end):
+                yield truth[:, i], factor
+
     def process(self, x):
-        self.a_hat, r_in = next(self.steps)
+        self.a_hat, factor = next(self.steps)
         self.constraint_steering = self.a_hat
-        return optimal_weights(self.a_hat, r_in)
+        return optimal_weights(self.a_hat, factor)
 
 
 def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):

@@ -18,6 +18,8 @@ call it replaces and raises the same exception classes.
   complex ``a`` or ``b``: the upper triangle is factored by ``hetrf`` with the
   optimal workspace, and ``LinAlgWarning`` is emitted when the ``hecon``
   reciprocal condition number falls below the dtype's machine epsilon.
+  No weight in rabsim calls it: every MVDR-type weight, SMI included, is a
+  Cholesky solve.
 * ``norm(x)`` is ``np.linalg.norm(x)`` for a float or complex array, and
   ``row_norms(x)`` is ``norm`` of each row of a C-contiguous 2-D array.
 
@@ -128,8 +130,11 @@ def norm(x: np.ndarray) -> np.floating:
     """Euclidean (Frobenius, for a matrix) norm of a float or complex array.
 
     A float array's imaginary dot is ``+0.0``, which leaves the bits alone.
+    Anything but a 1-D C-contiguous array is flattened first: a strided real
+    array takes another BLAS dot path, with other bits.
     """
-    x = x.ravel(order="K")
+    if not (x.ndim == 1 and x.flags.c_contiguous):
+        x = x.ravel(order="K")
     x_real, x_imag = x.real, x.imag
     return np.sqrt(x_real.dot(x_real) + x_imag.dot(x_imag))
 

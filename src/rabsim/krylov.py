@@ -11,6 +11,7 @@ of dimension exactly ``K + 1`` also reads ``RANK_CAP``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ def arnoldi_mgs(R: np.ndarray, t1: np.ndarray, num_sources: int) -> KrylovBasis:
     # A finite norm means finite entries; only an overflowing (or non-finite)
     # norm needs the entrywise test.
     r_norm, t1_norm = norm(R), norm(t1)
-    if (not np.isfinite(r_norm) and not np.isfinite(R).all()) or \
-       (not np.isfinite(t1_norm) and not np.isfinite(t1).all()):
+    if (not math.isfinite(r_norm) and not np.isfinite(R).all()) or \
+       (not math.isfinite(t1_norm) and not np.isfinite(t1).all()):
         raise NumericError("non-finite entries in Arnoldi inputs")
     if abs(t1_norm - 1.0) > 1e-8:
         raise ParameterError("seed vector t1 must have unit norm")
@@ -80,7 +81,9 @@ def arnoldi_mgs(R: np.ndarray, t1: np.ndarray, num_sources: int) -> KrylovBasis:
             break
         cols.append(u / res)
 
-    return KrylovBasis(T=np.column_stack(cols), m=len(cols), stop_reason=stop)
+    # One copy into a C-ordered m x M array; T is its transposed view, whose
+    # projector has the bits of a C-ordered T's.
+    return KrylovBasis(T=np.array(cols).T, m=len(cols), stop_reason=stop)
 
 
 def make_projector(basis: KrylovBasis) -> np.ndarray:

@@ -89,36 +89,45 @@ def update_steering(a_hat: np.ndarray, P: np.ndarray, d_hat: np.ndarray,
     return a_new * (norm_target / norm(a_new))
 
 
-def inc_matrix(R_hat: np.ndarray, a_hat: np.ndarray, sigma1_sq: float) -> np.ndarray:
+def inc_matrix(R_hat: np.ndarray, a_hat: np.ndarray,
+               sigma1_sq: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Interference-plus-noise covariance ``R_hat - sigma1^2 a a^H``.
 
     An overestimated desired power can push the result indefinite; in that
     case a minimal diagonal loading ``(|lambda_min| + 1e-6 tr(R)/M) I`` is
     added so the MVDR solve stays well posed.
+
+    Returns ``(r_in, factor)``: ``factor`` is the lower Cholesky factor of
+    ``r_in`` left by the positive-definiteness test, or None when the
+    loading repaired ``r_in``.
     """
     r_in = R_hat - sigma1_sq * (a_hat[:, None] * a_hat.conj())
     r_in = 0.5 * (r_in + r_in.conj().T)
     try:
-        cholesky(r_in)
-        return r_in
+        return r_in, cholesky(r_in)
     except scipy.linalg.LinAlgError:
         pass
-    lam_min = scipy.linalg.eigvalsh(r_in)[0]
+    # cholesky has checked that r_in is finite.
+    lam_min = scipy.linalg.eigvalsh(r_in, check_finite=False, driver="evr")[0]
     delta_psd = 1e-6 * np.trace(R_hat).real / R_hat.shape[0]
-    return r_in + (abs(lam_min) + abs(delta_psd)) * np.eye(r_in.shape[0])
+    return r_in + (abs(lam_min) + abs(delta_psd)) * np.eye(r_in.shape[0]), None
 
 
-def mvdr_weights(R_in: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+def mvdr_weights(R_in: np.ndarray, a_hat: np.ndarray,
+                 factor: np.ndarray | None = None) -> np.ndarray:
     """Distortionless weights ``R_in^-1 a / (a^H R_in^-1 a)``.
 
     Uses a Hermitian positive-definite factorization, never an explicit
-    inverse; the complex-denominator normalization makes ``w^H a = 1`` hold
-    to the last bit.
+    inverse; ``factor``, the lower Cholesky factor of ``R_in`` when the
+    caller already has it, saves refactoring.  The complex-denominator
+    normalization makes ``w^H a = 1`` hold to the last bit.
     """
-    try:
-        factor = cholesky(R_in)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("interference-plus-noise matrix is not positive definite") from exc
+    if factor is None:
+        try:
+            factor = cholesky(R_in)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericError(
+                "interference-plus-noise matrix is not positive definite") from exc
     z = cho_solve(factor, a_hat)
     return z / np.vdot(a_hat, z)
 
@@ -227,6 +236,7 @@ class OkspmeBeamformer(EstimatorEngine):
         """Absorb one snapshot, refresh the weights, return them."""
         R, sigma1_sq = self.estimator.begin_snapshot(x)
         a_hat = self.constraint_steering = self.estimator.a_hat
-        self.w = mvdr_weights(inc_matrix(R, a_hat, sigma1_sq), a_hat)
+        r_in, factor = inc_matrix(R, a_hat, sigma1_sq)
+        self.w = mvdr_weights(r_in, a_hat, factor)
         self.estimator.record_output(x, np.vdot(self.w, x))
         return self.w

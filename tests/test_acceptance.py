@@ -182,7 +182,7 @@ def test_criterion_5_gradients_match_finite_differences():
         worst_a = max(worst_a, np.abs(g_a + fd_a).max() / np.abs(fd_a).max())
 
         # weight-branch residual: at the seed and after one line-search step
-        quad_m = inc_matrix(R, a, s1)
+        quad_m, _ = inc_matrix(R, a, s1)
         assert np.abs(quad_m - (R - s1 * np.outer(a, a.conj()))).max() < 1e-10
         it = ccg_inner(quad_m, a, v, s1, 1)
 

@@ -105,8 +105,8 @@ def test_ccg_converges_to_direct_solve_on_exact_input():
     a = make_steering(m, 10.0)
     sigma1, sigma_n = 2.0, 0.5
     R = sigma1 * np.outer(a, a.conj()) + sigma_n * np.eye(m)
-    quad = inc_matrix(R, a, sigma1)
-    w_direct = mvdr_weights(quad, a)
+    quad, factor = inc_matrix(R, a, sigma1)
+    w_direct = mvdr_weights(quad, a, factor)
     v = np.ones(m, dtype=complex)
     for _ in range(30):
         it = ccg_inner(quad, a, v, sigma1, 5)
@@ -162,7 +162,7 @@ def test_ccg_gradient_matches_finite_differences():
     R = b @ b.conj().T + np.eye(m)
     a = _rand(g, m)
     s1 = 0.05  # small power keeps R - s1 a a^H positive definite (no repair)
-    quad = inc_matrix(R, a, s1)
+    quad, _ = inc_matrix(R, a, s1)
     assert np.abs(quad - (R - s1 * np.outer(a, a.conj()))).max() < 1e-12
     v0 = _rand(g, m)
     it = ccg_inner(quad, a, v0, s1, 2)
@@ -329,7 +329,7 @@ class _McgOracle(McgBeamformer):
     def process(self, x):
         R, s1 = self.estimator.begin_snapshot(x)
         a, lam = self.estimator.a_hat, self.estimator.tracker.lam
-        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
+        quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
         alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:

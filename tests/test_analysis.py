@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rabsim
 from rabsim import rng
-from rabsim.analysis import (FlopModel, epsilon_moments, flops,
+from rabsim.analysis import (FlopModel, epsilon_moments, flops, inc_factor,
                              loaded_smi_weights, mse_bounds, optimal_sinr,
                              optimal_weights, output_sinr, smi_weights,
                              steering_mse)
@@ -49,6 +50,33 @@ def test_smi_unit_response(seed):
 def test_smi_singular_raises():
     with pytest.raises(NumericError):
         smi_weights(np.zeros((3, 3), dtype=complex), make_steering(3, 0.0))
+
+
+def test_smi_indefinite_raises():
+    g = np.random.default_rng(6)
+    R = _pd(g, 5)
+    R = R - 0.5 * np.trace(R).real / 5 * np.eye(5)     # Hermitian, indefinite
+    assert np.linalg.eigvalsh(R)[0] < 0 < np.linalg.eigvalsh(R)[-1]
+    with pytest.raises(NumericError):
+        smi_weights(R, make_steering(5, 0.0))
+    with pytest.raises(NumericError):
+        loaded_smi_weights(R - 1e3 * np.eye(5), make_steering(5, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("m", [2, 12, 40])
+def test_smi_is_the_cholesky_mvdr_of_scipy(m):
+    # same bits as scipy's cho_factor/cho_solve run in this process, and
+    # within 1e-12 of its general Hermitian solve
+    g = np.random.default_rng(50 + m)
+    for _ in range(10):
+        R = _pd(g, m)
+        a = make_steering(m, g.uniform(-60.0, 60.0))
+        z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(R, lower=True), a)
+        w = smi_weights(R, a)
+        assert w.tobytes() == (z / np.vdot(a, z)).tobytes()
+        z_her = scipy.linalg.solve(R, a, assume_a="her")
+        w_her = z_her / np.vdot(a, z_her)
+        assert np.linalg.norm(w - w_her) <= 1e-12 * np.linalg.norm(w_her)
 
 
 def test_loaded_smi_zero_loading_equals_smi():
@@ -94,9 +122,14 @@ def test_output_sinr_attains_optimum():
     g = np.random.default_rng(2)
     a = make_steering(6, 10.0)
     r_in = _pd(g, 6)
-    w = optimal_weights(a, r_in)
+    w = optimal_weights(a, inc_factor(r_in))
     assert abs(output_sinr(w[None], 2.0, a[None], r_in)[0]
                - optimal_sinr(2.0, a, r_in)) < 1e-9
+
+
+def test_indefinite_true_inc_raises():
+    with pytest.raises(NumericError):
+        inc_factor(np.diag([1.0, -1.0]).astype(complex))
 
 
 def test_output_sinr_scale_invariant():

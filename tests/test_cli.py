@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,24 @@ def test_angles_at_the_edges_are_accepted(tmp_path, capsys):
                     scattering={"kind": "none", "angle_mean_deg": 89.0,
                                 "angle_std_deg": 30.0})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+
+
+# The SMI baselines load their covariance in units of the noise power, so
+# their trials run clean at any noise power in the float range.
+@pytest.mark.parametrize("noise_power", [1e-300, 1e-100, 1e-20, 1.0, 1e20, 1e50,
+                                         1e100, 1e200, 1e300])
+def test_smi_baselines_run_clean_at_any_noise_power(tmp_path, capsys, noise_power):
+    cfg = _scenario(tmp_path, interferer_doas_deg=[40.0], snr_db=-10.0,
+                    noise_power=noise_power, scattering={"kind": "none"},
+                    snapshots=20, master_seed=1, algorithms=["smi", "loaded-smi"])
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert not caught, [str(w.message) for w in caught]
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert all(row.endswith(",2") for row in rows)
 
 
 # ------------------------------------------------ mutated scenario documents

@@ -278,6 +278,7 @@ FIXED_VALUES = {"okspme.DELTA": okspme.DELTA, "okspme.DELTA0": okspme.DELTA0,
                 "adaptive.MU_SCALE": adaptive.MU_SCALE,
                 "adaptive.N_INNER": adaptive.N_INNER,
                 "adaptive.ETA_A": adaptive.ETA_A,
+                "harness.SMI_DELTA0": harness.SMI_DELTA0,
                 "harness.LOADING_SCALE": harness.LOADING_SCALE}
 
 

@@ -7,6 +7,7 @@ from rabsim import rng
 from rabsim.analysis import output_sinr
 from rabsim.arrays import generate_snapshots, make_steering
 from rabsim.errors import NumericError, ParameterError
+from rabsim.kernels import cholesky
 from rabsim.okspme import (OkspmeBeamformer, SteeringEstimator, build_rhs,
                            estimate_power, inc_matrix, mvdr_weights, residue,
                            update_steering)
@@ -106,29 +107,40 @@ def test_inc_zero_power_returns_covariance():
     g = np.random.default_rng(1)
     b = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
     R = b @ b.conj().T + np.eye(3)
-    assert np.allclose(inc_matrix(R, make_steering(3, 0.0), 0.0), R)
+    assert np.allclose(inc_matrix(R, make_steering(3, 0.0), 0.0)[0], R)
 
 
 def test_inc_hand_value():
     R = 2.0 * np.eye(2, dtype=complex)
     a = np.array([1.0, 1.0], dtype=complex)
-    out = inc_matrix(R, a, 0.5)
+    out, _ = inc_matrix(R, a, 0.5)
     assert np.allclose(out, [[1.5, -0.5], [-0.5, 1.5]])
 
 
 def test_inc_exact_cancellation():
     a = make_steering(4, 10.0)
     R = 2.0 * np.outer(a, a.conj()) + 0.3 * np.eye(4)
-    out = inc_matrix(R, a, 2.0)
+    out, _ = inc_matrix(R, a, 2.0)
     assert np.allclose(out, 0.3 * np.eye(4), atol=1e-12)
 
 
 def test_inc_repair_restores_positive_definiteness():
     a = make_steering(4, 10.0)
     R = 1.0 * np.outer(a, a.conj()) + 0.3 * np.eye(4)
-    out = inc_matrix(R, a, 5.0)  # heavy over-subtraction
+    out, factor = inc_matrix(R, a, 5.0)  # heavy over-subtraction
     eigs = np.linalg.eigvalsh(out)
     assert eigs[0] > 0
+    assert factor is None   # the repaired matrix was never factored
+
+
+def test_inc_factor_is_the_cholesky_factor_of_the_result():
+    g = np.random.default_rng(4)
+    b = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
+    R = b @ b.conj().T + np.eye(5)
+    a = make_steering(5, 10.0)
+    out, factor = inc_matrix(R, a, 0.01)
+    assert factor.tobytes() == cholesky(out).tobytes()
+    assert mvdr_weights(out, a, factor).tobytes() == mvdr_weights(out, a).tobytes()
 
 
 def test_mvdr_identity_covariance():
@@ -223,7 +235,8 @@ def test_weights_collinear_with_smi_on_exact_input():
     sigma1 = 2.0
     r_in = 0.5 * np.eye(m, dtype=complex)
     R = sigma1 * np.outer(a, a.conj()) + r_in
-    w = mvdr_weights(inc_matrix(R, a, sigma1), a)
+    r_in, factor = inc_matrix(R, a, sigma1)
+    w = mvdr_weights(r_in, a, factor)
     z = R @ w
     cos = abs(np.vdot(z, a)) / (np.linalg.norm(z) * np.linalg.norm(a))
     assert abs(cos - 1.0) < 1e-12
