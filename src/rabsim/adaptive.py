@@ -207,10 +207,14 @@ class CcgBeamformer(EstimatorEngine):
         # subtraction uses the smoothed power estimate (the instantaneous one
         # teleports the solve target from snapshot to snapshot).
         quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
+        # The inner loop runs in units of the noise power, so its steps and
+        # trust caps do not depend on the unit power is measured in.
+        unit = self.estimator.noise.value
+        quad /= unit
         # Warm-start the proxy at the normalized scale of the weights: the
         # emitted weights are scale invariant in v, and an O(1) start keeps
         # the inner loop's trust caps meaningful from snapshot to snapshot.
-        it = ccg_inner(quad, a, self.w, s1, self.n_inner)
+        it = ccg_inner(quad, a, self.w, s1 / unit, self.n_inner)
         denom = np.vdot(it.a, it.v)
         if abs(denom) > 0:
             self.w = it.v / denom
@@ -221,11 +225,13 @@ class CcgBeamformer(EstimatorEngine):
 
 def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
                 a_hat: np.ndarray, x: np.ndarray, sigma1_sq: float,
-                lam: float, eta_a: float) -> complex:
+                lam: float, eta_a: float, sigma_n_sq: float) -> complex:
     """Band-placed steering step size (constant ``eta_a`` in [0, 0.5]).
 
-    ``[lam (p^H v - p^H g_prev) - p^H v + p^H x x^H a + eta_a p^H g_prev]
-    / [sigma1^2 |v^H p|^2]``; returns 0 on a collapsed denominator.
+    ``[lam (p^H v - p^H g_prev) - p^H v + p^H x x^H a / sigma_n^2
+    + eta_a p^H g_prev] / [sigma1^2 |v^H p|^2]``, with ``sigma1_sq`` already
+    in units of the noise power ``sigma_n_sq``; returns 0 on a collapsed
+    denominator.
     """
     den = sigma1_sq * abs(np.vdot(v, p_a)) ** 2
     scale = (norm(v) * norm(p_a)) ** 2
@@ -234,7 +240,7 @@ def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
     pa_v = np.vdot(p_a, v)
     pa_g = np.vdot(p_a, g_a_prev)
     num = (lam * (pa_v - pa_g) - pa_v
-           + np.vdot(p_a, x) * np.vdot(x, a_hat) + eta_a * pa_g)
+           + np.vdot(p_a, x) * np.vdot(x, a_hat) / sigma_n_sq + eta_a * pa_g)
     return num / den
 
 
@@ -249,7 +255,8 @@ class McgBeamformer(EstimatorEngine):
     capped to the same unit scale as the projection step.  The step rule
     and the steering gradient recursion use the tracker's forgetting factor
     ``estimator.tracker.lam``.  The branch step moves the estimator's own
-    steering estimate, which the weights then answer.
+    steering estimate, which the weights then answer.  Powers, the quadratic
+    and the ``x x^H a`` terms are taken in units of the noise power.
     """
 
     name = "okspme-mcg"
@@ -269,11 +276,14 @@ class McgBeamformer(EstimatorEngine):
     def process(self, x: np.ndarray) -> np.ndarray:
         R, s1 = self.estimator.begin_snapshot(x)
         a, lam = self.estimator.a_hat, self.estimator.tracker.lam
+        unit = self.estimator.noise.value
         quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
+        quad /= unit
+        s1 = s1 / unit
 
         # Steering branch: band-placed step (capped to the unit scale of the
         # projection update, since this correction persists in the state).
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A, unit)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)
@@ -293,7 +303,7 @@ class McgBeamformer(EstimatorEngine):
 
         g_a_new = ((1 - lam) * self.v + lam * self.g_a
                    + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
-                   - np.vdot(x, a_new) * x)
+                   - np.vdot(x, a_new) / unit * x)
         g_v_new = g_entry - alpha_v * a_pv
 
         ga_new_sq = np.vdot(g_a_new, g_a_new).real

@@ -2,8 +2,8 @@
 
 At the array sizes rabsim simulates (a few to a few dozen sensors) the
 arithmetic of one factorization or solve takes a few microseconds, while
-``scipy.linalg.cholesky``/``cho_factor``, ``cho_solve`` and ``solve`` spend
-several times that on argument conversion, batching and structure handling,
+``scipy.linalg.cholesky``/``cho_factor`` and ``cho_solve`` spend several
+times that on argument conversion, batching and structure handling,
 and ``np.linalg.norm`` on option dispatch.  Every snapshot of every algorithm
 pays that overhead, so this module calls the same LAPACK routines through the
 handles ``scipy.linalg.get_lapack_funcs`` returns, cached by dtype, and
@@ -14,23 +14,17 @@ call it replaces and raises the same exception classes.
 
 * ``cholesky(a)`` is ``scipy.linalg.cholesky(a, lower=True)``.
 * ``cho_solve(c, b)`` is ``scipy.linalg.cho_solve((c, True), b)``.
-* ``her_solve(a, b)`` is ``scipy.linalg.solve(a, b, assume_a="her")`` for a
-  complex ``a`` or ``b``: the upper triangle is factored by ``hetrf`` with the
-  optimal workspace, and ``LinAlgWarning`` is emitted when the ``hecon``
-  reciprocal condition number falls below the dtype's machine epsilon.
-  No weight in rabsim calls it: every MVDR-type weight, SMI included, is a
-  Cholesky solve.
 * ``norm(x)`` is ``np.linalg.norm(x)`` for a float or complex array, and
   ``row_norms(x)`` is ``norm`` of each row of a C-contiguous 2-D array.
 
 Non-finite input raises ``ValueError`` (scipy's ``check_finite``), a matrix
-that is not positive definite (``cholesky``) or is exactly singular
-(``her_solve``) raises ``LinAlgError``, and a negative LAPACK ``info`` raises
-``ValueError``.
+that is not positive definite, singular ones included, raises ``LinAlgError``
+in ``cholesky``, and a negative LAPACK ``info`` raises ``ValueError``.
 
 NumPy and SciPy each load their own OpenBLAS, by default with one thread per
 core.  Trials run one per process, so ``single_blas_thread`` and the pool
-initializer ``pin_blas_threads`` keep every loaded OpenBLAS on one thread:
+initializer ``pin_blas_threads`` keep every loaded OpenBLAS on one thread
+(``blas_threads`` and ``set_blas_threads`` read and set the counts):
 threaded BLAS inside parallel trial workers oversubscribes the cores.  Forked
 workers inherit the pin, so the initializer changes nothing there; it acts in
 workers started afresh (spawn, forkserver), which load at the core count.
@@ -41,10 +35,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, get_lapack_funcs
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 _NON_FINITE = "array must not contain infs or NaNs"
 
@@ -53,20 +46,6 @@ _NON_FINITE = "array must not contain infs or NaNs"
 def _routines(names: tuple, *dtypes) -> list:
     """LAPACK handles for ``names`` at the precision scipy picks for ``dtypes``."""
     return get_lapack_funcs(names, tuple(np.empty(0, dt) for dt in dtypes))
-
-
-@functools.cache
-def _her_routines(a_dtype, b_dtype, n: int) -> tuple:
-    """Hermitian factor, solve and condition routines, workspace and epsilon.
-
-    The workspace is LAPACK's optimal size, as ``scipy.linalg.solve`` queries
-    it (it decides between the blocked and unblocked factorization).
-    """
-    trf, trs, con, lange, query = _routines(
-        ("hetrf", "hetrs", "hecon", "lange", "hetrf_lwork"), a_dtype, b_dtype)
-    work, info = query(n)
-    _check_info(info, query)
-    return trf, trs, con, lange, int(work.real), np.finfo(trf.dtype).eps
 
 
 def _check_info(info: int, routine) -> None:
@@ -98,31 +77,6 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     potrs, = _routines(("potrs",), c.dtype, b.dtype)
     x, info = potrs(c, b, lower=1)
     _check_info(info, potrs)
-    return x
-
-
-def her_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for a Hermitian ``a``; ``a`` or ``b`` must be complex.
-
-    Reads the upper triangle of ``a``; a real ``a`` is read as a symmetric
-    matrix.  An exactly singular pivot raises ``LinAlgError``; an
-    ill-conditioned matrix still returns the solution, with a
-    ``LinAlgWarning``.
-    """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError(_NON_FINITE)
-    trf, trs, con, lange, lwork, eps = _her_routines(a.dtype, b.dtype, a.shape[0])
-    ldu, ipiv, info = trf(a, lower=0, lwork=lwork)
-    if info > 0:
-        raise LinAlgError("Matrix is singular.")
-    _check_info(info, trf)
-    x, info = trs(ldu, ipiv, b, lower=0)
-    _check_info(info, trs)
-    rcond, info = con(ldu, ipiv, lange("1", a), lower=0)
-    _check_info(info, con)
-    if not rcond >= eps:    # also catches a NaN rcond
-        warnings.warn(f"Ill-conditioned matrix (rcond={rcond:.6g}): "
-                      "result may not be accurate.", LinAlgWarning, stacklevel=2)
     return x
 
 

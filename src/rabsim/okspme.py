@@ -32,24 +32,26 @@ from .kernels import cho_solve, cholesky, norm
 from .krylov import arnoldi_mgs, make_projector
 from .tracking import CovarianceTracker
 
+# Powers in units of the estimator's noise power.
 POWER_FLOOR = 1e-8
-TINY = 1e-12
 DELTA = 0.1     # loading of step 2's linear system
 DELTA0 = 0.1    # initial covariance loading of the estimator's tracker
+TINY = 1e-12
 
 
-def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float) -> float:
+def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float,
+                   power_floor: float) -> float:
     """Instantaneous desired-signal power from one snapshot.
 
     ``(|a^H x|^2 - |a^H a| sigma_n^2) / |a^H a|^2``, clamped from below at
-    ``POWER_FLOOR`` so a noise-dominated snapshot cannot return a negative
+    ``power_floor`` so a noise-dominated snapshot cannot return a negative
     power and flip the sign of the rank-one subtraction downstream.
     """
     gram = abs(np.vdot(a_hat, a_hat))
     if gram <= 0.0:
         raise ParameterError("steering estimate must be nonzero")
     proj = abs(np.vdot(a_hat, x)) ** 2
-    return max(POWER_FLOOR, (proj - gram * sigma_n_sq) / gram**2)
+    return max(power_floor, (proj - gram * sigma_n_sq) / gram**2)
 
 
 def build_rhs(a_hat: np.ndarray, sigma1_sq: float, sigma_n_sq: float,
@@ -150,15 +152,20 @@ class SteeringEstimator:
     ``DELTA0``) that supplies the snapshot statistics, and the noise power
     source; ``lam = 1`` tracks the sample mean.  The steering estimate keeps
     the physical ULA norm ``sqrt(M)``; ``DELTA`` loads the linear system of
-    step 2.
+    step 2.  ``DELTA0``, ``DELTA`` and ``POWER_FLOOR`` are taken in units of
+    the noise power given here, so the estimates do not depend on the unit
+    the scenario measures power in.
     """
 
     def __init__(self, a_init: np.ndarray, num_sources: int, noise_power: float,
                  lam: float = 1.0):
         a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
-        self.tracker = CovarianceTracker(self.m, lam=lam, delta0=DELTA0)
         self.noise = NoisePowerSource(noise_power)
+        unit = self.noise.value
+        self.tracker = CovarianceTracker(self.m, lam=lam, delta0=DELTA0 * unit)
+        self.delta = DELTA * unit
+        self.power_floor = POWER_FLOOR * unit
         self.norm_target = math.sqrt(self.m)
         self.a_hat = a_init * (self.norm_target / norm(a_init))
         self.num_sources = int(num_sources)
@@ -171,8 +178,8 @@ class SteeringEstimator:
     def sigma1_sq_mean(self) -> float:
         """Running (tracker-weighted) mean of the power estimates."""
         if self._sigma1_den == 0.0:
-            return POWER_FLOOR
-        return max(POWER_FLOOR, self._sigma1_num / self._sigma1_den)
+            return self.power_floor
+        return max(self.power_floor, self._sigma1_num / self._sigma1_den)
 
     def begin_snapshot(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Absorb a snapshot into the covariance and run steps 1-3.
@@ -189,12 +196,12 @@ class SteeringEstimator:
         R = self.tracker.covariance()
         d = self.tracker.crosscorr()
         sigma_n = self.noise.noise_power(R)
-        sigma1 = estimate_power(self.a_hat, x, sigma_n)
+        sigma1 = estimate_power(self.a_hat, x, sigma_n, self.power_floor)
         lam = self.tracker.lam
         self._sigma1_num = lam * self._sigma1_num + sigma1
         self._sigma1_den = lam * self._sigma1_den + 1.0
 
-        b = build_rhs(self.a_hat, sigma1, sigma_n, DELTA)
+        b = build_rhs(self.a_hat, sigma1, sigma_n, self.delta)
         _, t1, converged = residue(R, self.a_hat, b)
         if not converged:
             basis = arnoldi_mgs(R, t1, self.num_sources)

@@ -210,10 +210,10 @@ def test_mcg_alpha_a_matches_independent_recomputation():
     g = np.random.default_rng(9)
     m = 4
     p_a, g_prev, v, a, x = (_rand(g, m) for _ in range(5))
-    s1, lam, eta = 1.7, 0.998, 0.1
-    alpha = mcg_alpha_a(p_a, g_prev, v, a, x, s1, lam, eta)
+    s1, lam, eta, unit = 1.7, 0.998, 0.1, 2.5
+    alpha = mcg_alpha_a(p_a, g_prev, v, a, x, s1, lam, eta, unit)
     num = (lam * (np.vdot(p_a, v) - np.vdot(p_a, g_prev)) - np.vdot(p_a, v)
-           + np.vdot(p_a, x) * np.vdot(x, a) + eta * np.vdot(p_a, g_prev))
+           + np.vdot(p_a, x) * np.vdot(x, a) / unit + eta * np.vdot(p_a, g_prev))
     den = s1 * abs(np.vdot(v, p_a)) ** 2
     assert abs(alpha - num / den) < 1e-12 * abs(num / den)
 
@@ -329,8 +329,10 @@ class _McgOracle(McgBeamformer):
     def process(self, x):
         R, s1 = self.estimator.begin_snapshot(x)
         a, lam = self.estimator.a_hat, self.estimator.tracker.lam
-        quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
+        unit = self.estimator.noise.value
+        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)[0] / unit
+        s1 = s1 / unit
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A, unit)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)
@@ -346,7 +348,7 @@ class _McgOracle(McgBeamformer):
         self.v = self.v + alpha_v * self.p_v
         g_a_new = ((1 - lam) * self.v + lam * self.g_a
                    + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
-                   - np.vdot(x, a_new) * x)
+                   - np.vdot(x, a_new) / unit * x)
         g_v_new = g_entry - alpha_v * a_pv
         ga_sq = np.vdot(self.g_a, self.g_a).real
         gv_sq = np.vdot(self.g_v, self.g_v).real

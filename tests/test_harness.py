@@ -273,6 +273,30 @@ def test_okspme_engines_share_the_estimator_shell(name):
             assert bf.constraint_steering is bf.estimator.a_hat
 
 
+ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg", "smi", "loaded-smi",
+          "optimal"]
+
+
+# ``noise_power`` only picks the unit of power: the SNR and SIR are relative
+# to it.  At 4**k the snapshots scale by exactly 2**k, so an engine whose
+# constants are relative to the noise power returns the bits it returns at 1.
+@pytest.mark.parametrize("k", [-5, 5, 20, 60])
+def test_trial_records_do_not_depend_on_the_unit_of_power(k):
+    def record(seed, noise_power):
+        cfg = config_from_dict(_base_doc(
+            snapshots=40, master_seed=seed, noise_power=noise_power,
+            scattering={"kind": "coherent", "num_paths": 4}, algorithms=ROSTER))
+        return run_trial(cfg, 0)
+
+    for seed in (1, 2, 3):
+        want, got = record(seed, 1.0), record(seed, 4.0 ** k)
+        assert got.failed == want.failed == dict.fromkeys(ROSTER, False)
+        for name in ROSTER:
+            assert got.sinr_db[name].tobytes() == want.sinr_db[name].tobytes(), (seed, name)
+            assert got.steering_mse[name].tobytes() == \
+                want.steering_mse[name].tobytes(), (seed, name)
+
+
 # The engine values the README's table documents, in the modules that fix them.
 FIXED_VALUES = {"okspme.DELTA": okspme.DELTA, "okspme.DELTA0": okspme.DELTA0,
                 "adaptive.MU_SCALE": adaptive.MU_SCALE,

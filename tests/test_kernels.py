@@ -8,7 +8,6 @@ import contextlib
 import io
 import json
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -17,18 +16,15 @@ import scipy.linalg
 from rabsim import cli, kernels
 
 SIZES = (2, 12, 40)
-# Matrix dtypes.  ``her_solve`` takes a complex right-hand side with either.
 DTYPES = (np.complex128, np.float64)
 
 
-def _matrix(rng, m, dtype, rank=None):
-    """A Hermitian (real: symmetric) matrix; positive definite unless ``rank < m``."""
-    g = rng.standard_normal((m, rank or m))
+def _matrix(rng, m, dtype):
+    """A Hermitian (real: symmetric) positive-definite matrix."""
+    g = rng.standard_normal((m, m))
     if np.dtype(dtype).kind == "c":
         g = g + 1j * rng.standard_normal(g.shape)
-    h = g @ g.conj().T
-    if rank is None:
-        h = h + 0.1 * m * np.eye(m)
+    h = g @ g.conj().T + 0.1 * m * np.eye(m)
     return (0.5 * (h + h.conj().T)).astype(dtype)
 
 
@@ -56,29 +52,6 @@ def test_cholesky_and_cho_solve_match_scipy(m, dtype):
         assert _same_bits(kernels.cho_solve(c, b), scipy.linalg.cho_solve(factor, b))
         rhs = np.stack([b, 2.0 * b], axis=1)
         assert _same_bits(kernels.cho_solve(c, rhs), scipy.linalg.cho_solve(factor, rhs))
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("m", SIZES)
-def test_her_solve_matches_scipy(m, dtype):
-    rng = np.random.default_rng(100 + m)
-    for k in range(20):
-        a = _matrix(rng, m, dtype)
-        if k % 2:   # indefinite: exercises the symmetric pivoting
-            a = a - 0.5 * np.trace(a).real / m * np.eye(m, dtype=dtype)
-        b = _vector(rng, m, np.complex128)
-        assert _same_bits(kernels.her_solve(a, b),
-                          scipy.linalg.solve(a, b, assume_a="her"))
-
-
-def test_her_solve_uses_the_blocked_factorization_where_scipy_does():
-    # Above LAPACK's block size (64 here) the workspace size picks the blocked
-    # factorization; a default-sized workspace would round differently.
-    rng = np.random.default_rng(7)
-    a = _matrix(rng, 80, np.complex128)
-    a = a - 0.5 * np.trace(a).real / 80 * np.eye(80)
-    b = _vector(rng, 80, np.complex128)
-    assert _same_bits(kernels.her_solve(a, b), scipy.linalg.solve(a, b, assume_a="her"))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -116,10 +89,6 @@ def test_non_finite_input_raises_value_error_like_scipy(dtype):
              lambda: scipy.linalg.cho_solve((c, True), b_bad)),
             (lambda: kernels.cho_solve(a_bad, b),
              lambda: scipy.linalg.cho_solve((a_bad, True), b)),
-            (lambda: kernels.her_solve(a_bad, b.astype(complex)),
-             lambda: scipy.linalg.solve(a_bad, b.astype(complex), assume_a="her")),
-            (lambda: kernels.her_solve(a, b_bad.astype(complex)),
-             lambda: scipy.linalg.solve(a, b_bad.astype(complex), assume_a="her")),
         ]
         for ours, theirs in cases:
             with pytest.raises(ValueError):
@@ -136,36 +105,10 @@ def test_not_positive_definite_and_singular_raise_linalg_error(dtype):
     with pytest.raises(scipy.linalg.LinAlgError):
         kernels.cholesky(indefinite)
     singular = np.zeros((3, 3), dtype=dtype)
-    b = np.ones(3, dtype=complex)
     with pytest.raises(scipy.linalg.LinAlgError):
-        scipy.linalg.solve(singular, b, assume_a="her")
+        scipy.linalg.cholesky(singular, lower=True)
     with pytest.raises(scipy.linalg.LinAlgError):
-        kernels.her_solve(singular, b)
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("m", SIZES)
-def test_her_solve_warns_on_a_rank_deficient_matrix(m, dtype):
-    rng = np.random.default_rng(300 + m)
-    b = _vector(rng, m, np.complex128)
-    warned = 0
-    for rank in (m - 1, max(1, m // 2)):
-        a = _matrix(rng, m, dtype, rank=rank)
-        try:
-            with pytest.warns(scipy.linalg.LinAlgWarning):
-                want = scipy.linalg.solve(a, b, assume_a="her")
-        except scipy.linalg.LinAlgError:    # an exactly zero pivot
-            with pytest.raises(scipy.linalg.LinAlgError):
-                kernels.her_solve(a, b)
-            continue
-        with pytest.warns(scipy.linalg.LinAlgWarning):
-            got = kernels.her_solve(a, b)
-        assert _same_bits(got, want)
-        warned += 1
-    assert warned
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        kernels.her_solve(_matrix(rng, m, dtype), b)
+        kernels.cholesky(singular)
 
 
 # --------------------------------------------- end to end: same CSV bytes
@@ -184,7 +127,6 @@ SMALL = {
 WRAPPERS = {
     "cholesky": lambda a: scipy.linalg.cholesky(a, lower=True),
     "cho_solve": lambda c, b: scipy.linalg.cho_solve((c, True), b),
-    "her_solve": lambda a, b: scipy.linalg.solve(a, b, assume_a="her"),
     "norm": np.linalg.norm,
     "row_norms": lambda x: np.array([np.linalg.norm(row) for row in x]),
 }

@@ -16,24 +16,24 @@ from rabsim.okspme import (OkspmeBeamformer, SteeringEstimator, build_rhs,
 def test_power_noiseless_exact_model():
     a = make_steering(4, 10.0)
     s = 2.0
-    assert abs(estimate_power(a, a * s, 0.0) - 4.0) < 1e-12
+    assert abs(estimate_power(a, a * s, 0.0, 1e-8) - 4.0) < 1e-12
 
 
 def test_power_hand_value_clamps_to_floor():
     a = np.array([1.0, 1.0], dtype=complex)
     x = np.array([1.0, 0.0], dtype=complex)
     # (1 - 2*0.5)/4 = 0 -> clamped
-    assert estimate_power(a, x, 0.5) == 1e-8
+    assert estimate_power(a, x, 0.5, 1e-8) == 1e-8
 
 
 def test_power_zero_snapshot_clamps():
     a = make_steering(5, 0.0)
-    assert estimate_power(a, np.zeros(5, dtype=complex), 1.0) == 1e-8
+    assert estimate_power(a, np.zeros(5, dtype=complex), 1.0, 2.5) == 2.5
 
 
 def test_power_rejects_zero_steering():
     with pytest.raises(ParameterError):
-        estimate_power(np.zeros(3, dtype=complex), np.ones(3, dtype=complex), 1.0)
+        estimate_power(np.zeros(3, dtype=complex), np.ones(3, dtype=complex), 1.0, 1e-8)
 
 
 def test_rhs_zero_power_is_noise_scaled():
