@@ -10,7 +10,7 @@ be compared by diffing the output of
 
 run once per checkout.  Exits 1 if a scenario's two worker counts give
 different bytes (the determinism contract), otherwise with the status of the
-last failing ``simulate`` run, or 0.
+first failing ``simulate`` run, or 0.
 """
 
 from __future__ import annotations

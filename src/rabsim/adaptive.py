@@ -1,8 +1,8 @@
 """Low-complexity weight engines sharing the steering estimator.
 
-All three variants run the same per-snapshot statistics / power / steering
-machinery (:class:`rabsim.okspme.SteeringEstimator`, held by the engine shell
-:class:`rabsim.okspme.EstimatorEngine`) and replace the direct MVDR solve with an O(M^2)-per-snapshot recursion:
+All three variants subclass :class:`rabsim.okspme.SteeringEstimator`, so
+they run the same per-snapshot statistics / power / steering machinery, and
+replace the direct MVDR solve with an O(M^2)-per-snapshot recursion:
 
 * SG: one projected stochastic-gradient step on the constrained cost.
 * CCG: a conventional conjugate-gradient inner loop (N iterations per
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .kernels import norm
-from .okspme import EstimatorEngine, SteeringEstimator, inc_matrix
+from .okspme import SteeringEstimator, inc_matrix
 
 # Relative collapse thresholds for the CG scale factors and restarts.
 ALPHA_COLLAPSE = 1e-7
@@ -90,7 +90,7 @@ def sg_update(w: np.ndarray, mu: float, a_hat: np.ndarray, sigma1_sq: float,
             - mu * (sigma1_sq * a_hat + np.conj(y) * x_perp))
 
 
-class SgBeamformer(EstimatorEngine):
+class SgBeamformer(SteeringEstimator):
     """Steering estimator + the stochastic-gradient weight recursion, whose
     weights answer the updated steering estimate.
 
@@ -104,16 +104,16 @@ class SgBeamformer(EstimatorEngine):
     name = "okspme-sg"
 
     def process(self, x: np.ndarray) -> np.ndarray:
-        _, s1 = self.estimator.begin_snapshot(x)
-        a = self.constraint_steering = self.estimator.a_hat
+        _, s1 = self.begin_snapshot(x)
+        a = self.constraint_steering = self.a_hat
         # Stability requires mu sigma1^2 ||a||^2 < 1 (the rank-one multiplier's
         # eigenvalue), so the cap scales with the squared steering norm.
         gram = np.vdot(a, a).real
-        mu = min(MU_SCALE / (self.estimator.sigma1_sq_mean * gram),
+        mu = min(MU_SCALE / (self.sigma1_sq_mean * gram),
                  MU_CAP / (s1 * gram))
         y_curr = np.vdot(self.w, x)
         self.w = sg_update(self.w, mu, a, s1, x, y_curr)
-        record_normalized_output(self.estimator, self.w, x)
+        record_normalized_output(self, self.w, x)
         return self.w
 
 
@@ -188,7 +188,7 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
     return it
 
 
-class CcgBeamformer(EstimatorEngine):
+class CcgBeamformer(SteeringEstimator):
     """Steering estimator + conventional-CG weight refinement per snapshot.
 
     The weights warm-start the next snapshot's inner loop as its weight proxy
@@ -198,40 +198,35 @@ class CcgBeamformer(EstimatorEngine):
     """
 
     name = "okspme-ccg"
+    lam = 0.998
     n_inner = N_INNER
 
     def process(self, x: np.ndarray) -> np.ndarray:
-        R, s1 = self.estimator.begin_snapshot(x)
-        a = self.estimator.a_hat
+        R, s1 = self.begin_snapshot(x)
+        a = self.a_hat
         # The warm-started inner loop needs a slowly varying quadratic, so the
         # subtraction uses the smoothed power estimate (the instantaneous one
         # teleports the solve target from snapshot to snapshot).
-        quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
-        # The inner loop runs in units of the noise power, so its steps and
-        # trust caps do not depend on the unit power is measured in.
-        unit = self.estimator.noise.value
-        quad /= unit
+        quad, _ = inc_matrix(R, a, self.sigma1_sq_mean)
         # Warm-start the proxy at the normalized scale of the weights: the
         # emitted weights are scale invariant in v, and an O(1) start keeps
         # the inner loop's trust caps meaningful from snapshot to snapshot.
-        it = ccg_inner(quad, a, self.w, s1 / unit, self.n_inner)
+        it = ccg_inner(quad, a, self.w, s1, self.n_inner)
         denom = np.vdot(it.a, it.v)
         if abs(denom) > 0:
             self.w = it.v / denom
             self.constraint_steering = it.a
-        record_normalized_output(self.estimator, self.w, x)
+        record_normalized_output(self, self.w, x)
         return self.w
 
 
 def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
                 a_hat: np.ndarray, x: np.ndarray, sigma1_sq: float,
-                lam: float, eta_a: float, sigma_n_sq: float) -> complex:
+                lam: float, eta_a: float) -> complex:
     """Band-placed steering step size (constant ``eta_a`` in [0, 0.5]).
 
-    ``[lam (p^H v - p^H g_prev) - p^H v + p^H x x^H a / sigma_n^2
-    + eta_a p^H g_prev] / [sigma1^2 |v^H p|^2]``, with ``sigma1_sq`` already
-    in units of the noise power ``sigma_n_sq``; returns 0 on a collapsed
-    denominator.
+    ``[lam (p^H v - p^H g_prev) - p^H v + p^H x x^H a + eta_a p^H g_prev]
+    / [sigma1^2 |v^H p|^2]``; returns 0 on a collapsed denominator.
     """
     den = sigma1_sq * abs(np.vdot(v, p_a)) ** 2
     scale = (norm(v) * norm(p_a)) ** 2
@@ -240,11 +235,11 @@ def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
     pa_v = np.vdot(p_a, v)
     pa_g = np.vdot(p_a, g_a_prev)
     num = (lam * (pa_v - pa_g) - pa_v
-           + np.vdot(p_a, x) * np.vdot(x, a_hat) / sigma_n_sq + eta_a * pa_g)
+           + np.vdot(p_a, x) * np.vdot(x, a_hat) + eta_a * pa_g)
     return num / den
 
 
-class McgBeamformer(EstimatorEngine):
+class McgBeamformer(SteeringEstimator):
     """Steering estimator + a one-iteration-per-snapshot CG weight update.
 
     Each snapshot takes a single conjugate-gradient step on the current
@@ -254,36 +249,33 @@ class McgBeamformer(EstimatorEngine):
     rule with constant ``ETA_A`` on top of the projection update, trust
     capped to the same unit scale as the projection step.  The step rule
     and the steering gradient recursion use the tracker's forgetting factor
-    ``estimator.tracker.lam``.  The branch step moves the estimator's own
-    steering estimate, which the weights then answer.  Powers, the quadratic
-    and the ``x x^H a`` terms are taken in units of the noise power.
+    ``lam``.  The branch step moves the estimator's own steering estimate,
+    which the weights then answer.
     """
 
     name = "okspme-mcg"
+    lam = 0.998
 
-    def __init__(self, estimator: SteeringEstimator):
-        super().__init__(estimator)
-        m = estimator.m
+    def __init__(self, a_init: np.ndarray, num_sources: int):
+        super().__init__(a_init, num_sources)
+        m = self.m
         self.v = np.ones(m, dtype=complex)
         self.g_a = np.ones(m, dtype=complex)          # g_a(0) = v(0)
         self.p_a = np.ones(m, dtype=complex)
-        self.g_v = estimator.a_hat.astype(complex)    # g_v(0) = a(1)
-        self.p_v = estimator.a_hat.astype(complex)
+        self.g_v = self.a_hat.astype(complex)         # g_v(0) = a(1)
+        self.p_v = self.a_hat.astype(complex)
         # Squared gradient norms, carried to the next snapshot's coefficients.
         self.ga_sq = np.vdot(self.g_a, self.g_a).real
         self.gv_sq = np.vdot(self.g_v, self.g_v).real
 
     def process(self, x: np.ndarray) -> np.ndarray:
-        R, s1 = self.estimator.begin_snapshot(x)
-        a, lam = self.estimator.a_hat, self.estimator.tracker.lam
-        unit = self.estimator.noise.value
-        quad, _ = inc_matrix(R, a, self.estimator.sigma1_sq_mean)
-        quad /= unit
-        s1 = s1 / unit
+        R, s1 = self.begin_snapshot(x)
+        a, lam = self.a_hat, self.lam
+        quad, _ = inc_matrix(R, a, self.sigma1_sq_mean)
 
         # Steering branch: band-placed step (capped to the unit scale of the
         # projection update, since this correction persists in the state).
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A, unit)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)
@@ -303,7 +295,7 @@ class McgBeamformer(EstimatorEngine):
 
         g_a_new = ((1 - lam) * self.v + lam * self.g_a
                    + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
-                   - np.vdot(x, a_new) / unit * x)
+                   - np.vdot(x, a_new) * x)
         g_v_new = g_entry - alpha_v * a_pv
 
         ga_new_sq = np.vdot(g_a_new, g_a_new).real
@@ -321,11 +313,11 @@ class McgBeamformer(EstimatorEngine):
         self.g_a, self.g_v = g_a_new, g_v_new
         self.ga_sq, self.gv_sq = ga_new_sq, gv_new_sq
 
-        self.estimator.a_hat = a_new
+        self.a_hat = a_new
         denom = np.vdot(a_new, self.v)
         if abs(denom) > 0:
             self.w = self.v / denom
             self.constraint_steering = a_new
             self.v = self.w.copy()
-        record_normalized_output(self.estimator, self.w, x)
+        record_normalized_output(self, self.w, x)
         return self.w

@@ -61,7 +61,6 @@ class ScenarioConfig:
     snr_db: float | list = 10.0
     sir_db: float = 0.0
     inr_db: float | None = None
-    noise_power: float = 1.0
     scattering: ScatteringSpec = field(default_factory=ScatteringSpec)
     sector_halfwidth_deg: float = 5.0
     snapshots: int = 300
@@ -77,8 +76,6 @@ class ScenarioConfig:
         self._check_array_sizes()
         if isinstance(self.snr_db, list) and not self.snr_db:
             raise ConfigError("snr_db sweep list must not be empty")
-        if self.noise_power <= 0:
-            raise ConfigError("noise_power must be > 0")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         if self.sector_halfwidth_deg < 0:
@@ -145,9 +142,9 @@ class ScenarioConfig:
             _check_angles("scattering support angle_mean_deg +- sqrt(3) angle_std_deg",
                           sc.angle_mean_deg - spread, sc.angle_mean_deg + spread)
 
-    # Power bookkeeping: the desired power follows the SNR, interferer powers
-    # follow the INR when given (relative to noise) and the SIR otherwise
-    # (relative to the desired signal).
+    # Power bookkeeping, in units of the noise power: the desired power
+    # follows the SNR, interferer powers follow the INR when given and the
+    # SIR otherwise (relative to the desired signal).
     def snr_points(self) -> list:
         if isinstance(self.snr_db, list):
             return [float(v) for v in self.snr_db]
@@ -158,11 +155,11 @@ class ScenarioConfig:
         return isinstance(self.snr_db, list)
 
     def desired_power(self, snr_db: float) -> float:
-        return self.noise_power * 10.0 ** (snr_db / 10.0)
+        return 10.0 ** (snr_db / 10.0)
 
     def interferer_power(self, snr_db: float) -> float:
         if self.inr_db is not None:
-            return self.noise_power * 10.0 ** (self.inr_db / 10.0)
+            return 10.0 ** (self.inr_db / 10.0)
         return self.desired_power(snr_db) / 10.0 ** (self.sir_db / 10.0)
 
     def segments(self) -> list:
@@ -228,10 +225,9 @@ def _take(mapping: dict, context: str, allowed: dict):
 _TOP_KEYS = {
     "sensors": _integer, "desired_doa_deg": _number,
     "interferer_doas_deg": _numbers, "snr_db": _number_or_numbers,
-    "sir_db": _number, "inr_db": _number_or_null, "noise_power": _number,
-    "scattering": None, "sector_halfwidth_deg": _number, "snapshots": _integer,
-    "trials": _integer, "algorithms": None, "master_seed": _integer,
-    "interferer_schedule": None,
+    "sir_db": _number, "inr_db": _number_or_null, "scattering": None,
+    "sector_halfwidth_deg": _number, "snapshots": _integer, "trials": _integer,
+    "algorithms": None, "master_seed": _integer, "interferer_schedule": None,
 }
 _SCATTER_KEYS = {"kind": None, "num_paths": _integer,
                  "angle_mean_deg": _number, "angle_std_deg": _number}

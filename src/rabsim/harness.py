@@ -28,15 +28,15 @@ from .analysis import (inc_factor, loaded_smi_weights, optimal_weights,
 from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
 from .errors import ExperimentError, NumericError
-from .okspme import OkspmeBeamformer, SteeringEstimator
+from .okspme import OkspmeBeamformer
 from .tracking import CovarianceTracker
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
 STEADY_WINDOW = 50  # snapshots averaged for one SNR-sweep point
-SMI_DELTA0 = 0.1  # smi's initial covariance loading, in units of the noise power
-LOADING_SCALE = 10.0  # loaded-smi's diagonal loading, in units of the noise power
+SMI_DELTA0 = 0.1  # smi's initial covariance loading
+LOADING_SCALE = 10.0  # loaded-smi's diagonal loading
 
 
 @dataclass
@@ -83,16 +83,9 @@ class TrialContext:
     a_init: np.ndarray
     a_nominal: np.ndarray
     num_sources: int
-    noise_power: float
     observations: np.ndarray
     truth: np.ndarray
     segments: list
-
-
-def _estimator(ctx: TrialContext, lam: float) -> SteeringEstimator:
-    """The shared steering estimator; ``lam`` is its tracker's forgetting
-    factor (1.0 is the sample mean), which MCG's step rule reads too."""
-    return SteeringEstimator(ctx.a_init, ctx.num_sources, ctx.noise_power, lam=lam)
 
 
 # The roster: name -> build(TrialContext) -> Engine.  Build functions look
@@ -100,14 +93,13 @@ def _estimator(ctx: TrialContext, lam: float) -> SteeringEstimator:
 # reference to them, so rebinding a name (as perfbench's call tracer does)
 # reaches every engine built here.
 ALGORITHMS = {
-    "okspme": lambda ctx: OkspmeBeamformer(_estimator(ctx, 1.0)),
-    "okspme-sg": lambda ctx: SgBeamformer(_estimator(ctx, 1.0)),
-    "okspme-ccg": lambda ctx: CcgBeamformer(_estimator(ctx, 0.998)),
-    "okspme-mcg": lambda ctx: McgBeamformer(_estimator(ctx, 0.998)),
-    "smi": lambda ctx: _SmiRunner("smi", ctx.a_nominal,
-                                  delta0=SMI_DELTA0 * ctx.noise_power, loading=0.0),
+    "okspme": lambda ctx: OkspmeBeamformer(ctx.a_init, ctx.num_sources),
+    "okspme-sg": lambda ctx: SgBeamformer(ctx.a_init, ctx.num_sources),
+    "okspme-ccg": lambda ctx: CcgBeamformer(ctx.a_init, ctx.num_sources),
+    "okspme-mcg": lambda ctx: McgBeamformer(ctx.a_init, ctx.num_sources),
+    "smi": lambda ctx: _SmiRunner("smi", ctx.a_nominal, delta0=SMI_DELTA0, loading=0.0),
     "loaded-smi": lambda ctx: _SmiRunner("loaded-smi", ctx.a_nominal, delta0=0.0,
-                                         loading=LOADING_SCALE * ctx.noise_power),
+                                         loading=LOADING_SCALE),
     "optimal": lambda ctx: _OptimalRunner(ctx.truth, ctx.segments),
 }
 
@@ -160,7 +152,7 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
 
     Each segment of ``cfg.segments()`` makes its interferers' steering
     vectors once; they drive that span's snapshots and its true INC matrix
-    ``noise_power I + sum_k p_int a_k a_k^H``.
+    ``I + sum_k p_int a_k a_k^H`` (powers are in units of the noise power).
 
     Returns ``(ctx, desired_power)``: the :class:`TrialContext` every engine
     of the trial is built from, holding the M x n observations and true
@@ -188,8 +180,8 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
     for start, end, doas in cfg.segments():
         interferers = [make_steering(cfg.sensors, d) for d in doas]
         observations[:, start:end] = generate_snapshots(
-            truth[:, start:end], p_des, interferers, p_int, cfg.noise_power, data_rng)
-        r_in = cfg.noise_power * np.eye(cfg.sensors, dtype=complex)
+            truth[:, start:end], p_des, interferers, p_int, 1.0, data_rng)
+        r_in = np.eye(cfg.sensors, dtype=complex)
         for a in interferers:
             r_in += p_int * np.outer(a, a.conj())
         segments.append((start, end, r_in))
@@ -197,8 +189,8 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
     theta0 = init_rng.uniform(cfg.desired_doa_deg - cfg.sector_halfwidth_deg,
                               cfg.desired_doa_deg + cfg.sector_halfwidth_deg)
     ctx = TrialContext(a_init=make_steering(cfg.sensors, theta0), a_nominal=a_nom,
-                       num_sources=cfg.num_sources, noise_power=cfg.noise_power,
-                       observations=observations, truth=truth, segments=segments)
+                       num_sources=cfg.num_sources, observations=observations,
+                       truth=truth, segments=segments)
     return ctx, p_des
 
 

@@ -16,8 +16,9 @@ Per snapshot:
 4. interference-plus-noise reconstruction and the MVDR solve.
 
 Steps 1-3 are shared verbatim by the gradient-based weight engines in
-:mod:`rabsim.adaptive`; only step 4 differs between variants, each an
-:class:`EstimatorEngine` with its own ``process``.
+:mod:`rabsim.adaptive`; only step 4 differs between variants, each a
+:class:`SteeringEstimator` with its own ``process``.  Every power is in
+units of the noise power.
 """
 
 from __future__ import annotations
@@ -32,26 +33,25 @@ from .kernels import cho_solve, cholesky, norm
 from .krylov import arnoldi_mgs, make_projector
 from .tracking import CovarianceTracker
 
-# Powers in units of the estimator's noise power.
+# Powers in units of the noise power.
 POWER_FLOOR = 1e-8
 DELTA = 0.1     # loading of step 2's linear system
 DELTA0 = 0.1    # initial covariance loading of the estimator's tracker
 TINY = 1e-12
 
 
-def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float,
-                   power_floor: float) -> float:
+def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float) -> float:
     """Instantaneous desired-signal power from one snapshot.
 
     ``(|a^H x|^2 - |a^H a| sigma_n^2) / |a^H a|^2``, clamped from below at
-    ``power_floor`` so a noise-dominated snapshot cannot return a negative
+    ``POWER_FLOOR`` so a noise-dominated snapshot cannot return a negative
     power and flip the sign of the rank-one subtraction downstream.
     """
     gram = abs(np.vdot(a_hat, a_hat))
     if gram <= 0.0:
         raise ParameterError("steering estimate must be nonzero")
     proj = abs(np.vdot(a_hat, x)) ** 2
-    return max(power_floor, (proj - gram * sigma_n_sq) / gram**2)
+    return max(POWER_FLOOR, (proj - gram * sigma_n_sq) / gram**2)
 
 
 def build_rhs(a_hat: np.ndarray, sigma1_sq: float, sigma_n_sq: float,
@@ -135,8 +135,8 @@ def mvdr_weights(R_in: np.ndarray, a_hat: np.ndarray,
 
 
 class NoisePowerSource:
-    """The noise variance of step 1: a fixed, externally supplied value (the
-    scenario truth in simulations)."""
+    """The noise variance of step 1.  Powers are in units of the noise
+    power, so the engines build it at 1.0."""
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -146,29 +146,30 @@ class NoisePowerSource:
 
 
 class SteeringEstimator:
-    """Shared state machine for steps 1-3 (statistics, power, steering).
+    """Shared state machine for steps 1-3 (statistics, power, steering), and
+    the base of every OKSPME weight engine.
 
-    Owns the covariance tracker (forgetting factor ``lam``, initial loading
-    ``DELTA0``) that supplies the snapshot statistics, and the noise power
-    source; ``lam = 1`` tracks the sample mean.  The steering estimate keeps
-    the physical ULA norm ``sqrt(M)``; ``DELTA`` loads the linear system of
-    step 2.  ``DELTA0``, ``DELTA`` and ``POWER_FLOOR`` are taken in units of
-    the noise power given here, so the estimates do not depend on the unit
-    the scenario measures power in.
+    Owns the covariance tracker (forgetting factor ``lam``, declared by each
+    engine class, and initial loading ``DELTA0``) that supplies the snapshot
+    statistics, and the noise power source; ``lam = 1`` tracks the sample
+    mean.  The steering estimate keeps the physical ULA norm ``sqrt(M)``;
+    ``DELTA`` loads the linear system of step 2.  An engine's ``process``
+    refreshes the weights ``w`` (all ones before the first snapshot) and
+    sets ``constraint_steering``, the vector they answer with unit gain.
     """
 
-    def __init__(self, a_init: np.ndarray, num_sources: int, noise_power: float,
-                 lam: float = 1.0):
+    lam = 1.0
+
+    def __init__(self, a_init: np.ndarray, num_sources: int):
         a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
-        self.noise = NoisePowerSource(noise_power)
-        unit = self.noise.value
-        self.tracker = CovarianceTracker(self.m, lam=lam, delta0=DELTA0 * unit)
-        self.delta = DELTA * unit
-        self.power_floor = POWER_FLOOR * unit
+        self.noise = NoisePowerSource(1.0)
+        self.tracker = CovarianceTracker(self.m, lam=self.lam, delta0=DELTA0)
         self.norm_target = math.sqrt(self.m)
         self.a_hat = a_init * (self.norm_target / norm(a_init))
         self.num_sources = int(num_sources)
+        self.w = np.ones(self.m, dtype=complex)
+        self.constraint_steering = self.a_hat
         # Smoothed power estimate, weighted like the tracker statistics
         # (forgetting-factor mean, or plain arithmetic mean when lam = 1).
         self._sigma1_num = 0.0
@@ -178,8 +179,8 @@ class SteeringEstimator:
     def sigma1_sq_mean(self) -> float:
         """Running (tracker-weighted) mean of the power estimates."""
         if self._sigma1_den == 0.0:
-            return self.power_floor
-        return max(self.power_floor, self._sigma1_num / self._sigma1_den)
+            return POWER_FLOOR
+        return max(POWER_FLOOR, self._sigma1_num / self._sigma1_den)
 
     def begin_snapshot(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Absorb a snapshot into the covariance and run steps 1-3.
@@ -196,12 +197,12 @@ class SteeringEstimator:
         R = self.tracker.covariance()
         d = self.tracker.crosscorr()
         sigma_n = self.noise.noise_power(R)
-        sigma1 = estimate_power(self.a_hat, x, sigma_n, self.power_floor)
+        sigma1 = estimate_power(self.a_hat, x, sigma_n)
         lam = self.tracker.lam
         self._sigma1_num = lam * self._sigma1_num + sigma1
         self._sigma1_den = lam * self._sigma1_den + 1.0
 
-        b = build_rhs(self.a_hat, sigma1, sigma_n, self.delta)
+        b = build_rhs(self.a_hat, sigma1, sigma_n, DELTA)
         _, t1, converged = residue(R, self.a_hat, b)
         if not converged:
             basis = arnoldi_mgs(R, t1, self.num_sources)
@@ -214,26 +215,7 @@ class SteeringEstimator:
         self.tracker.update_crosscorr(x, y)
 
 
-class EstimatorEngine:
-    """The shell every OKSPME weight engine shares.
-
-    Holds the :class:`SteeringEstimator`, the weights ``w`` (all ones before
-    the first snapshot) and ``constraint_steering``, the vector the weights
-    answer with unit gain, which each engine's ``process`` sets.  ``a_hat``,
-    the steering estimate the trial loop scores, is the estimator's.
-    """
-
-    def __init__(self, estimator: SteeringEstimator):
-        self.estimator = estimator
-        self.w = np.ones(estimator.m, dtype=complex)
-        self.constraint_steering = estimator.a_hat
-
-    @property
-    def a_hat(self) -> np.ndarray:
-        return self.estimator.a_hat
-
-
-class OkspmeBeamformer(EstimatorEngine):
+class OkspmeBeamformer(SteeringEstimator):
     """The direct method: steps 1-3 plus the per-snapshot MVDR solve, whose
     weights answer the updated steering estimate."""
 
@@ -241,9 +223,9 @@ class OkspmeBeamformer(EstimatorEngine):
 
     def process(self, x: np.ndarray) -> np.ndarray:
         """Absorb one snapshot, refresh the weights, return them."""
-        R, sigma1_sq = self.estimator.begin_snapshot(x)
-        a_hat = self.constraint_steering = self.estimator.a_hat
+        R, sigma1_sq = self.begin_snapshot(x)
+        a_hat = self.constraint_steering = self.a_hat
         r_in, factor = inc_matrix(R, a_hat, sigma1_sq)
         self.w = mvdr_weights(r_in, a_hat, factor)
-        self.estimator.record_output(x, np.vdot(self.w, x))
+        self.record_output(x, np.vdot(self.w, x))
         return self.w

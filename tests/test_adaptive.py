@@ -12,7 +12,7 @@ from rabsim.analysis import FlopModel, flops
 from rabsim.arrays import generate_snapshots, make_steering
 from rabsim.errors import ParameterError
 from rabsim.kernels import norm
-from rabsim.okspme import SteeringEstimator, inc_matrix, mvdr_weights
+from rabsim.okspme import inc_matrix, mvdr_weights
 
 
 def _rand(g, m):
@@ -72,8 +72,7 @@ def test_sg_stability_long_stationary_run():
     a_true = make_steering(m, 10.0)
     obs = generate_snapshots(np.repeat(a_true[:, None], 10_000, axis=1), 1.0,
                              [], 0.0, 1.0, rng.stream(3, 0, 0))
-    est = SteeringEstimator(a_true.copy(), 1, 1.0)
-    bf = SgBeamformer(est)
+    bf = SgBeamformer(a_true.copy(), 1)
     norms = []
     for i in range(10_000):
         w = bf.process(obs[:, i])
@@ -192,8 +191,7 @@ def test_ccg_beamformer_constraint_and_determinism():
     def run():
         obs = generate_snapshots(np.repeat(a_true[:, None], 40, axis=1), 5.0,
                                  interferers, 5.0, 1.0, rng.stream(8, 0, 0))
-        est = SteeringEstimator(make_steering(m, 12.0), 2, 1.0, lam=0.998)
-        bf = CcgBeamformer(est)
+        bf = CcgBeamformer(make_steering(m, 12.0), 2)
         out = []
         for i in range(40):
             w = bf.process(obs[:, i])
@@ -210,18 +208,12 @@ def test_mcg_alpha_a_matches_independent_recomputation():
     g = np.random.default_rng(9)
     m = 4
     p_a, g_prev, v, a, x = (_rand(g, m) for _ in range(5))
-    s1, lam, eta, unit = 1.7, 0.998, 0.1, 2.5
-    alpha = mcg_alpha_a(p_a, g_prev, v, a, x, s1, lam, eta, unit)
+    s1, lam, eta = 1.7, 0.998, 0.1
+    alpha = mcg_alpha_a(p_a, g_prev, v, a, x, s1, lam, eta)
     num = (lam * (np.vdot(p_a, v) - np.vdot(p_a, g_prev)) - np.vdot(p_a, v)
-           + np.vdot(p_a, x) * np.vdot(x, a) / unit + eta * np.vdot(p_a, g_prev))
+           + np.vdot(p_a, x) * np.vdot(x, a) + eta * np.vdot(p_a, g_prev))
     den = s1 * abs(np.vdot(v, p_a)) ** 2
     assert abs(alpha - num / den) < 1e-12 * abs(num / den)
-
-
-def test_mcg_eta_validation():
-    # MCG's step rule reads the tracker's forgetting factor, checked there
-    with pytest.raises(ParameterError):
-        SteeringEstimator(make_steering(4, 10.0), 1, 1.0, lam=0.0)
 
 
 def _bound_pair(bf, x):
@@ -238,8 +230,7 @@ def test_mcg_constraint_and_bound_trace():
     interferers = [make_steering(m, 30.0)]
     obs = generate_snapshots(np.repeat(a_true[:, None], 50, axis=1), 5.0,
                              interferers, 5.0, 1.0, rng.stream(10, 0, 0))
-    est = SteeringEstimator(make_steering(m, 11.0), 2, 1.0, lam=0.998)
-    bf = McgBeamformer(est)
+    bf = McgBeamformer(make_steering(m, 11.0), 2)
     pairs = []
     for i in range(50):
         pairs.append(_bound_pair(bf, obs[:, i]))
@@ -249,13 +240,16 @@ def test_mcg_constraint_and_bound_trace():
     assert (post >= -1e-8).all()
 
 
+class _SampleMeanMcg(McgBeamformer):
+    lam = 1.0
+
+
 def test_mcg_runs_on_sample_mean_tracker():
     m = 5
     a_true = make_steering(m, 10.0)
     obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
                              [], 0.0, 1.0, rng.stream(11, 0, 0))
-    est = SteeringEstimator(a_true.copy(), 1, 1.0, lam=1.0)
-    bf = McgBeamformer(est)
+    bf = _SampleMeanMcg(a_true.copy(), 1)
     for i in range(30):
         w = bf.process(obs[:, i])
     assert np.isfinite(w).all()
@@ -327,12 +321,10 @@ def _ccg_oracle(A, a0, v0, sigma1_sq, n_inner):
 
 class _McgOracle(McgBeamformer):
     def process(self, x):
-        R, s1 = self.estimator.begin_snapshot(x)
-        a, lam = self.estimator.a_hat, self.estimator.tracker.lam
-        unit = self.estimator.noise.value
-        quad = inc_matrix(R, a, self.estimator.sigma1_sq_mean)[0] / unit
-        s1 = s1 / unit
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A, unit)
+        R, s1 = self.begin_snapshot(x)
+        a, lam = self.a_hat, self.tracker.lam
+        quad = inc_matrix(R, a, self.sigma1_sq_mean)[0]
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)
@@ -348,7 +340,7 @@ class _McgOracle(McgBeamformer):
         self.v = self.v + alpha_v * self.p_v
         g_a_new = ((1 - lam) * self.v + lam * self.g_a
                    + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
-                   - np.vdot(x, a_new) / unit * x)
+                   - np.vdot(x, a_new) * x)
         g_v_new = g_entry - alpha_v * a_pv
         ga_sq = np.vdot(self.g_a, self.g_a).real
         gv_sq = np.vdot(self.g_v, self.g_v).real
@@ -363,13 +355,13 @@ class _McgOracle(McgBeamformer):
             beta_v = np.vdot(g_v_new - self.g_v, g_v_new) / gv_sq
             self.p_v = g_v_new + beta_v * self.p_v
         self.g_a, self.g_v = g_a_new, g_v_new
-        self.estimator.a_hat = a_new
+        self.a_hat = a_new
         denom = np.vdot(a_new, self.v)
         if abs(denom) > 0:
             self.w = self.v / denom
             self.constraint_steering = a_new
             self.v = self.w.copy()
-        record_normalized_output(self.estimator, self.w, x)
+        record_normalized_output(self, self.w, x)
         return self.w
 
 
@@ -406,11 +398,7 @@ def test_mcg_snapshots_bits_match_oracle():
     interferers = [make_steering(m, 30.0), make_steering(m, -40.0)]
     obs = generate_snapshots(np.repeat(a_true[:, None], 50, axis=1), 5.0,
                              interferers, 5.0, 1.0, rng.stream(9, 0, 0))
-    engines = []
-    for cls in (McgBeamformer, _McgOracle):
-        est = SteeringEstimator(make_steering(m, 13.0), 3, 1.0, lam=0.998)
-        engines.append(cls(est))
-    new, old = engines
+    new, old = (cls(make_steering(m, 13.0), 3) for cls in (McgBeamformer, _McgOracle))
     for i in range(50):
         x = obs[:, i]
         assert _bound_pair(new, x) == _bound_pair(old, x), i

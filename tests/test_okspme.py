@@ -8,7 +8,7 @@ from rabsim.analysis import output_sinr
 from rabsim.arrays import generate_snapshots, make_steering
 from rabsim.errors import NumericError, ParameterError
 from rabsim.kernels import cholesky
-from rabsim.okspme import (OkspmeBeamformer, SteeringEstimator, build_rhs,
+from rabsim.okspme import (POWER_FLOOR, OkspmeBeamformer, build_rhs,
                            estimate_power, inc_matrix, mvdr_weights, residue,
                            update_steering)
 
@@ -16,24 +16,24 @@ from rabsim.okspme import (OkspmeBeamformer, SteeringEstimator, build_rhs,
 def test_power_noiseless_exact_model():
     a = make_steering(4, 10.0)
     s = 2.0
-    assert abs(estimate_power(a, a * s, 0.0, 1e-8) - 4.0) < 1e-12
+    assert abs(estimate_power(a, a * s, 0.0) - 4.0) < 1e-12
 
 
 def test_power_hand_value_clamps_to_floor():
     a = np.array([1.0, 1.0], dtype=complex)
     x = np.array([1.0, 0.0], dtype=complex)
     # (1 - 2*0.5)/4 = 0 -> clamped
-    assert estimate_power(a, x, 0.5, 1e-8) == 1e-8
+    assert estimate_power(a, x, 0.5) == POWER_FLOOR
 
 
 def test_power_zero_snapshot_clamps():
     a = make_steering(5, 0.0)
-    assert estimate_power(a, np.zeros(5, dtype=complex), 1.0, 2.5) == 2.5
+    assert estimate_power(a, np.zeros(5, dtype=complex), 1.0) == POWER_FLOOR
 
 
 def test_power_rejects_zero_steering():
     with pytest.raises(ParameterError):
-        estimate_power(np.zeros(3, dtype=complex), np.ones(3, dtype=complex), 1.0, 1e-8)
+        estimate_power(np.zeros(3, dtype=complex), np.ones(3, dtype=complex), 1.0)
 
 
 def test_rhs_zero_power_is_noise_scaled():
@@ -170,20 +170,20 @@ def test_mvdr_rejects_indefinite():
                      np.array([1.0, 1.0], dtype=complex))
 
 
-def _beamformer(m=4, num_sources=1, noise=0.0, a_init=None):
+def _beamformer(m=4, num_sources=1, a_init=None):
     a_init = make_steering(m, 10.0) if a_init is None else a_init
-    est = SteeringEstimator(a_init, num_sources, noise)
-    return OkspmeBeamformer(est)
+    return OkspmeBeamformer(a_init, num_sources)
 
 
 def test_snapshot_ideal_conditions():
-    # zero mismatch, noise free, single source: constraint met and the
-    # steering estimate never leaves the true direction
+    # zero mismatch, noise-free snapshots into the unit-noise estimator,
+    # single source: constraint met and the steering estimate never leaves
+    # the true direction
     m = 4
     a_true = make_steering(m, 10.0)
     obs = generate_snapshots(np.repeat(a_true[:, None], 10, axis=1), 1.0,
                              [], 0.0, 0.0, rng.stream(1, 0, 0))
-    bf = _beamformer(m=m, noise=0.0)
+    bf = _beamformer(m=m)
     for i in range(10):
         w = bf.process(obs[:, i])
     assert abs(np.vdot(w, a_true) - 1.0) < 1e-6
@@ -197,7 +197,7 @@ def test_first_snapshot_well_posed_with_loading():
     a_true = make_steering(m, 10.0)
     obs = generate_snapshots(np.repeat(a_true[:, None], 1, axis=1), 1.0,
                              [], 0.0, 1.0, rng.stream(2, 0, 0))
-    bf = _beamformer(m=m, noise=1.0)
+    bf = _beamformer(m=m)
     w = bf.process(obs[:, 0])
     assert np.isfinite(w).all()
 
@@ -208,7 +208,7 @@ def test_steering_norm_invariant_every_snapshot():
     interferers = [make_steering(m, 40.0)]
     obs = generate_snapshots(np.repeat(a_true[:, None], 40, axis=1), 2.0,
                              interferers, 2.0, 1.0, rng.stream(3, 0, 0))
-    bf = _beamformer(m=m, num_sources=2, noise=1.0)
+    bf = _beamformer(m=m, num_sources=2)
     for i in range(40):
         bf.process(obs[:, i])
         assert abs(np.linalg.norm(bf.a_hat) - math.sqrt(m)) < 1e-8
@@ -220,7 +220,7 @@ def test_constraint_satisfaction_during_run():
     interferers = [make_steering(m, 30.0)]
     obs = generate_snapshots(np.repeat(a_true[:, None], 60, axis=1), 5.0,
                              interferers, 5.0, 1.0, rng.stream(5, 0, 0))
-    bf = _beamformer(m=m, num_sources=2, noise=1.0,
+    bf = _beamformer(m=m, num_sources=2,
                      a_init=make_steering(m, 12.0))
     for i in range(60):
         w = bf.process(obs[:, i])
@@ -253,7 +253,7 @@ def test_run_is_deterministic():
     def run():
         obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
                                  interferers, 2.0, 1.0, rng.stream(6, 1, 0))
-        bf = _beamformer(m=m, num_sources=2, noise=1.0)
+        bf = _beamformer(m=m, num_sources=2)
         return np.array([bf.process(obs[:, i]) for i in range(30)])
 
     assert np.array_equal(run(), run())
