@@ -16,6 +16,10 @@ Degenerate denominators (a power estimate clamped at its floor, collapsed
 direction/gradient alignment, or non-positive curvature) are treated as
 convergence: the CCG inner loop exits early and the MCG branch update is
 skipped for that snapshot.
+
+Every CG step is trust capped by ``_capped`` to an absolute length: CCG's
+steps and MCG's weight step to ``STEP_CAP * max(1, ||iterate||)``, MCG's
+steering step to 1.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .okspme import SteeringEstimator, inc_matrix
 ALPHA_COLLAPSE = 1e-7
 DEN_COLLAPSE = 1e-14
 BETA_RESTART = 1e-14
-# Cap on one CG step, relative to the current iterate norm.  The subtracted
+# Cap on one CG step, relative to the iterate norm (or 1).  The subtracted
 # quadratic is indefinite while the covariance estimate is rank deficient
 # (first few snapshots); uncapped line searches can run away through it.
 STEP_CAP = 10.0
@@ -46,11 +50,10 @@ N_INNER = 5
 ETA_A = 0.1
 
 
-def _capped(alpha, p_norm, ref: float):
-    """Scale ``alpha`` down so the step ``alpha p`` (``||p|| = p_norm``) stays
-    within the cap."""
+def _capped(alpha, p_norm, limit: float):
+    """Scale ``alpha`` down so the step ``alpha p`` (``||p|| = p_norm``) is no
+    longer than ``limit``; the phase of ``alpha`` is kept."""
     step = abs(alpha) * p_norm
-    limit = STEP_CAP * max(1.0, ref)
     if step > limit:
         return alpha * (limit / step)
     return alpha
@@ -151,10 +154,10 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
     it = CgIterate(v=v, a=a, g_a=g_a, g_v=g_v, p_a=g_a.copy(), p_v=g_v.copy())
 
     a_scale = norm(A)
-    # Cap references are fixed for the whole inner loop so a runaway iterate
+    # Step limits are fixed for the whole inner loop so a runaway iterate
     # cannot ratchet its own trust region.
-    ref_v = max(1.0, norm(v))
-    ref_a = max(1.0, norm(a))
+    limit_v = STEP_CAP * max(1.0, norm(v))
+    limit_a = STEP_CAP * max(1.0, norm(a))
     ga_sq = np.vdot(g_a, g_a).real
     gv_sq = np.vdot(g_v, g_v).real
     for _ in range(n_inner):
@@ -162,14 +165,14 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
         norm_v, norm_pa = norm(it.v), norm(it.p_a)
         if den_a <= ALPHA_COLLAPSE * (norm_v * norm_pa) ** 2:
             break
-        alpha_a = _capped(-np.vdot(it.g_a, it.p_a) / den_a, norm_pa, ref_a)
+        alpha_a = _capped(-np.vdot(it.g_a, it.p_a) / den_a, norm_pa, limit_a)
 
         a_pv = A @ it.p_v
         den_v = np.vdot(it.p_v, a_pv).real
         pv_sq = np.vdot(it.p_v, it.p_v).real
         if den_v <= DEN_COLLAPSE * pv_sq * a_scale:
             break
-        alpha_v = _capped(np.vdot(it.g_v, it.p_v) / den_v, norm(it.p_v), ref_v)
+        alpha_v = _capped(np.vdot(it.g_v, it.p_v) / den_v, norm(it.p_v), limit_v)
 
         it.a = it.a + alpha_a * it.p_a
         it.v = it.v + alpha_v * it.p_v
@@ -250,7 +253,8 @@ class McgBeamformer(SteeringEstimator):
     capped to the same unit scale as the projection step.  The step rule
     and the steering gradient recursion use the tracker's forgetting factor
     ``lam``.  The branch step moves the estimator's own steering estimate,
-    which the weights then answer.
+    which the weights then answer.  The weight step starts from the weights;
+    a step whose normalization ``a^H v`` is exactly 0 is dropped.
     """
 
     name = "okspme-mcg"
@@ -259,8 +263,7 @@ class McgBeamformer(SteeringEstimator):
     def __init__(self, a_init: np.ndarray, num_sources: int):
         super().__init__(a_init, num_sources)
         m = self.m
-        self.v = np.ones(m, dtype=complex)
-        self.g_a = np.ones(m, dtype=complex)          # g_a(0) = v(0)
+        self.g_a = np.ones(m, dtype=complex)          # g_a(0) = w(0)
         self.p_a = np.ones(m, dtype=complex)
         self.g_v = self.a_hat.astype(complex)         # g_v(0) = a(1)
         self.p_v = self.a_hat.astype(complex)
@@ -275,26 +278,24 @@ class McgBeamformer(SteeringEstimator):
 
         # Steering branch: band-placed step (capped to the unit scale of the
         # projection update, since this correction persists in the state).
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
-        step = abs(alpha_a) * norm(self.p_a)
-        if step > 1.0:
-            alpha_a = alpha_a * (1.0 / step)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.w, a, x, s1, lam, ETA_A)
+        alpha_a = _capped(alpha_a, norm(self.p_a), 1.0)
 
         # Weight branch: one line-search CG step on the current quadratic.
-        g_entry = a - quad @ self.v
+        g_entry = a - quad @ self.w
         a_pv = quad @ self.p_v
         den_v = np.vdot(self.p_v, a_pv).real
         scale_v = np.vdot(self.p_v, self.p_v).real * norm(quad)
         alpha_v = 0.0
         if den_v > DEN_COLLAPSE * scale_v:
             alpha_v = _capped(np.vdot(g_entry, self.p_v) / den_v,
-                              norm(self.p_v), max(1.0, norm(self.v)))
+                              norm(self.p_v), STEP_CAP * max(1.0, norm(self.w)))
 
         a_new = a + alpha_a * self.p_a
-        self.v = self.v + alpha_v * self.p_v
+        v = self.w + alpha_v * self.p_v
 
-        g_a_new = ((1 - lam) * self.v + lam * self.g_a
-                   + s1 * alpha_a * np.vdot(self.v, self.p_a) * self.v
+        g_a_new = ((1 - lam) * v + lam * self.g_a
+                   + s1 * alpha_a * np.vdot(v, self.p_a) * v
                    - np.vdot(x, a_new) * x)
         g_v_new = g_entry - alpha_v * a_pv
 
@@ -314,10 +315,9 @@ class McgBeamformer(SteeringEstimator):
         self.ga_sq, self.gv_sq = ga_new_sq, gv_new_sq
 
         self.a_hat = a_new
-        denom = np.vdot(a_new, self.v)
+        denom = np.vdot(a_new, v)
         if abs(denom) > 0:
-            self.w = self.v / denom
+            self.w = v / denom
             self.constraint_steering = a_new
-            self.v = self.w.copy()
         record_normalized_output(self, self.w, x)
         return self.w

@@ -39,15 +39,6 @@ def smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray) -> np.ndarray:
     return z / np.vdot(a_nominal, z)
 
 
-def loaded_smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray,
-                       loading: float) -> np.ndarray:
-    """SMI weights from the diagonally loaded covariance ``R + loading I``,
-    which must be Hermitian positive definite (see ``smi_weights``)."""
-    if loading < 0:
-        raise ParameterError("loading must be >= 0")
-    return smi_weights(R_hat + loading * np.eye(R_hat.shape[0]), a_nominal)
-
-
 def inc_factor(R_in_true: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a true interference-plus-noise matrix."""
     try:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import kernels, rng
 from .adaptive import CcgBeamformer, McgBeamformer, SgBeamformer
-from .analysis import (inc_factor, loaded_smi_weights, optimal_weights,
-                       output_sinr, smi_weights, steering_mse)
+from .analysis import (inc_factor, optimal_weights, output_sinr, smi_weights,
+                       steering_mse)
 from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
 from .errors import ExperimentError, NumericError
@@ -105,20 +105,18 @@ ALGORITHMS = {
 
 
 class _SmiRunner:
-    """Sample-matrix-inversion baseline pinned to the nominal steering vector."""
+    """Sample-matrix-inversion baseline pinned to the nominal steering vector:
+    the weights solve the sample covariance plus ``loading * I``."""
 
     def __init__(self, name, a_nominal, delta0, loading):
         self.name = name
         self.tracker = CovarianceTracker(len(a_nominal), delta0=delta0)
         self.a_hat = self.constraint_steering = np.asarray(a_nominal, dtype=complex)
-        self.loading = loading
+        self.loading = loading * np.eye(len(a_nominal))
 
     def process(self, x):
         self.tracker.update_covariance(x)
-        r = self.tracker.covariance()
-        if self.loading > 0:
-            return loaded_smi_weights(r, self.a_hat, self.loading)
-        return smi_weights(r, self.a_hat)
+        return smi_weights(self.tracker.covariance() + self.loading, self.a_hat)
 
 
 class _OptimalRunner:

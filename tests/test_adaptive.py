@@ -5,7 +5,7 @@ import pytest
 
 from rabsim import rng
 from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE, ETA_A,
-                             CcgBeamformer, CgIterate, McgBeamformer,
+                             STEP_CAP, CcgBeamformer, CgIterate, McgBeamformer,
                              SgBeamformer, _capped, ccg_inner, mcg_alpha_a,
                              record_normalized_output, sg_update)
 from rabsim.analysis import FlopModel, flops
@@ -257,6 +257,22 @@ def test_mcg_runs_on_sample_mean_tracker():
 
 # ------------------------------------------------------ shared invariants
 
+@pytest.mark.parametrize("limit", [0.5, 1.0, 30.0])
+def test_capped_keeps_short_steps_and_shortens_long_ones(limit):
+    g = np.random.default_rng(12)
+    for _ in range(20):
+        alpha = complex(*g.standard_normal(2))
+        p_norm = float(g.uniform(0.01, 3.0)) * limit / abs(alpha)
+        capped = _capped(alpha, p_norm, limit)
+        if abs(alpha) * p_norm <= limit:
+            assert capped == alpha
+        else:
+            assert math.isclose(abs(capped) * p_norm, limit, rel_tol=1e-14)
+            assert abs(capped / abs(capped) - alpha / abs(alpha)) < 1e-14
+    # a step exactly at the limit is not scaled
+    assert _capped(2.0 + 0j, 0.5 * limit, limit) == 2.0 + 0j
+
+
 def test_per_snapshot_cost_scales_quadratically():
     # the flop models confirm the adaptive engines avoid the cubic solve
     for name in ("okspme-sg", "okspme-mcg"):
@@ -274,10 +290,12 @@ def test_per_snapshot_cost_scales_quadratically():
 # ------------------------------------------- bit oracles for the CG engines
 # The loops as they ran before each gradient's squared norm was carried
 # forward and the trust cap took a norm: every squared norm is recomputed
-# where it is read.  ``_ccg_oracle`` also returns why its loop ended.
+# where it is read, and MCG steps a weight proxy ``v`` of its own with an
+# inline steering cap.  ``_ccg_oracle`` also returns why its loop ended.
 
 def _capped_vector(alpha, p, ref):
-    return _capped(alpha, norm(p), ref)
+    """Cap the step ``alpha p`` at ``STEP_CAP`` times ``max(1, ref)``."""
+    return _capped(alpha, norm(p), STEP_CAP * max(1.0, ref))
 
 
 def _ccg_oracle(A, a0, v0, sigma1_sq, n_inner):
@@ -320,6 +338,10 @@ def _ccg_oracle(A, a0, v0, sigma1_sq, n_inner):
 
 
 class _McgOracle(McgBeamformer):
+    def __init__(self, a_init, num_sources):
+        super().__init__(a_init, num_sources)
+        self.v = np.ones(self.m, dtype=complex)
+
     def process(self, x):
         R, s1 = self.begin_snapshot(x)
         a, lam = self.a_hat, self.tracker.lam
@@ -403,5 +425,6 @@ def test_mcg_snapshots_bits_match_oracle():
         x = obs[:, i]
         assert _bound_pair(new, x) == _bound_pair(old, x), i
         assert np.array_equal(new.w, old.w), i
-        for field in ("v", "g_a", "g_v", "p_a", "p_v", "a_hat"):
+        assert np.array_equal(new.w, old.v), i
+        for field in ("g_a", "g_v", "p_a", "p_v", "a_hat"):
             assert np.array_equal(getattr(new, field), getattr(old, field)), (i, field)

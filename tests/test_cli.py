@@ -342,6 +342,27 @@ def test_angles_at_the_edges_are_accepted(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
 
 
+ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg", "smi", "loaded-smi",
+          "optimal"]
+
+
+@pytest.mark.parametrize("snr_db, code", [(130.0, 0), (140.0, 3)])
+def test_smi_fails_numerically_at_extreme_snr(tmp_path, capsys, snr_db, code):
+    # At 140 dB the desired power dwarfs smi's small initial loading, so its
+    # sample covariance is no longer numerically positive definite and every
+    # smi trial fails: exit 3 with one line naming smi, not a traceback.
+    cfg = _scenario(tmp_path, interferer_doas_deg=[40.0], snr_db=snr_db,
+                    snapshots=20, trials=2, master_seed=1, algorithms=ROSTER)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == code
+    lines = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "'smi'" in lines[0]
+
+
 # ------------------------------------------------ mutated scenario documents
 
 VALID = {
@@ -351,8 +372,7 @@ VALID = {
                    "angle_std_deg": 2.0},
     "sector_halfwidth_deg": 5.0, "snapshots": 4, "trials": 1, "master_seed": 3,
     "interferer_schedule": [{"start_snapshot": 3, "interferer_doas_deg": [-30.0]}],
-    "algorithms": ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
-                   "smi", "loaded-smi", "optimal"],
+    "algorithms": ROSTER,
 }
 # Paths to the fields a mutation may hit: top-level keys, scattering keys,
 # the schedule entry's keys and the roster entries.

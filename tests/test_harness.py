@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import rabsim
-from rabsim import adaptive, harness, kernels, okspme
+from rabsim import adaptive, analysis, harness, kernels, okspme
 from rabsim.arrays import make_steering
 from rabsim.config import config_from_dict, load_config
 from rabsim.errors import ConfigError, ExperimentError, NumericError
 from rabsim.harness import run_experiment, run_trial, simulate_trial_data, write_csv
+from rabsim.tracking import CovarianceTracker
 
 
 def _base_doc(**overrides):
@@ -272,6 +273,24 @@ def test_okspme_engines_share_the_estimator_shell(name):
         # the direct and SG weights answer the updated estimate itself
         if name in ("okspme", "okspme-sg"):
             assert bf.constraint_steering is bf.a_hat
+
+
+@pytest.mark.parametrize("name, delta0, loading", [
+    ("smi", harness.SMI_DELTA0, 0.0),
+    ("loaded-smi", 0.0, harness.LOADING_SCALE),
+])
+def test_smi_runners_solve_the_loaded_sample_covariance(name, delta0, loading):
+    # bit for bit smi_weights(R_hat + loading I, a_nominal) at every snapshot
+    cfg = config_from_dict(_base_doc(algorithms=[name]))
+    ctx, _ = simulate_trial_data(cfg, 0, 0)
+    bf = harness.ALGORITHMS[name](ctx)
+    tracker = CovarianceTracker(cfg.sensors, delta0=delta0)
+    for i in range(cfg.snapshots):
+        x = ctx.observations[:, i]
+        tracker.update_covariance(x)
+        expect = analysis.smi_weights(
+            tracker.covariance() + loading * np.eye(cfg.sensors), ctx.a_nominal)
+        assert bf.process(x).tobytes() == expect.tobytes(), i
 
 
 # The engine values the README's table documents, in the modules that fix them.
