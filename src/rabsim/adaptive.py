@@ -5,12 +5,12 @@ they run the same per-snapshot statistics / power / steering machinery, and
 replace the direct MVDR solve with an O(M^2)-per-snapshot recursion:
 
 * SG: one projected stochastic-gradient step on the constrained cost.
-* CCG: a conventional conjugate-gradient inner loop (N iterations per
-  snapshot) that descends ``v^H (R - sigma1^2 a a^H) v - a^H v`` jointly in
+* CCG: a conventional conjugate-gradient inner loop (``n_inner`` iterations
+  per snapshot) that descends ``v^H (R - sigma1^2 a a^H) v - a^H v`` jointly in
   the weights proxy ``v`` and a local refinement of the steering vector.
 * MCG: the single-iteration variant with conjugate directions carried across
   snapshots; its steering branch uses the convergence-band placement rule
-  with a constant ``eta in [0, 0.5]``.
+  with the constant ``ETA_A`` in [0, 0.5].
 
 Degenerate denominators (a power estimate clamped at its floor, collapsed
 direction/gradient alignment, or non-positive curvature) are treated as
@@ -44,8 +44,6 @@ STEP_CAP = 10.0
 MU_CAP = 0.5
 # SG step size relative to the stability limit, taken at the smoothed power.
 MU_SCALE = 0.005
-# CCG inner iterations per snapshot.
-N_INNER = 5
 # MCG's convergence-band constant, in [0, 0.5].
 ETA_A = 0.1
 
@@ -59,34 +57,36 @@ def _capped(alpha, p_norm, limit: float):
     return alpha
 
 
-def record_normalized_output(estimator: SteeringEstimator, w: np.ndarray,
-                             x: np.ndarray) -> None:
-    """Feed the cross-correlation with a unit-distortionless-gain output.
+def record_normalized_output(estimator: SteeringEstimator, x: np.ndarray) -> None:
+    """Feed the cross-correlation with the output of the estimator's weights
+    ``w``, scaled to unit distortionless gain.
 
     The steering update's analysis presumes outputs from weights answering
     the current steering estimate with unit gain; weight engines whose
     normalization wobbles (or settles at -1) would otherwise give individual
     snapshots arbitrary weight inside the cross-correlation average.
     """
-    gain = np.vdot(w, estimator.a_hat)
-    y = np.vdot(w, x)
+    gain = np.vdot(estimator.w, estimator.a_hat)
+    y = np.vdot(estimator.w, x)
     if abs(gain) > 1e-8:
         y = y / gain
     estimator.record_output(x, y)
 
 
 def sg_update(w: np.ndarray, mu: float, a_hat: np.ndarray, sigma1_sq: float,
-              x: np.ndarray, y: complex) -> np.ndarray:
+              x: np.ndarray) -> np.ndarray:
     """One stochastic-gradient weight step.
 
     ``w <- (I - mu sigma1^2 a a^H) w - mu (sigma1^2 a + y* (x - (a^H x) a / (a^H a)))``
 
-    The data term only injects the component of ``x`` orthogonal to the
-    steering estimate.  ``mu`` must satisfy ``0 <= mu < 1/sigma1^2`` so the
-    rank-one multiplier stays positive definite.
+    where ``y = w^H x`` is the output of the weights being stepped.  The data
+    term only injects the component of ``x`` orthogonal to the steering
+    estimate.  ``mu`` must satisfy ``0 <= mu < 1/sigma1^2`` so the rank-one
+    multiplier stays positive definite.
     """
     if mu < 0 or mu * sigma1_sq >= 1.0:
         raise ParameterError(f"step size {mu} outside [0, 1/sigma1_sq)")
+    y = np.vdot(w, x)
     gram = np.vdot(a_hat, a_hat).real
     x_perp = x - (np.vdot(a_hat, x) / gram) * a_hat
     return (w - mu * sigma1_sq * np.vdot(a_hat, w) * a_hat
@@ -114,9 +114,8 @@ class SgBeamformer(SteeringEstimator):
         gram = np.vdot(a, a).real
         mu = min(MU_SCALE / (self.sigma1_sq_mean * gram),
                  MU_CAP / (s1 * gram))
-        y_curr = np.vdot(self.w, x)
-        self.w = sg_update(self.w, mu, a, s1, x, y_curr)
-        record_normalized_output(self, self.w, x)
+        self.w = sg_update(self.w, mu, a, s1, x)
+        record_normalized_output(self, x)
         return self.w
 
 
@@ -202,7 +201,7 @@ class CcgBeamformer(SteeringEstimator):
 
     name = "okspme-ccg"
     lam = 0.998
-    n_inner = N_INNER
+    n_inner = 5     # inner iterations per snapshot
 
     def process(self, x: np.ndarray) -> np.ndarray:
         R, s1 = self.begin_snapshot(x)
@@ -219,16 +218,16 @@ class CcgBeamformer(SteeringEstimator):
         if abs(denom) > 0:
             self.w = it.v / denom
             self.constraint_steering = it.a
-        record_normalized_output(self, self.w, x)
+        record_normalized_output(self, x)
         return self.w
 
 
 def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
                 a_hat: np.ndarray, x: np.ndarray, sigma1_sq: float,
-                lam: float, eta_a: float) -> complex:
-    """Band-placed steering step size (constant ``eta_a`` in [0, 0.5]).
+                lam: float) -> complex:
+    """Band-placed steering step size, with the constant ``ETA_A``.
 
-    ``[lam (p^H v - p^H g_prev) - p^H v + p^H x x^H a + eta_a p^H g_prev]
+    ``[lam (p^H v - p^H g_prev) - p^H v + p^H x x^H a + ETA_A p^H g_prev]
     / [sigma1^2 |v^H p|^2]``; returns 0 on a collapsed denominator.
     """
     den = sigma1_sq * abs(np.vdot(v, p_a)) ** 2
@@ -238,7 +237,7 @@ def mcg_alpha_a(p_a: np.ndarray, g_a_prev: np.ndarray, v: np.ndarray,
     pa_v = np.vdot(p_a, v)
     pa_g = np.vdot(p_a, g_a_prev)
     num = (lam * (pa_v - pa_g) - pa_v
-           + np.vdot(p_a, x) * np.vdot(x, a_hat) + eta_a * pa_g)
+           + np.vdot(p_a, x) * np.vdot(x, a_hat) + ETA_A * pa_g)
     return num / den
 
 
@@ -278,7 +277,7 @@ class McgBeamformer(SteeringEstimator):
 
         # Steering branch: band-placed step (capped to the unit scale of the
         # projection update, since this correction persists in the state).
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.w, a, x, s1, lam, ETA_A)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.w, a, x, s1, lam)
         alpha_a = _capped(alpha_a, norm(self.p_a), 1.0)
 
         # Weight branch: one line-search CG step on the current quadratic.
@@ -319,5 +318,5 @@ class McgBeamformer(SteeringEstimator):
         if abs(denom) > 0:
             self.w = v / denom
             self.constraint_steering = a_new
-        record_normalized_output(self, self.w, x)
+        record_normalized_output(self, x)
         return self.w

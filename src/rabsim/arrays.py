@@ -3,9 +3,9 @@
 Steering vectors for a half-wavelength ULA, the two local-scattering
 mismatch models (coherent: one fixed composite vector per trial;
 incoherent: a fresh random composite every snapshot), and the snapshot
-generator that mixes the desired signal, a segment's interferers and sensor
-noise.  A trial's realized desired steering is always an M x n matrix, one
-column per snapshot; interferers are plain steering vectors.
+generator that mixes the desired signal, a segment's interferers and
+unit-power noise.  A trial's realized desired steering is always an M x n
+matrix, one column per snapshot; interferers are plain steering vectors.
 
 Conventions: a plain steering vector has element ``k = exp(j*pi*k*sin(theta))``
 and therefore Euclidean norm ``sqrt(M)``.  Angles at the API boundary are
@@ -121,7 +121,6 @@ def generate_snapshots(
     desired_power: float,
     interferers: Sequence[np.ndarray],
     interferer_power: float,
-    noise_power: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Simulate ``x(i) = a(i) s(i) + sum_k a_k s_k(i) + n(i)`` per column of ``truth``.
@@ -131,15 +130,13 @@ def generate_snapshots(
     vectors ``a_k``; the M x count observations are returned.  Symbols are
     zero-mean circular complex Gaussian, at ``desired_power`` for the desired
     signal and ``interferer_power`` for each interferer; sensor noise is
-    circular complex Gaussian with per-element variance ``noise_power``.  The
-    stream is drawn in that order: desired symbols, each interferer's symbols
-    in list order, then the noise.
+    circular complex Gaussian with unit per-element variance, the unit of
+    every power.  The stream is drawn in that order: desired symbols, each
+    interferer's symbols in list order, then the noise.
     """
     m, count = truth.shape
     if count < 1:
         raise ParameterError("snapshot count must be >= 1")
-    if noise_power < 0:
-        raise ParameterError("noise power must be >= 0")
 
     def draw_symbols(power: float) -> np.ndarray:
         z = rng.standard_normal((count, 2))
@@ -149,9 +146,6 @@ def generate_snapshots(
     obs += truth * draw_symbols(desired_power)[None, :]
     for a in interferers:
         obs += np.outer(a, draw_symbols(interferer_power))
-
-    if noise_power > 0:
-        z = rng.standard_normal((m, count, 2))
-        obs += math.sqrt(noise_power / 2.0) * (z[..., 0] + 1j * z[..., 1])
-
+    z = rng.standard_normal((m, count, 2))
+    obs += math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
     return obs

@@ -6,7 +6,8 @@ Subcommands:
 * ``mse-bounds``: print the closed-form steering-MSE bounds for a sector.
 * ``flops``: print the per-snapshot flop count of an algorithm.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (``ParameterError``), 3 numeric
+failure (``NumericError``), 4 I/O error (``OSError``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from . import __version__
 from .analysis import FLOP_ALGORITHMS, FlopModel, flops, mse_bounds
 from .config import load_config
-from .errors import ConfigError, ExperimentError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .harness import run_experiment, write_csv
 
 EXIT_OK = 0
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)   # re-validates
@@ -101,10 +102,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, ExperimentError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

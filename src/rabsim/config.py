@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import SQRT3, ScatteringSpec
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .harness import ALGORITHMS
 
 
@@ -40,7 +40,7 @@ def _check_angles(what: str, lo: float, hi: float) -> None:
     """Reject an angle span ``[lo, hi]`` (degrees) reaching outside [-90, 90]."""
     if not (-90.0 <= lo and hi <= 90.0):
         span = f"{lo!r}" if lo == hi else f"[{lo!r}, {hi!r}]"
-        raise ConfigError(f"{what} {span} must lie in [-90, 90] degrees")
+        raise ParameterError(f"{what} {span} must lie in [-90, 90] degrees")
 
 
 @dataclass
@@ -70,16 +70,16 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.sensors < 2:
-            raise ConfigError("sensors must be >= 2")
+            raise ParameterError("sensors must be >= 2")
         if self.snapshots < 1 or self.trials < 1:
-            raise ConfigError("snapshots and trials must be >= 1")
+            raise ParameterError("snapshots and trials must be >= 1")
         self._check_array_sizes()
         if isinstance(self.snr_db, list) and not self.snr_db:
-            raise ConfigError("snr_db sweep list must not be empty")
+            raise ParameterError("snr_db sweep list must not be empty")
         if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
+            raise ParameterError("master_seed must be >= 0")
         if self.sector_halfwidth_deg < 0:
-            raise ConfigError("sector_halfwidth_deg must be >= 0")
+            raise ParameterError("sector_halfwidth_deg must be >= 0")
         for snr_db in self.snr_points():
             try:
                 finite = (math.isfinite(self.desired_power(snr_db))
@@ -87,25 +87,25 @@ class ScenarioConfig:
             except (OverflowError, ZeroDivisionError):
                 finite = False
             if not finite:
-                raise ConfigError(f"the source powers at SNR {snr_db} dB overflow "
-                                  "(check snr_db, sir_db and inr_db)")
+                raise ParameterError(f"the source powers at SNR {snr_db} dB overflow "
+                                     "(check snr_db, sir_db and inr_db)")
         if not self.algorithms:
-            raise ConfigError("'algorithms' must name at least one algorithm")
+            raise ParameterError("'algorithms' must name at least one algorithm")
         for name in self.algorithms:
             if not isinstance(name, str):
-                raise ConfigError(f"algorithm entries must be names, got {name!r}")
+                raise ParameterError(f"algorithm entries must be names, got {name!r}")
             if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}; "
-                                  f"expected one of {tuple(ALGORITHMS)}")
+                raise ParameterError(f"unknown algorithm {name!r}; "
+                                     f"expected one of {tuple(ALGORITHMS)}")
         if len(self.algorithms) != len(set(self.algorithms)):
-            raise ConfigError("algorithm names must be unique within a scenario")
+            raise ParameterError("algorithm names must be unique within a scenario")
         # The first segment must hold at least one snapshot.
         prev = 1
         for change in self.interferer_schedule:
             if not 2 <= change.start_snapshot <= self.snapshots:
-                raise ConfigError("schedule change-points must lie in [2, snapshots]")
+                raise ParameterError("schedule change-points must lie in [2, snapshots]")
             if change.start_snapshot <= prev:
-                raise ConfigError("schedule change-points must be strictly increasing")
+                raise ParameterError("schedule change-points must be strictly increasing")
             prev = change.start_snapshot
         self._check_drawn_angles()
 
@@ -122,8 +122,8 @@ class ScenarioConfig:
             shapes.append((self.scattering.num_paths + 1, m))
         for rows, cols in shapes:
             if rows * cols * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
-                raise ConfigError(f"a {rows} x {cols} complex array is too large "
-                                  "to allocate (check sensors, snapshots and num_paths)")
+                raise ParameterError(f"a {rows} x {cols} complex array is too large "
+                                     "to allocate (check sensors, snapshots and num_paths)")
 
     def _check_drawn_angles(self) -> None:
         doa = self.desired_doa_deg
@@ -179,7 +179,7 @@ class ScenarioConfig:
 
 def _integer(value, key: str) -> None:
     if not _has_json_type(value, int):
-        raise ConfigError(f"{key!r} must be a JSON integer, got {value!r}")
+        raise ParameterError(f"{key!r} must be a JSON integer, got {value!r}")
 
 
 def _number(value, key: str) -> None:
@@ -188,12 +188,12 @@ def _number(value, key: str) -> None:
     except OverflowError:       # an integer beyond the float range
         finite = False
     if not finite:
-        raise ConfigError(f"{key!r} must be a finite JSON number, got {value!r}")
+        raise ParameterError(f"{key!r} must be a finite JSON number, got {value!r}")
 
 
 def _numbers(value, key: str) -> None:
     if not isinstance(value, list):
-        raise ConfigError(f"{key!r} must be a JSON array of numbers, got {value!r}")
+        raise ParameterError(f"{key!r} must be a JSON array of numbers, got {value!r}")
     for item in value:
         _number(item, key)
 
@@ -214,7 +214,7 @@ def _take(mapping: dict, context: str, allowed: dict):
     """Reject unknown keys, then check each value with its key's checker."""
     extra = set(mapping) - set(allowed)
     if extra:
-        raise ConfigError(f"unknown key(s) {sorted(extra)} in {context}")
+        raise ParameterError(f"unknown key(s) {sorted(extra)} in {context}")
     for key, value in mapping.items():
         if allowed[key] is not None:
             allowed[key](value, key)
@@ -236,36 +236,33 @@ _SCHEDULE_KEYS = {"start_snapshot": _integer, "interferer_doas_deg": _numbers}
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a JSON object")
+        raise ParameterError("scenario document must be a JSON object")
     _take(doc, "scenario", _TOP_KEYS)
     if "sensors" not in doc:
-        raise ConfigError("scenario must set 'sensors'")
+        raise ParameterError("scenario must set 'sensors'")
 
     scattering = ScatteringSpec()
     if "scattering" in doc:
         sc = doc["scattering"]
         if not isinstance(sc, dict):
-            raise ConfigError("'scattering' must be an object")
+            raise ParameterError("'scattering' must be an object")
         _take(sc, "scattering", _SCATTER_KEYS)
         defaults = {"angle_mean_deg": doc.get("desired_doa_deg", 10.0)}
-        try:
-            scattering = ScatteringSpec(**{**defaults, **sc})
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        scattering = ScatteringSpec(**{**defaults, **sc})
 
     roster = doc.get("algorithms")
     if not isinstance(roster, list):
-        raise ConfigError("'algorithms' must be a JSON array")
+        raise ParameterError("'algorithms' must be a JSON array")
     schedule = []
     schedule_doc = doc.get("interferer_schedule", [])
     if not isinstance(schedule_doc, list):
-        raise ConfigError("'interferer_schedule' must be a JSON array")
+        raise ParameterError("'interferer_schedule' must be a JSON array")
     for entry in schedule_doc:
         if not isinstance(entry, dict):
-            raise ConfigError("schedule entries must be objects")
+            raise ParameterError("schedule entries must be objects")
         _take(entry, "interferer_schedule", _SCHEDULE_KEYS)
         if "start_snapshot" not in entry or "interferer_doas_deg" not in entry:
-            raise ConfigError("schedule entries need start_snapshot and interferer_doas_deg")
+            raise ParameterError("schedule entries need start_snapshot and interferer_doas_deg")
         schedule.append(ScheduleChange(entry["start_snapshot"],
                                        tuple(entry["interferer_doas_deg"])))
 
@@ -275,8 +272,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     try:
         return ScenarioConfig(scattering=scattering, algorithms=roster,
                               interferer_schedule=schedule, **kwargs)
-    except (TypeError, ParameterError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except TypeError as exc:
+        raise ParameterError(str(exc)) from exc
 
 
 def load_config(path) -> ScenarioConfig:
@@ -285,5 +282,5 @@ def load_config(path) -> ScenarioConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        raise ParameterError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(doc)

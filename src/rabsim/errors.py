@@ -1,22 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat
-and unambiguous: bad inputs vs. numerical breakdown vs. bad experiment
-configuration.
+One class per CLI exit code: ``ParameterError`` (exit 2) for an argument,
+option or scenario file that breaks a documented precondition, and
+``NumericError`` (exit 3) for a numerical breakdown, an algorithm failing
+every trial at a scenario point included.
 """
 
 
 class ParameterError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument, option or scenario file violates a documented precondition."""
 
 
 class NumericError(RuntimeError):
-    """A linear-algebra step failed (singular / non-finite operands)."""
-
-
-class ConfigError(ValueError):
-    """A scenario configuration file is malformed or inconsistent."""
-
-
-class ExperimentError(RuntimeError):
-    """A Monte Carlo experiment could not produce any usable trials."""
+    """A linear-algebra step failed (singular / non-finite operands), or an
+    algorithm produced no usable trial at some scenario point."""

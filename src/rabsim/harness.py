@@ -27,7 +27,7 @@ from .analysis import (inc_factor, optimal_weights, output_sinr, smi_weights,
                        steering_mse)
 from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
-from .errors import ExperimentError, NumericError
+from .errors import NumericError
 from .okspme import OkspmeBeamformer
 from .tracking import CovarianceTracker
 
@@ -178,7 +178,7 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
     for start, end, doas in cfg.segments():
         interferers = [make_steering(cfg.sensors, d) for d in doas]
         observations[:, start:end] = generate_snapshots(
-            truth[:, start:end], p_des, interferers, p_int, 1.0, data_rng)
+            truth[:, start:end], p_des, interferers, p_int, data_rng)
         r_in = np.eye(cfg.sensors, dtype=complex)
         for a in interferers:
             r_in += p_int * np.outer(a, a.conj())
@@ -267,7 +267,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> AggregateResult:
                 good = [r for r in records if not r.failed[name]]
                 failures[name] += cfg.trials - len(good)
                 if not good:
-                    raise ExperimentError(
+                    raise NumericError(
                         f"all trials failed for algorithm {name!r} at SNR {snr_db} dB")
                 point = np.mean([reduce(r.sinr_db[name]) for r in good], axis=0)
                 mean_sinr[name].append(point)

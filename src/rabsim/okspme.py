@@ -54,11 +54,10 @@ def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float) -> float
     return max(POWER_FLOOR, (proj - gram * sigma_n_sq) / gram**2)
 
 
-def build_rhs(a_hat: np.ndarray, sigma1_sq: float, sigma_n_sq: float,
-              delta: float) -> np.ndarray:
-    """Right-hand side ``b = a (a^H a) sigma1^2 + (sigma_n^2 + delta) a``."""
+def build_rhs(a_hat: np.ndarray, sigma1_sq: float, sigma_n_sq: float) -> np.ndarray:
+    """Right-hand side ``b = a (a^H a) sigma1^2 + (sigma_n^2 + DELTA) a``."""
     gram = np.vdot(a_hat, a_hat).real
-    return (gram * sigma1_sq + sigma_n_sq + delta) * a_hat
+    return (gram * sigma1_sq + sigma_n_sq + DELTA) * a_hat
 
 
 def residue(R_hat: np.ndarray, a_hat: np.ndarray, b: np.ndarray):
@@ -75,20 +74,18 @@ def residue(R_hat: np.ndarray, a_hat: np.ndarray, b: np.ndarray):
     return r, r / r_norm, False
 
 
-def update_steering(a_hat: np.ndarray, P: np.ndarray, d_hat: np.ndarray,
-                    norm_target: float) -> np.ndarray:
-    """Add the projected cross-correlation direction and renormalize.
+def update_steering(a_hat: np.ndarray, P: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
+    """Add the projected cross-correlation direction and renormalize to
+    ``sqrt(M)``, the norm of a ULA steering vector.
 
-    ``norm_target`` is the steering norm to restore, ``sqrt(M)`` for the
-    physical ULA steering vector.  A negligible projection leaves the
-    estimate untouched.
+    A negligible projection leaves the estimate untouched.
     """
     proj = P @ d_hat
     proj_norm = norm(proj)
     if proj_norm < TINY * max(1.0, norm(d_hat)):
         return a_hat
     a_new = a_hat + proj / proj_norm
-    return a_new * (norm_target / norm(a_new))
+    return a_new * (math.sqrt(len(a_hat)) / norm(a_new))
 
 
 def inc_matrix(R_hat: np.ndarray, a_hat: np.ndarray,
@@ -165,8 +162,7 @@ class SteeringEstimator:
         self.m = a_init.shape[0]
         self.noise = NoisePowerSource(1.0)
         self.tracker = CovarianceTracker(self.m, lam=self.lam, delta0=DELTA0)
-        self.norm_target = math.sqrt(self.m)
-        self.a_hat = a_init * (self.norm_target / norm(a_init))
+        self.a_hat = a_init * (math.sqrt(self.m) / norm(a_init))
         self.num_sources = int(num_sources)
         self.w = np.ones(self.m, dtype=complex)
         self.constraint_steering = self.a_hat
@@ -202,12 +198,11 @@ class SteeringEstimator:
         self._sigma1_num = lam * self._sigma1_num + sigma1
         self._sigma1_den = lam * self._sigma1_den + 1.0
 
-        b = build_rhs(self.a_hat, sigma1, sigma_n, DELTA)
+        b = build_rhs(self.a_hat, sigma1, sigma_n)
         _, t1, converged = residue(R, self.a_hat, b)
         if not converged:
             basis = arnoldi_mgs(R, t1, self.num_sources)
-            self.a_hat = update_steering(self.a_hat, make_projector(basis), d,
-                                         self.norm_target)
+            self.a_hat = update_steering(self.a_hat, make_projector(basis), d)
         return R, sigma1
 
     def record_output(self, x: np.ndarray, y: complex) -> None:

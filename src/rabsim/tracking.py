@@ -62,8 +62,6 @@ class CovarianceTracker:
         self.count_d += 1
 
     def _accumulated_weight(self, n: int) -> float:
-        if n == 0:
-            return 0.0
         if self.lam < 1.0:
             return (1.0 - self.lam**n) / (1.0 - self.lam)
         return float(n)

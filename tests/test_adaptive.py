@@ -24,7 +24,7 @@ def _rand(g, m):
 def test_sg_zero_step_is_identity():
     g = np.random.default_rng(0)
     w = _rand(g, 4)
-    out = sg_update(w, 0.0, make_steering(4, 10.0), 2.0, _rand(g, 4), 1.0 + 0j)
+    out = sg_update(w, 0.0, make_steering(4, 10.0), 2.0, _rand(g, 4))
     assert np.array_equal(out, w)
 
 
@@ -35,8 +35,7 @@ def test_sg_collinear_snapshot_drops_data_term():
     a = make_steering(4, 20.0)
     w = _rand(g, 4)
     mu, s1 = 0.01, 3.0
-    y = np.vdot(w, a)
-    out = sg_update(w, mu, a, s1, a.copy(), y)
+    out = sg_update(w, mu, a, s1, a.copy())
     expect = w - mu * s1 * np.vdot(a, w) * a - mu * s1 * a
     assert np.abs(out - expect).max() < 1e-12
 
@@ -51,7 +50,7 @@ def test_sg_matches_independent_evaluation():
     x = _rand(g, m)
     y = np.vdot(w, x)
     mu, s1 = 0.003, 5.0
-    out = sg_update(w, mu, a, s1, x, y)
+    out = sg_update(w, mu, a, s1, x)
     gram = np.vdot(a, a).real
     eye_term = (np.eye(m) - mu * s1 * np.outer(a, a.conj())) @ w
     oracle = eye_term - mu * (s1 * a + np.conj(y) * (x - (np.vdot(a, x) * a) / gram))
@@ -62,16 +61,16 @@ def test_sg_matches_independent_evaluation():
 def test_sg_rejects_step_outside_bound():
     a = make_steering(3, 0.0)
     with pytest.raises(ParameterError):
-        sg_update(np.ones(3, dtype=complex), 0.6, a, 2.0, np.ones(3, dtype=complex), 0j)
+        sg_update(np.ones(3, dtype=complex), 0.6, a, 2.0, np.ones(3, dtype=complex))
     with pytest.raises(ParameterError):
-        sg_update(np.ones(3, dtype=complex), -0.1, a, 2.0, np.ones(3, dtype=complex), 0j)
+        sg_update(np.ones(3, dtype=complex), -0.1, a, 2.0, np.ones(3, dtype=complex))
 
 
 def test_sg_stability_long_stationary_run():
     m = 6
     a_true = make_steering(m, 10.0)
     obs = generate_snapshots(np.repeat(a_true[:, None], 10_000, axis=1), 1.0,
-                             [], 0.0, 1.0, rng.stream(3, 0, 0))
+                             [], 0.0, rng.stream(3, 0, 0))
     bf = SgBeamformer(a_true.copy(), 1)
     norms = []
     for i in range(10_000):
@@ -190,7 +189,7 @@ def test_ccg_beamformer_constraint_and_determinism():
 
     def run():
         obs = generate_snapshots(np.repeat(a_true[:, None], 40, axis=1), 5.0,
-                                 interferers, 5.0, 1.0, rng.stream(8, 0, 0))
+                                 interferers, 5.0, rng.stream(8, 0, 0))
         bf = CcgBeamformer(make_steering(m, 12.0), 2)
         out = []
         for i in range(40):
@@ -208,10 +207,10 @@ def test_mcg_alpha_a_matches_independent_recomputation():
     g = np.random.default_rng(9)
     m = 4
     p_a, g_prev, v, a, x = (_rand(g, m) for _ in range(5))
-    s1, lam, eta = 1.7, 0.998, 0.1
-    alpha = mcg_alpha_a(p_a, g_prev, v, a, x, s1, lam, eta)
+    s1, lam = 1.7, 0.998
+    alpha = mcg_alpha_a(p_a, g_prev, v, a, x, s1, lam)
     num = (lam * (np.vdot(p_a, v) - np.vdot(p_a, g_prev)) - np.vdot(p_a, v)
-           + np.vdot(p_a, x) * np.vdot(x, a) + eta * np.vdot(p_a, g_prev))
+           + np.vdot(p_a, x) * np.vdot(x, a) + ETA_A * np.vdot(p_a, g_prev))
     den = s1 * abs(np.vdot(v, p_a)) ** 2
     assert abs(alpha - num / den) < 1e-12 * abs(num / den)
 
@@ -229,7 +228,7 @@ def test_mcg_constraint_and_bound_trace():
     a_true = make_steering(m, 10.0)
     interferers = [make_steering(m, 30.0)]
     obs = generate_snapshots(np.repeat(a_true[:, None], 50, axis=1), 5.0,
-                             interferers, 5.0, 1.0, rng.stream(10, 0, 0))
+                             interferers, 5.0, rng.stream(10, 0, 0))
     bf = McgBeamformer(make_steering(m, 11.0), 2)
     pairs = []
     for i in range(50):
@@ -248,7 +247,7 @@ def test_mcg_runs_on_sample_mean_tracker():
     m = 5
     a_true = make_steering(m, 10.0)
     obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
-                             [], 0.0, 1.0, rng.stream(11, 0, 0))
+                             [], 0.0, rng.stream(11, 0, 0))
     bf = _SampleMeanMcg(a_true.copy(), 1)
     for i in range(30):
         w = bf.process(obs[:, i])
@@ -346,7 +345,7 @@ class _McgOracle(McgBeamformer):
         R, s1 = self.begin_snapshot(x)
         a, lam = self.a_hat, self.tracker.lam
         quad = inc_matrix(R, a, self.sigma1_sq_mean)[0]
-        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam, ETA_A)
+        alpha_a = mcg_alpha_a(self.p_a, self.g_a, self.v, a, x, s1, lam)
         step = abs(alpha_a) * norm(self.p_a)
         if step > 1.0:
             alpha_a = alpha_a * (1.0 / step)
@@ -383,7 +382,7 @@ class _McgOracle(McgBeamformer):
             self.w = self.v / denom
             self.constraint_steering = a_new
             self.v = self.w.copy()
-        record_normalized_output(self, self.w, x)
+        record_normalized_output(self, x)
         return self.w
 
 
@@ -419,7 +418,7 @@ def test_mcg_snapshots_bits_match_oracle():
     a_true = make_steering(m, 10.0)
     interferers = [make_steering(m, 30.0), make_steering(m, -40.0)]
     obs = generate_snapshots(np.repeat(a_true[:, None], 50, axis=1), 5.0,
-                             interferers, 5.0, 1.0, rng.stream(9, 0, 0))
+                             interferers, 5.0, rng.stream(9, 0, 0))
     new, old = (cls(make_steering(m, 13.0), 3) for cls in (McgBeamformer, _McgOracle))
     for i in range(50):
         x = obs[:, i]

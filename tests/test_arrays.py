@@ -145,17 +145,40 @@ def test_incoherent_gain_variance():
     assert np.all(np.abs(var - np.abs(nominal) ** 2) < 0.05 * np.abs(nominal) ** 2)
 
 
+def _replay(truth, desired_power, interferers, interferer_power, g):
+    """``generate_snapshots`` rebuilt from its documented draw order: the
+    desired symbols, each interferer's symbols in list order, then the unit
+    sensor noise."""
+    m, count = truth.shape
+
+    def symbols(power):
+        z = g.standard_normal((count, 2))
+        return math.sqrt(power / 2.0) * (z[:, 0] + 1j * z[:, 1])
+
+    want = np.zeros((m, count), dtype=complex)
+    want += truth * symbols(desired_power)[None, :]
+    for a in interferers:
+        want += np.outer(a, symbols(interferer_power))
+    z = g.standard_normal((m, count, 2))
+    want += math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+    return want
+
+
 def test_generate_snapshots_zero_everything():
-    x = generate_snapshots(_fixed(make_steering(4, 10.0), 5), 0.0,
-                           [], 0.0, 0.0, rng.stream(0, 0, 0))
-    assert np.allclose(x, 0.0)
+    # zero source powers leave the unit noise alone
+    truth = _fixed(make_steering(4, 10.0), 5)
+    x = generate_snapshots(truth, 0.0, [], 0.0, rng.stream(0, 0, 0))
+    g = rng.stream(0, 0, 0)
+    g.standard_normal((5, 2))       # the desired symbols, scaled by 0
+    z = g.standard_normal((4, 5, 2))
+    assert np.array_equal(x, math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1]))
 
 
 def test_generate_snapshots_covariance_matches_model():
     a = make_steering(4, 10.0)
-    x = generate_snapshots(_fixed(a, 100_000), 2.0, [], 0.0, 0.0, rng.stream(9, 0, 0))
+    x = generate_snapshots(_fixed(a, 100_000), 2.0, [], 0.0, rng.stream(9, 0, 0))
     scm = x @ x.conj().T / x.shape[1]
-    model = 2.0 * np.outer(a, a.conj())
+    model = 2.0 * np.outer(a, a.conj()) + np.eye(4)
     err = np.linalg.norm(scm - model) / np.linalg.norm(model)
     assert err < 0.02
 
@@ -163,28 +186,24 @@ def test_generate_snapshots_covariance_matches_model():
 def test_generate_snapshots_validation():
     a = _fixed(make_steering(4, 0.0), 5)
     with pytest.raises(ParameterError):
-        generate_snapshots(a[:, :0], 1.0, [], 1.0, 1.0, rng.stream(0, 0, 0))
-    with pytest.raises(ParameterError):
-        generate_snapshots(a, 1.0, [], 1.0, -1.0, rng.stream(0, 0, 0))
+        generate_snapshots(a[:, :0], 1.0, [], 1.0, rng.stream(0, 0, 0))
 
 
 def test_generate_snapshots_desired_term_follows_truth_columns():
-    # noise free, desired source only: column i is truth[:, i] times one symbol
+    # desired source only: column i is truth[:, i] times one symbol, plus noise
     nominal = make_steering(4, 10.0)
     spec = ScatteringSpec(kind="incoherent")
     truth = make_incoherent_mismatch(nominal, spec, rng.stream(2, 0, 0), 7)
-    x = generate_snapshots(truth, 1.0, [], 0.0, 0.0, rng.stream(3, 0, 0))
+    x = generate_snapshots(truth, 1.0, [], 0.0, rng.stream(3, 0, 0))
     assert x.shape == (4, 7)
-    ratio = x / truth
-    assert np.allclose(ratio, ratio[:1], atol=1e-12)
-    assert not np.allclose(ratio[0, 0], ratio[0, 1])
+    assert np.array_equal(x, _replay(truth, 1.0, [], 0.0, rng.stream(3, 0, 0)))
 
 
 def test_reproducibility_bit_identical():
     interferers = [make_steering(6, 30.0)]
     a = _fixed(make_steering(6, 10.0), 50)
-    x1 = generate_snapshots(a, 1.0, interferers, 1.0, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
-    x2 = generate_snapshots(a, 1.0, interferers, 1.0, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
+    x1 = generate_snapshots(a, 1.0, interferers, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
+    x2 = generate_snapshots(a, 1.0, interferers, 1.0, rng.stream(11, 2, rng.ROLE_DATA))
     assert np.array_equal(x1, x2)
 
 
@@ -195,20 +214,8 @@ def test_generate_snapshots_draw_order():
     spec = ScatteringSpec(kind="incoherent")
     truth = make_incoherent_mismatch(make_steering(m, 10.0), spec, rng.stream(4, 0, 0), count)
     a1, a2 = make_steering(m, 30.0), make_steering(m, -20.0)
-    x = generate_snapshots(truth, 2.0, [a1, a2], 3.0, 0.5, rng.stream(12, 0, rng.ROLE_DATA))
-
-    g = rng.stream(12, 0, rng.ROLE_DATA)
-
-    def symbols(power):
-        z = g.standard_normal((count, 2))
-        return math.sqrt(power / 2.0) * (z[:, 0] + 1j * z[:, 1])
-
-    want = np.zeros((m, count), dtype=complex)
-    want += truth * symbols(2.0)[None, :]
-    want += np.outer(a1, symbols(3.0))
-    want += np.outer(a2, symbols(3.0))
-    z = g.standard_normal((m, count, 2))
-    want += math.sqrt(0.5 / 2.0) * (z[..., 0] + 1j * z[..., 1])
+    x = generate_snapshots(truth, 2.0, [a1, a2], 3.0, rng.stream(12, 0, rng.ROLE_DATA))
+    want = _replay(truth, 2.0, [a1, a2], 3.0, rng.stream(12, 0, rng.ROLE_DATA))
     assert np.array_equal(x, want)
 
 

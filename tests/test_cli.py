@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import rabsim
 from rabsim.cli import main
+from rabsim.errors import NumericError, ParameterError
 
 
 def _scenario(tmp_path, **overrides):
@@ -361,6 +362,23 @@ def test_smi_fails_numerically_at_extreme_snr(tmp_path, capsys, snr_db, code):
     else:
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert "'smi'" in lines[0]
+
+
+# The exit-code contract: one exception class per code, one error line.
+@pytest.mark.parametrize("exc, code", [(ParameterError("bad value"), 2),
+                                       (NumericError("no usable trial"), 3),
+                                       (OSError("disk gone"), 4)])
+def test_exception_classes_map_to_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(rabsim.cli, "run_experiment", raising)
+    assert main(["simulate", "--config", str(_scenario(tmp_path)),
+                 "--out", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------ mutated scenario documents

@@ -31,6 +31,12 @@ def test_init_mode_independent():
     assert np.array_equal(a.crosscorr(), b.crosscorr())
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.998])
+def test_weight_is_zero_before_any_snapshot(lam):
+    t = CovarianceTracker(3, lam=lam)
+    assert t.count == 0 and t.weight == 0.0
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(lam=0.0), dict(lam=1.5), dict(delta0=-0.1), dict(lam=float("nan")),
 ])
