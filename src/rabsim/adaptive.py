@@ -137,14 +137,18 @@ def ccg_inner(A: np.ndarray, a0: np.ndarray, v0: np.ndarray, sigma1_sq: float,
 
     ``A`` is the interference-plus-noise quadratic the weight proxy descends,
     i.e. the covariance with the estimated desired-signal contribution
-    subtracted (positive definite after the same repair the direct solve
-    uses).  Gradients are initialized as the true residuals ``g_v = a - A v``
-    and ``g_a = sigma1^2 (v^H a) v + v``; each iteration line-searches both
-    branches and rebuilds the directions with Fletcher-Reeves coefficients.
-    Collapsed denominators or non-positive curvature end the loop early, and
-    single steps are trust-capped against the rank-deficient startup phase.
-    Each gradient's squared norm is formed once and carried into the next
-    iteration's Fletcher-Reeves coefficient.
+    subtracted, as ``okspme.inc_matrix`` returns it: where the subtraction
+    is indefinite, ``A`` carries that repair's diagonal loading ``gamma I``,
+    often hundreds of noise powers.  By Sherman-Morrison the minimizer
+    ``A^-1 a`` for the ``a`` the subtraction used points along
+    ``(R + gamma I)^-1 a`` (``gamma`` 0 without a repair), a loaded
+    covariance solve.  Gradients are initialized as the true residuals
+    ``g_v = a - A v`` and ``g_a = sigma1^2 (v^H a) v + v``; each iteration
+    line-searches both branches and rebuilds the directions with
+    Fletcher-Reeves coefficients.  Collapsed denominators or non-positive
+    curvature end the loop early, and single steps are trust-capped against
+    the rank-deficient startup phase.  Each gradient's squared norm is formed
+    once and carried into the next iteration's Fletcher-Reeves coefficient.
     """
     a = np.array(a0, dtype=complex)
     v = np.array(v0, dtype=complex)

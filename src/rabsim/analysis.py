@@ -1,7 +1,8 @@
 """Reference beamformers, SINR metrics, steering-error bounds, flop models.
 
-Everything here is closed-form: the sample-matrix-inversion baselines, the
-oracle SINR used to judge every algorithm, the analytic bounds on the
+Everything here is closed-form: the sample-matrix-inversion baselines and
+the clairvoyant optimum, the output SINR that scores every algorithm's
+weights (the optimum's included), the analytic bounds on the
 steering-estimate mean squared error as a function of the presumed angular
 sector, and per-snapshot flop counts for the algorithm family and the usual
 competitors.  The flop counts are one table, ``algorithm -> (needs m,
@@ -39,25 +40,11 @@ def smi_weights(R_hat: np.ndarray, a_nominal: np.ndarray) -> np.ndarray:
     return z / np.vdot(a_nominal, z)
 
 
-def inc_factor(R_in_true: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a true interference-plus-noise matrix."""
-    try:
-        return cholesky(R_in_true)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("true INC matrix is not positive definite") from exc
-
-
 def optimal_weights(a_true: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Clairvoyant MVDR weights; ``factor`` is ``inc_factor`` of the true
-    interference-plus-noise matrix."""
+    """Clairvoyant MVDR weights; ``factor`` is the lower Cholesky factor of
+    the true interference-plus-noise matrix."""
     z = cho_solve(factor, a_true)
     return z / np.vdot(a_true, z)
-
-
-def optimal_sinr(sigma1_sq: float, a_true: np.ndarray, R_in_true: np.ndarray) -> float:
-    """Attainable SINR ``10 log10(sigma1^2 a^H R_in^-1 a)`` in dB."""
-    quad = np.vdot(a_true, cho_solve(inc_factor(R_in_true), a_true)).real
-    return 10.0 * math.log10(sigma1_sq * quad)
 
 
 def output_sinr(w: np.ndarray, sigma1_sq: float, a_true: np.ndarray,

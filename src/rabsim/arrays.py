@@ -98,7 +98,10 @@ def make_incoherent_mismatch(
 
     Column ``i`` is ``s_0(i) p + sum_k s_k(i) b(theta_k)`` with i.i.d.
     unit-variance circular complex Gaussian gains redrawn every snapshot.
-    Path angles are drawn once, before the first snapshot's gains.
+    Path angles are drawn first, then all snapshots' gains in one draw, in
+    snapshot order.  Each column is that snapshot's own ``gains @ paths``
+    product: a stacked matmul keeps its bits, where one matrix product over
+    all snapshots rounds differently.  The result is C-ordered.
     """
     if spec.kind != "incoherent":
         raise ParameterError(f"spec.kind must be 'incoherent', got {spec.kind!r}")
@@ -108,12 +111,9 @@ def make_incoherent_mismatch(
     paths[0] = nominal
     for k, theta in enumerate(thetas):
         paths[k + 1] = make_steering(m, theta)
-    out = np.empty((m, count), dtype=complex)
-    for i in range(count):
-        z = rng.standard_normal((spec.num_paths + 1, 2))
-        gains = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-        out[:, i] = gains @ paths
-    return out
+    z = rng.standard_normal((count, spec.num_paths + 1, 2))
+    gains = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    return np.ascontiguousarray((gains[:, None, :] @ paths)[:, 0].T)
 
 
 def generate_snapshots(

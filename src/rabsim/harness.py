@@ -23,8 +23,7 @@ import numpy as np
 
 from . import kernels, rng
 from .adaptive import CcgBeamformer, McgBeamformer, SgBeamformer
-from .analysis import (inc_factor, optimal_weights, output_sinr, smi_weights,
-                       steering_mse)
+from .analysis import optimal_weights, output_sinr, smi_weights, steering_mse
 from .arrays import (generate_snapshots, make_coherent_mismatch,
                      make_incoherent_mismatch, make_steering)
 from .errors import NumericError
@@ -133,7 +132,7 @@ class _OptimalRunner:
         """``(true steering, INC factor)`` per snapshot; each segment's INC
         is factored once, at its first snapshot."""
         for start, end, r_in in segments:
-            factor = inc_factor(r_in)
+            factor = kernels.cholesky(r_in)
             # Columns go out as strided views: a contiguous copy changes the
             # bits of the solve.
             for i in range(start, end):

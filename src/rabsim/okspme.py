@@ -93,8 +93,14 @@ def inc_matrix(R_hat: np.ndarray, a_hat: np.ndarray,
     """Interference-plus-noise covariance ``R_hat - sigma1^2 a a^H``.
 
     An overestimated desired power can push the result indefinite; in that
-    case a minimal diagonal loading ``(|lambda_min| + 1e-6 tr(R)/M) I`` is
-    added so the MVDR solve stays well posed.
+    case the repair adds ``gamma I`` with ``gamma = |lambda_min| +
+    1e-6 tr(R)/M``.  By Sherman-Morrison the subtraction alone does not
+    change the direction of ``r_in^-1 a``, so the direct method's weights are
+    ``(R + gamma I)^-1 a``, normalized, with ``gamma`` 0 or the repair's: a
+    diagonal-loading rule, and not a minimal one.  On the coherent M=12 and
+    M=40 acceptance scenarios the repair fires on 40-45% of the direct
+    method's snapshots, with a late-trial median ``gamma`` of 358 noise
+    powers.
 
     Returns ``(r_in, factor)``: ``factor`` is the lower Cholesky factor of
     ``r_in`` left by the positive-definiteness test, or None when the

@@ -100,7 +100,7 @@ class _ForcedGains:
 
     def standard_normal(self, shape):
         z = np.zeros(shape)
-        z[0, 0] = math.sqrt(2.0)  # s_0 = (sqrt(2) + 0j)/sqrt(2) = 1
+        z[..., 0, 0] = math.sqrt(2.0)  # s_0 = (sqrt(2) + 0j)/sqrt(2) = 1
         return z
 
 
@@ -124,16 +124,18 @@ def test_incoherent_seeded_redraw_matches_brute_force():
     spec = ScatteringSpec(kind="incoherent", num_paths=3, angle_std_deg=2.0)
     truth = make_incoherent_mismatch(nominal, spec, rng.stream(7, 1, rng.ROLE_SCATTER), 5)
 
-    # replay the draw order: the path angles, then one gain draw per snapshot
+    # replay the draw order, the path angles and then one gain draw per
+    # snapshot, and each snapshot's own gains @ paths product: the CSV bytes
+    # rest on these bits
     g = rng.stream(7, 1, rng.ROLE_SCATTER)
     half = math.sqrt(3.0) * 2.0
-    paths = [nominal] + [make_steering(8, th)
-                         for th in g.uniform(10.0 - half, 10.0 + half, size=3)]
+    paths = np.array([nominal] + [make_steering(8, th)
+                                  for th in g.uniform(10.0 - half, 10.0 + half, size=3)])
+    assert truth.flags.c_contiguous
     for i in range(5):
         z = g.standard_normal((4, 2))
         gains = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-        expect = sum(s * p for s, p in zip(gains, paths))
-        assert np.allclose(truth[:, i], expect, atol=1e-14)
+        assert np.array_equal(truth[:, i], gains @ paths)
 
 
 def test_incoherent_gain_variance():

@@ -252,6 +252,26 @@ def test_incoherent_scenario_runs():
     assert np.isfinite(rec.sinr_db["okspme"]).all()
 
 
+def test_failed_optimum_leaves_the_other_engines_alone(monkeypatch):
+    # the optimum factors each true INC matrix through kernels.cholesky; a
+    # LinAlgError there fails the optimum's trial and no other engine's
+    cfg = config_from_dict(_base_doc(
+        algorithms=["okspme", "optimal", "smi"], scattering={"kind": "incoherent"},
+        interferer_schedule=[{"start_snapshot": 11, "interferer_doas_deg": [-20.0]}]))
+    clean = run_trial(cfg, 1)
+
+    def indefinite(a):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(kernels, "cholesky", indefinite)
+    rec = run_trial(cfg, 1)
+    assert rec.failed == {"okspme": False, "optimal": True, "smi": False}
+    assert np.isnan(rec.sinr_db["optimal"]).all()
+    for name in ("okspme", "smi"):
+        assert np.array_equal(rec.sinr_db[name], clean.sinr_db[name])
+        assert np.array_equal(rec.steering_mse[name], clean.steering_mse[name])
+
+
 def test_optimal_algorithm_tracks_truth():
     cfg = config_from_dict(_base_doc(algorithms=["optimal"],
                                      scattering={"kind": "coherent"}))
