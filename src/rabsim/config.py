@@ -8,8 +8,10 @@ are rejected so typos fail fast instead of silently running the default.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,14 +20,6 @@ import numpy as np
 from .arrays import SQRT3, ScatteringSpec
 from .errors import ParameterError
 from .harness import ALGORITHMS
-
-
-def _has_json_type(value, kind: type) -> bool:
-    """JSON typing: true/false is never a number, an int value only an
-    integer, a float value any number."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
@@ -177,23 +171,30 @@ class ScenarioConfig:
         return 1 + len(self.interferer_doas_deg)
 
 
+# JSON value checks: true/false is never a number, an integer field takes
+# only JSON integers, a number field any finite number.
 def _integer(value, key: str) -> None:
-    if not _has_json_type(value, int):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{key!r} must be a JSON integer, got {value!r}")
 
 
 def _number(value, key: str) -> None:
     try:
-        finite = _has_json_type(value, float) and math.isfinite(value)
+        finite = (not isinstance(value, bool) and isinstance(value, (int, float))
+                  and math.isfinite(value))
     except OverflowError:       # an integer beyond the float range
         finite = False
     if not finite:
         raise ParameterError(f"{key!r} must be a finite JSON number, got {value!r}")
 
 
-def _numbers(value, key: str) -> None:
+def _array(value, key: str) -> None:
     if not isinstance(value, list):
-        raise ParameterError(f"{key!r} must be a JSON array of numbers, got {value!r}")
+        raise ParameterError(f"{key!r} must be a JSON array, got {value!r}")
+
+
+def _numbers(value, key: str) -> None:
+    _array(value, key)
     for item in value:
         _number(item, key)
 
@@ -210,68 +211,52 @@ def _number_or_null(value, key: str) -> None:
         _number(value, key)
 
 
-def _take(mapping: dict, context: str, allowed: dict):
-    """Reject unknown keys, then check each value with its key's checker."""
-    extra = set(mapping) - set(allowed)
+# The JSON type check of a field, by its annotation.  A field of another
+# annotation (a name, a nested object) is checked where its value is built.
+_JSON_CHECKS = {int: _integer, float: _number, tuple: _numbers, list: _array,
+                float | list: _number_or_numbers, float | None: _number_or_null}
+
+
+def _arguments(cls, obj, context: str) -> dict:
+    """The keyword arguments of dataclass ``cls`` the JSON object ``obj`` gives:
+    every key a field, every value of its field's JSON type, every field
+    without a default present, and JSON arrays turned into tuples."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{context} must be a JSON object")
+    kinds = typing.get_type_hints(cls)
+    extra = obj.keys() - kinds.keys()
     if extra:
         raise ParameterError(f"unknown key(s) {sorted(extra)} in {context}")
-    for key, value in mapping.items():
-        if allowed[key] is not None:
-            allowed[key](value, key)
+    for f in dataclasses.fields(cls):
+        if f.name not in obj:
+            if f.default is f.default_factory is dataclasses.MISSING:
+                raise ParameterError(f"{context} must set {f.name!r}")
+        elif kinds[f.name] in _JSON_CHECKS:
+            _JSON_CHECKS[kinds[f.name]](obj[f.name], f.name)
+    return {key: tuple(value) if kinds[key] is tuple else value
+            for key, value in obj.items()}
 
 
-# Accepted keys and the check of each value's JSON type (None: checked where
-# the value is built).
-_TOP_KEYS = {
-    "sensors": _integer, "desired_doa_deg": _number,
-    "interferer_doas_deg": _numbers, "snr_db": _number_or_numbers,
-    "sir_db": _number, "inr_db": _number_or_null, "scattering": None,
-    "sector_halfwidth_deg": _number, "snapshots": _integer, "trials": _integer,
-    "algorithms": None, "master_seed": _integer, "interferer_schedule": None,
-}
-_SCATTER_KEYS = {"kind": None, "num_paths": _integer,
-                 "angle_mean_deg": _number, "angle_std_deg": _number}
-_SCHEDULE_KEYS = {"start_snapshot": _integer, "interferer_doas_deg": _numbers}
+def _build(cls, obj, context: str, **defaults):
+    """Dataclass ``cls`` built from the JSON object ``obj``; ``defaults``
+    stand in for the fields ``obj`` leaves out."""
+    return cls(**{**defaults, **_arguments(cls, obj, context)})
 
 
-def config_from_dict(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ParameterError("scenario document must be a JSON object")
-    _take(doc, "scenario", _TOP_KEYS)
-    if "sensors" not in doc:
-        raise ParameterError("scenario must set 'sensors'")
-
-    scattering = ScatteringSpec()
-    if "scattering" in doc:
-        sc = doc["scattering"]
-        if not isinstance(sc, dict):
-            raise ParameterError("'scattering' must be an object")
-        _take(sc, "scattering", _SCATTER_KEYS)
-        defaults = {"angle_mean_deg": doc.get("desired_doa_deg", 10.0)}
-        scattering = ScatteringSpec(**{**defaults, **sc})
-
-    roster = doc.get("algorithms")
-    if not isinstance(roster, list):
-        raise ParameterError("'algorithms' must be a JSON array")
-    schedule = []
-    schedule_doc = doc.get("interferer_schedule", [])
-    if not isinstance(schedule_doc, list):
-        raise ParameterError("'interferer_schedule' must be a JSON array")
-    for entry in schedule_doc:
-        if not isinstance(entry, dict):
-            raise ParameterError("schedule entries must be objects")
-        _take(entry, "interferer_schedule", _SCHEDULE_KEYS)
-        if "start_snapshot" not in entry or "interferer_doas_deg" not in entry:
-            raise ParameterError("schedule entries need start_snapshot and interferer_doas_deg")
-        schedule.append(ScheduleChange(entry["start_snapshot"],
-                                       tuple(entry["interferer_doas_deg"])))
-
-    kwargs = {k: v for k, v in doc.items()
-              if k in _TOP_KEYS.keys() - {"scattering", "algorithms", "interferer_schedule"}}
-    kwargs["interferer_doas_deg"] = tuple(doc.get("interferer_doas_deg", ()))
+def config_from_dict(doc) -> ScenarioConfig:
+    # The top-level values are checked before the nested objects are built,
+    # so a mistyped desired_doa_deg is reported under its own name and not
+    # as the scattering mean it stands in for.
+    kwargs = _arguments(ScenarioConfig, doc, "scenario")
     try:
-        return ScenarioConfig(scattering=scattering, algorithms=roster,
-                              interferer_schedule=schedule, **kwargs)
+        if "scattering" in kwargs:
+            kwargs["scattering"] = _build(
+                ScatteringSpec, kwargs["scattering"], "'scattering'",
+                angle_mean_deg=kwargs.get("desired_doa_deg", ScenarioConfig.desired_doa_deg))
+        kwargs["interferer_schedule"] = [
+            _build(ScheduleChange, entry, "an 'interferer_schedule' entry")
+            for entry in kwargs.get("interferer_schedule", [])]
+        return ScenarioConfig(**kwargs)
     except TypeError as exc:
         raise ParameterError(str(exc)) from exc
 

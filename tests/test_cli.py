@@ -18,6 +18,10 @@ from rabsim.cli import main
 from rabsim.errors import NumericError, ParameterError
 
 
+# An override value that removes its key from the scenario.
+DROP = object()
+
+
 def _scenario(tmp_path, **overrides):
     doc = {
         "sensors": 6,
@@ -30,6 +34,7 @@ def _scenario(tmp_path, **overrides):
         "algorithms": ["smi", "okspme"],
     }
     doc.update(overrides)
+    doc = {key: value for key, value in doc.items() if value is not DROP}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -178,33 +183,56 @@ def test_console_script_entry_point(tmp_path):
 
 
 # Malformed scenarios that once crashed with a traceback (exit 1) or ran
-# (exit 0); each now stops before any trial with one error line.
+# (exit 0); each now stops before any trial with one error line, holding the
+# offending key wherever the message names one.
 MALFORMED = [
-    pytest.param({"sensors": 12.5}, id="sensors-float"),
-    pytest.param({"snr_db": "abc"}, id="snr-string"),
-    pytest.param({"master_seed": -1}, id="seed-negative"),
-    pytest.param({"scattering": {"kind": "coherent", "num_paths": 2.5}}, id="paths-float"),
-    pytest.param({"snr_db": 1e6}, id="snr-overflow"),
-    pytest.param({"algorithms": []}, id="roster-empty"),
-    pytest.param({"trials": "3"}, id="trials-string"),
-    pytest.param({"snr_db": [0.0, float("nan")]}, id="snr-nan"),
-    pytest.param({"sector_halfwidth_deg": -5.0}, id="sector-negative"),
+    pytest.param({"sensors": 12.5}, "'sensors'", id="sensors-float"),
+    pytest.param({"snr_db": "abc"}, "'snr_db'", id="snr-string"),
+    pytest.param({"master_seed": -1}, "master_seed", id="seed-negative"),
+    pytest.param({"scattering": {"kind": "coherent", "num_paths": 2.5}}, "'num_paths'",
+                 id="paths-float"),
+    pytest.param({"snr_db": 1e6}, "snr_db", id="snr-overflow"),
+    pytest.param({"algorithms": []}, "'algorithms'", id="roster-empty"),
+    pytest.param({"trials": "3"}, "'trials'", id="trials-string"),
+    pytest.param({"snr_db": [0.0, float("nan")]}, "'snr_db'", id="snr-nan"),
+    pytest.param({"sector_halfwidth_deg": -5.0}, "sector_halfwidth_deg",
+                 id="sector-negative"),
     pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]},
-                 id="loading-negative"),
-    pytest.param({"interferer_schedule": 0}, id="schedule-number"),
+                 "algorithm entries", id="loading-negative"),
+    pytest.param({"interferer_schedule": 0}, "'interferer_schedule'", id="schedule-number"),
     # a change-point at snapshot 1 would leave the first segment empty
     pytest.param({"interferer_schedule": [
-        {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]}, id="schedule-at-1"),
+        {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]}, "change-points",
+        id="schedule-at-1"),
     pytest.param({"algorithms": [{"name": "okspme-mcg", "eta_v": 0.1}]},
-                 id="mcg-eta-v"),
+                 "algorithm entries", id="mcg-eta-v"),
     pytest.param({"algorithms": [{"name": "okspme-mcg", "tracker": "sample_mean",
                                   "lam": 0.5}]},
-                 id="mcg-tracker"),
+                 "algorithm entries", id="mcg-tracker"),
     # sizes no array can have: checked before anything is allocated
-    pytest.param({"sensors": 10**30}, id="sensors-huge"),
-    pytest.param({"snapshots": 10**30}, id="snapshots-huge"),
-    pytest.param({"scattering": {"kind": "coherent", "num_paths": 10**30}},
+    pytest.param({"sensors": 10**30}, "sensors", id="sensors-huge"),
+    pytest.param({"snapshots": 10**30}, "snapshots", id="snapshots-huge"),
+    pytest.param({"scattering": {"kind": "coherent", "num_paths": 10**30}}, "num_paths",
                  id="paths-huge"),
+    # one of each way a value can miss the schema's JSON types
+    pytest.param({"sensors": DROP}, "'sensors'", id="sensors-missing"),
+    pytest.param({"sensors": True}, "'sensors'", id="sensors-bool"),
+    pytest.param({"scattering": "coherent"}, "'scattering'", id="scattering-string"),
+    pytest.param({"scattering": {"kind": 3}}, "kind", id="kind-number"),
+    pytest.param({"interferer_schedule": [5]}, "'interferer_schedule'",
+                 id="schedule-entry-number"),
+    pytest.param({"interferer_schedule": [{"start_snapshot": 5}]},
+                 "'interferer_doas_deg'", id="schedule-entry-no-doas"),
+    pytest.param({"interferer_schedule": [
+        {"start_snapshot": 5, "interferer_doas_deg": 20.0}]}, "'interferer_doas_deg'",
+        id="schedule-doas-number"),
+    pytest.param({"algorithms": "smi"}, "'algorithms'", id="roster-string"),
+    pytest.param({"interferer_doas_deg": 30.0}, "'interferer_doas_deg'", id="doas-number"),
+    pytest.param({"inr_db": "20"}, "'inr_db'", id="inr-string"),
+    # the scattering mean defaults to the desired DoA: the DoA's own type
+    # error is the one reported
+    pytest.param({"desired_doa_deg": "10", "scattering": {"kind": "coherent"}},
+                 "'desired_doa_deg'", id="desired-string-with-scattering"),
 ]
 
 
@@ -222,9 +250,19 @@ def _assert_one_config_error(tmp_path, cfg, *args):
     return lines[0]
 
 
-@pytest.mark.parametrize("override", MALFORMED)
-def test_malformed_scenario_exits_2_with_one_error_line(tmp_path, override):
-    _assert_one_config_error(tmp_path, _scenario(tmp_path, **override))
+@pytest.mark.parametrize("override, named", MALFORMED)
+def test_malformed_scenario_exits_2_with_one_error_line(tmp_path, override, named):
+    line = _assert_one_config_error(tmp_path, _scenario(tmp_path, **override))
+    assert named in line
+
+
+# JSON documents that are not an object.
+@pytest.mark.parametrize("text", [b"[6, 10.0]", b"6", b'"sensors"', b"null"],
+                         ids=["array", "number", "string", "null"])
+def test_non_object_scenario_exits_2_with_one_error_line(tmp_path, text):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_bytes(text)
+    assert "JSON object" in _assert_one_config_error(tmp_path, cfg)
 
 
 # Files that are not a JSON document Python can parse.

@@ -10,8 +10,8 @@ import pytest
 
 import rabsim
 from rabsim import adaptive, analysis, harness, kernels, okspme
-from rabsim.arrays import make_steering
-from rabsim.config import config_from_dict, load_config
+from rabsim.arrays import ScatteringSpec, make_steering
+from rabsim.config import ScenarioConfig, ScheduleChange, config_from_dict, load_config
 from rabsim.errors import NumericError, ParameterError
 from rabsim.harness import run_experiment, run_trial, simulate_trial_data, write_csv
 from rabsim.tracking import CovarianceTracker
@@ -334,6 +334,53 @@ def test_readme_parameter_table_lists_the_registry():
         name, value = row.split("|")[1:3]
         documented[name.strip().strip("`")] = float(value)
     assert documented == FIXED_VALUES
+
+
+def _readme_section(title):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
+def _field_defaults(cls, prefix=""):
+    """``prefix + name`` -> default of each field of dataclass ``cls``
+    ("required" for a field without one)."""
+    defaults = {}
+    for f in dataclasses.fields(cls):
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        defaults[prefix + f.name] = "required" if default is dataclasses.MISSING else default
+    return defaults
+
+
+def test_readme_scenario_table_lists_every_field():
+    rows = _readme_section("Scenario files").split("| key | JSON type | default |")[1]
+    rows = rows.split("\n\n")[0].strip().splitlines()[1:]
+    documented = {}
+    for row in rows:
+        key, _, default = (cell.strip() for cell in row.split("|")[1:4])
+        documented[key.strip("`")] = default.strip("`")
+    expected = {**_field_defaults(ScenarioConfig),
+                **_field_defaults(ScatteringSpec, "scattering."),
+                **_field_defaults(ScheduleChange, "interferer_schedule[].")}
+    assert documented.keys() == expected.keys()
+    # the scattering mean follows the desired DoA
+    assert documented.pop("scattering.angle_mean_deg") == "desired_doa_deg"
+    cfg = config_from_dict(_base_doc(desired_doa_deg=-3.0, scattering={}))
+    assert cfg.scattering.angle_mean_deg == -3.0
+    for key, default in documented.items():
+        want = expected[key]
+        if default == "required":
+            assert want == "required", key
+        elif dataclasses.is_dataclass(want):
+            assert type(want)(**json.loads(default)) == want, key
+        else:   # as JSON text, so 10 and 10.0 differ
+            assert json.dumps(json.loads(default)) == json.dumps(want), key
+
+
+def test_readme_scenario_example_loads():
+    example = _readme_section("Scenario files").split("```json\n")[1].split("```")[0]
+    cfg = config_from_dict(json.loads(example))
+    assert set(cfg.algorithms) <= set(harness.ALGORITHMS)
 
 
 # ------------------------------------------------------------- aggregates
