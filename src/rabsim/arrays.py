@@ -1,11 +1,12 @@
 """Uniform linear array signal model.
 
-Steering vectors for a half-wavelength ULA, the two local-scattering
-mismatch models (coherent: one fixed composite vector per trial;
-incoherent: a fresh random composite every snapshot), and the snapshot
-generator that mixes the desired signal, a segment's interferers and
-unit-power noise.  A trial's realized desired steering is always an M x n
-matrix, one column per snapshot; interferers are plain steering vectors.
+Steering vectors for a half-wavelength ULA, the local-scattering model and
+the snapshot generator that mixes the desired signal, a segment's
+interferers and unit-power noise.  ``desired_steering`` alone draws a trial's
+realized desired steering, an M x n matrix with one column per snapshot, for
+every ``ScatteringSpec.kind`` (none; coherent: one fixed composite per trial;
+incoherent: a fresh random composite every snapshot), with path angles on
+``ScatteringSpec.support_deg``.  Interferers are plain steering vectors.
 
 Conventions: a plain steering vector has element ``k = exp(j*pi*k*sin(theta))``
 and therefore Euclidean norm ``sqrt(M)``.  Angles at the API boundary are
@@ -22,16 +23,13 @@ import numpy as np
 
 from .errors import ParameterError
 
-SQRT3 = math.sqrt(3.0)
-
 
 @dataclass(frozen=True)
 class ScatteringSpec:
-    """Local scattering around the desired signal.
+    """Local scattering around the desired signal, drawn by :func:`desired_steering`.
 
     ``kind`` is one of ``none | coherent | incoherent``.  Scattered-path
-    angles are drawn uniformly on ``mean +- sqrt(3)*std``, the unique uniform
-    law with the requested mean and standard deviation.
+    angles are drawn uniformly on :attr:`support_deg`.
     """
 
     kind: str = "none"
@@ -47,6 +45,13 @@ class ScatteringSpec:
         if self.angle_std_deg < 0:
             raise ParameterError("angle_std_deg must be >= 0")
 
+    @property
+    def support_deg(self) -> tuple:
+        """The path-angle interval ``mean +- sqrt(3)*std`` (degrees): the unique
+        uniform law with the requested mean and standard deviation."""
+        half_width = math.sqrt(3.0) * self.angle_std_deg
+        return self.angle_mean_deg - half_width, self.angle_mean_deg + half_width
+
 
 def make_steering(m_sensors: int, theta_deg: float) -> np.ndarray:
     """Steering vector of an M-element half-wavelength ULA toward ``theta_deg``."""
@@ -58,59 +63,40 @@ def make_steering(m_sensors: int, theta_deg: float) -> np.ndarray:
     return np.exp(1j * phase * np.arange(m_sensors))
 
 
-def scatter_angles(spec: ScatteringSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw the scattered-path DoAs for one trial (degrees)."""
-    half_width = SQRT3 * spec.angle_std_deg
-    lo = spec.angle_mean_deg - half_width
-    hi = spec.angle_mean_deg + half_width
-    return rng.uniform(lo, hi, size=spec.num_paths)
-
-
-def make_coherent_mismatch(
-    nominal: np.ndarray,
-    spec: ScatteringSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Composite steering vector for time-invariant multipath.
-
-    Returns ``p + sum_k exp(j*phi_k) b(theta_k)`` where ``p`` is the direct
-    path (the nominal vector), path angles follow ``spec`` and path phases are
-    uniform on [0, 2*pi].  One draw per trial; constant across snapshots.
-    """
-    if spec.kind != "coherent":
-        raise ParameterError(f"spec.kind must be 'coherent', got {spec.kind!r}")
-    m = nominal.shape[0]
-    thetas = scatter_angles(spec, rng)
-    phis = rng.uniform(0.0, 2.0 * math.pi, size=spec.num_paths)
-    out = nominal.astype(complex, copy=True)
-    for theta, phi in zip(thetas, phis):
-        out += np.exp(1j * phi) * make_steering(m, theta)
-    return out
-
-
-def make_incoherent_mismatch(
+def desired_steering(
     nominal: np.ndarray,
     spec: ScatteringSpec,
     rng: np.random.Generator,
     count: int,
 ) -> np.ndarray:
-    """Per-snapshot steering vectors for time-varying multipath, M x ``count``.
+    """Realized desired steering of ``count`` snapshots, M x ``count`` and C-ordered.
 
-    Column ``i`` is ``s_0(i) p + sum_k s_k(i) b(theta_k)`` with i.i.d.
-    unit-variance circular complex Gaussian gains redrawn every snapshot.
-    Path angles are drawn first, then all snapshots' gains in one draw, in
-    snapshot order.  Each column is that snapshot's own ``gains @ paths``
-    product: a stacked matmul keeps its bits, where one matrix product over
-    all snapshots rounds differently.  The result is C-ordered.
+    Column ``i`` is what snapshot ``i`` sees of the direct path ``p`` (the
+    nominal vector) and ``spec.num_paths`` scattered paths ``b(theta_k)``,
+    angles uniform on ``spec.support_deg``:
+
+    * ``none``: every column is ``p``; nothing is drawn.
+    * ``coherent``: every column is ``p + sum_k exp(j*phi_k) b(theta_k)``; the
+      path angles are drawn, then the phases, uniform on [0, 2*pi].
+    * ``incoherent``: column ``i`` is ``s_0(i) p + sum_k s_k(i) b(theta_k)``
+      with i.i.d. unit-variance circular complex Gaussian gains; the path
+      angles are drawn, then all snapshots' gains in one draw, in snapshot
+      order.  Each column is that snapshot's own ``gains @ paths`` product: a
+      stacked matmul keeps its bits, where one matrix product over all
+      snapshots rounds differently.
     """
-    if spec.kind != "incoherent":
-        raise ParameterError(f"spec.kind must be 'incoherent', got {spec.kind!r}")
+    if spec.kind == "none":
+        return np.repeat(nominal[:, None], count, axis=1)
     m = nominal.shape[0]
-    thetas = scatter_angles(spec, rng)
-    paths = np.empty((spec.num_paths + 1, m), dtype=complex)
-    paths[0] = nominal
-    for k, theta in enumerate(thetas):
-        paths[k + 1] = make_steering(m, theta)
+    scattered = [make_steering(m, theta)
+                 for theta in rng.uniform(*spec.support_deg, size=spec.num_paths)]
+    if spec.kind == "coherent":
+        phis = rng.uniform(0.0, 2.0 * math.pi, size=spec.num_paths)
+        composite = nominal.astype(complex, copy=True)
+        for phi, b in zip(phis, scattered):
+            composite += np.exp(1j * phi) * b
+        return np.repeat(composite[:, None], count, axis=1)
+    paths = np.array([nominal, *scattered], dtype=complex)
     z = rng.standard_normal((count, spec.num_paths + 1, 2))
     gains = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
     return np.ascontiguousarray((gains[:, None, :] @ paths)[:, 0].T)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import SQRT3, ScatteringSpec
+from .arrays import ScatteringSpec
 from .errors import ParameterError
 from .harness import ALGORITHMS
 
@@ -45,7 +45,7 @@ class ScenarioConfig:
     Every angle a trial can draw must lie in [-90, 90] degrees: the source
     DoAs (schedule included), the presumed sector ``desired +- halfwidth`` the
     initial steering is drawn from, and the scattered-path support
-    ``mean +- sqrt(3) std``.
+    ``scattering.support_deg``.
     """
 
     sensors: int
@@ -132,9 +132,8 @@ class ScenarioConfig:
                       doa - half, doa + half)
         sc = self.scattering
         if sc.kind != "none" and sc.num_paths > 0:
-            spread = SQRT3 * sc.angle_std_deg
             _check_angles("scattering support angle_mean_deg +- sqrt(3) angle_std_deg",
-                          sc.angle_mean_deg - spread, sc.angle_mean_deg + spread)
+                          *sc.support_deg)
 
     # Power bookkeeping, in units of the noise power: the desired power
     # follows the SNR, interferer powers follow the INR when given and the

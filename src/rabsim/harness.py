@@ -24,8 +24,7 @@ import numpy as np
 from . import kernels, rng
 from .adaptive import CcgBeamformer, McgBeamformer, SgBeamformer
 from .analysis import optimal_weights, output_sinr, smi_weights, steering_mse
-from .arrays import (generate_snapshots, make_coherent_mismatch,
-                     make_incoherent_mismatch, make_steering)
+from .arrays import desired_steering, generate_snapshots, make_steering
 from .errors import NumericError
 from .okspme import OkspmeBeamformer
 from .tracking import CovarianceTracker
@@ -147,9 +146,11 @@ class _OptimalRunner:
 def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
     """Generate one trial's observations and ground truth at one SNR point.
 
-    Each segment of ``cfg.segments()`` makes its interferers' steering
-    vectors once; they drive that span's snapshots and its true INC matrix
-    ``I + sum_k p_int a_k a_k^H`` (powers are in units of the noise power).
+    The realized desired steering is ``arrays.desired_steering`` on the
+    trial's scattering stream.  Each segment of ``cfg.segments()`` makes its
+    interferers' steering vectors once; they drive that span's snapshots and
+    its true INC matrix ``I + sum_k p_int a_k a_k^H`` (powers in units of the
+    noise power).
 
     Returns ``(ctx, desired_power)``: the :class:`TrialContext` every engine
     of the trial is built from, holding the M x n observations and true
@@ -163,13 +164,7 @@ def simulate_trial_data(cfg: ScenarioConfig, snr_index: int, trial: int):
 
     n = cfg.snapshots
     a_nom = make_steering(cfg.sensors, cfg.desired_doa_deg)
-    kind = cfg.scattering.kind
-    if kind == "incoherent":
-        truth = make_incoherent_mismatch(a_nom, cfg.scattering, scat_rng, n)
-    else:
-        sv = make_coherent_mismatch(a_nom, cfg.scattering, scat_rng) \
-            if kind == "coherent" else a_nom
-        truth = np.repeat(sv[:, None], n, axis=1)
+    truth = desired_steering(a_nom, cfg.scattering, scat_rng, n)
 
     p_des, p_int = cfg.desired_power(snr_db), cfg.interferer_power(snr_db)
     observations = np.empty((cfg.sensors, n), dtype=complex)

@@ -5,10 +5,14 @@ mismatch-robustness run also serves the variant-parity and large-array
 comparisons).
 """
 
+import concurrent.futures
+
+import numpy as np
 import pytest
 
+from rabsim import kernels
 from rabsim.config import config_from_dict
-from rabsim.harness import run_experiment
+from rabsim.harness import STEADY_WINDOW, run_experiment, run_trial
 
 # Aggregates are bit-identical for any worker count, so every fixture runs two
 # pool workers to cut the wall time.  Each worker keeps its BLAS on one thread,
@@ -17,6 +21,11 @@ WORKERS = 2
 
 FULL_ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
                "smi", "loaded-smi", "optimal"]
+
+# Criterion 10a's seed ensemble, fixed before any gap is looked at: the
+# scenario seed 42 plus seeds 43-45.  One seed's gap swings by about 1 dB
+# around the 2 dB bound, so seed 42 alone decided the verdict by its luck.
+CCG_PARITY_SEEDS = (42, 43, 44, 45)
 
 
 def _mismatch_doc(sensors, kind="coherent", **overrides):
@@ -41,6 +50,27 @@ def _mismatch_doc(sensors, kind="coherent", **overrides):
 def mismatch_run():
     """Criterion 9/10 scenario: M=12, K=3, SNR 10 dB, coherent scattering."""
     return run_experiment(config_from_dict(_mismatch_doc(12)), workers=WORKERS)
+
+
+@pytest.fixture(scope="session")
+def ccg_parity_gaps():
+    """Criterion 10a: seed -> per-trial steady gaps, direct method minus CCG
+    (dB, mean of the last ``STEADY_WINDOW`` snapshots), on the criterion 9/10
+    scenario at each seed of ``CCG_PARITY_SEEDS``, trials where both engines
+    ran.  Only the two engines run; the pairing needs per-trial traces, which
+    an aggregate does not keep, so seed 42 runs here again."""
+    names = ["okspme", "okspme-ccg"]
+    gaps = {}
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=WORKERS, initializer=kernels.pin_blas_threads) as pool:
+        for seed in CCG_PARITY_SEEDS:
+            cfg = config_from_dict(_mismatch_doc(12, master_seed=seed, algorithms=names))
+            records = pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials))
+            gaps[seed] = np.array([
+                np.mean(r.sinr_db[names[0]][-STEADY_WINDOW:])
+                - np.mean(r.sinr_db[names[1]][-STEADY_WINDOW:])
+                for r in records if not any(r.failed.values())])
+    return gaps
 
 
 @pytest.fixture(scope="session")

@@ -330,12 +330,23 @@ def test_criterion_9_within_5db_of_optimum(mismatch_run):
 
 # ------------------------------------------------------------ criterion 10
 
-def test_criterion_10_ccg_parity(mismatch_run):
-    gap = (final_window_mean(mismatch_run, "okspme")
-           - final_window_mean(mismatch_run, "okspme-ccg"))
+def test_criterion_10_ccg_parity(mismatch_run, ccg_parity_gaps):
+    # the per-trial gaps of seed 42 average to the scenario run's own gap
+    seed42 = (final_window_mean(mismatch_run, "okspme")
+              - final_window_mean(mismatch_run, "okspme-ccg"))
+    assert float(np.mean(ccg_parity_gaps[42])) == pytest.approx(seed42, abs=1e-9)
+    for seed, gaps in ccg_parity_gaps.items():
+        print(f"[criterion 10a] seed {seed}: gap {np.mean(gaps):.3f} dB "
+              f"(paired SE {np.std(gaps, ddof=1) / math.sqrt(gaps.size):.3f}, "
+              f"{gaps.size} trials)")
+    pooled = np.concatenate(list(ccg_parity_gaps.values()))
+    gap = float(np.mean(pooled))
+    se = float(np.std(pooled, ddof=1)) / math.sqrt(pooled.size)
     ok = gap <= 2.0
-    assert report("10a", ok, f"CCG within {gap:.2f} dB of the direct method "
-                  "(need <= 2)")
+    assert report("10a", ok, f"CCG within {gap:.3f} dB of the direct method pooled "
+                  f"over seeds {tuple(ccg_parity_gaps)} ({pooled.size} trials; paired "
+                  f"SE {se:.3f} dB, {(2.0 - gap) / se:+.2f} SE inside the bound; "
+                  "need <= 2)")
 
 
 @pytest.mark.xfail(

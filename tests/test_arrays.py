@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rabsim import rng
-from rabsim.arrays import (ScatteringSpec, generate_snapshots, make_coherent_mismatch,
-                           make_incoherent_mismatch, make_steering)
+from rabsim.arrays import (ScatteringSpec, desired_steering, generate_snapshots,
+                           make_steering)
 from rabsim.errors import ParameterError
 
 
@@ -47,49 +47,13 @@ def test_steering_conjugate_symmetry(m, theta):
                        atol=1e-14)
 
 
-def test_coherent_zero_paths_returns_nominal():
+def test_none_repeats_the_nominal_and_draws_nothing():
     nominal = make_steering(6, 10.0)
-    spec = ScatteringSpec(kind="coherent", num_paths=0)
-    out = make_coherent_mismatch(nominal, spec, rng.stream(1, 0, 0))
-    assert np.allclose(out, nominal)
-
-
-def test_coherent_degenerate_draw():
-    # zero angle spread: every path is b(mean) = p, so the composite is
-    # p (1 + sum_k exp(j phi_k)) with the phases replayed from the same stream
-    nominal = make_steering(5, 10.0)
-    spec = ScatteringSpec(kind="coherent", num_paths=4, angle_mean_deg=10.0,
-                          angle_std_deg=0.0)
-    out = make_coherent_mismatch(nominal, spec, rng.stream(1, 0, 0))
-
     g = rng.stream(1, 0, 0)
-    g.uniform(10.0, 10.0, size=4)
-    phis = g.uniform(0.0, 2 * math.pi, size=4)
-    assert np.allclose(out, (1.0 + np.exp(1j * phis).sum()) * nominal, atol=1e-12)
-
-
-def test_coherent_seeded_redraw_matches_brute_force():
-    nominal = make_steering(8, 10.0)
-    spec = ScatteringSpec(kind="coherent", num_paths=4, angle_mean_deg=10.0,
-                          angle_std_deg=2.0)
-    out = make_coherent_mismatch(nominal, spec, rng.stream(33, 5, rng.ROLE_SCATTER))
-
-    # brute-force redraw with an identical stream, replaying the draw order
-    g = rng.stream(33, 5, rng.ROLE_SCATTER)
-    half = math.sqrt(3.0) * 2.0
-    thetas = g.uniform(10.0 - half, 10.0 + half, size=4)
-    phis = g.uniform(0.0, 2 * math.pi, size=4)
-    expect = nominal.astype(complex)
-    for th, ph in zip(thetas, phis):
-        expect = expect + np.exp(1j * ph) * make_steering(8, th)
-    assert np.allclose(out, expect, atol=1e-14)
-
-
-def test_coherent_requires_matching_kind():
-    with pytest.raises(ParameterError):
-        make_coherent_mismatch(make_steering(4, 0.0),
-                               ScatteringSpec(kind="incoherent"),
-                               rng.stream(0, 0, 0))
+    truth = desired_steering(nominal, ScatteringSpec(kind="none"), g, 4)
+    assert truth.shape == (6, 4) and truth.flags.c_contiguous
+    assert np.array_equal(truth, _fixed(nominal, 4))
+    assert g.standard_normal() == rng.stream(1, 0, 0).standard_normal()
 
 
 class _ForcedGains:
@@ -104,17 +68,52 @@ class _ForcedGains:
         return z
 
 
-def test_incoherent_zero_paths_forced_unit_gain():
+@pytest.mark.parametrize("kind", ["coherent", "incoherent"])
+def test_zero_paths_leave_the_nominal(kind):
     nominal = make_steering(4, 10.0)
-    spec = ScatteringSpec(kind="incoherent", num_paths=0)
-    truth = make_incoherent_mismatch(nominal, spec, _ForcedGains(), 3)
+    spec = ScatteringSpec(kind=kind, num_paths=0)
+    truth = desired_steering(nominal, spec, _ForcedGains(), 3)
     assert np.allclose(truth, _fixed(nominal, 3))
+
+
+def test_coherent_degenerate_draw():
+    # zero angle spread: every path is b(mean) = p, so the composite is
+    # p (1 + sum_k exp(j phi_k)) with the phases replayed from the same stream
+    nominal = make_steering(5, 10.0)
+    spec = ScatteringSpec(kind="coherent", num_paths=4, angle_mean_deg=10.0,
+                          angle_std_deg=0.0)
+    truth = desired_steering(nominal, spec, rng.stream(1, 0, 0), 2)
+
+    g = rng.stream(1, 0, 0)
+    g.uniform(10.0, 10.0, size=4)
+    phis = g.uniform(0.0, 2 * math.pi, size=4)
+    expect = (1.0 + np.exp(1j * phis).sum()) * nominal
+    assert np.allclose(truth, _fixed(expect, 2), atol=1e-12)
+
+
+def test_coherent_seeded_redraw_matches_brute_force():
+    nominal = make_steering(8, 10.0)
+    spec = ScatteringSpec(kind="coherent", num_paths=4, angle_mean_deg=10.0,
+                          angle_std_deg=2.0)
+    truth = desired_steering(nominal, spec, rng.stream(33, 5, rng.ROLE_SCATTER), 3)
+
+    # brute-force redraw with an identical stream, replaying the draw order;
+    # one composite holds for every snapshot
+    g = rng.stream(33, 5, rng.ROLE_SCATTER)
+    half = math.sqrt(3.0) * 2.0
+    thetas = g.uniform(10.0 - half, 10.0 + half, size=4)
+    phis = g.uniform(0.0, 2 * math.pi, size=4)
+    expect = nominal.astype(complex)
+    for th, ph in zip(thetas, phis):
+        expect = expect + np.exp(1j * ph) * make_steering(8, th)
+    assert truth.shape == (8, 3) and truth.flags.c_contiguous
+    assert np.allclose(truth, _fixed(expect, 3), atol=1e-14)
 
 
 def test_incoherent_successive_snapshots_differ():
     nominal = make_steering(6, 10.0)
     spec = ScatteringSpec(kind="incoherent")
-    truth = make_incoherent_mismatch(nominal, spec, rng.stream(4, 0, 0), 2)
+    truth = desired_steering(nominal, spec, rng.stream(4, 0, 0), 2)
     assert truth.shape == (6, 2)
     assert not np.allclose(truth[:, 0], truth[:, 1])
 
@@ -122,7 +121,7 @@ def test_incoherent_successive_snapshots_differ():
 def test_incoherent_seeded_redraw_matches_brute_force():
     nominal = make_steering(8, 10.0)
     spec = ScatteringSpec(kind="incoherent", num_paths=3, angle_std_deg=2.0)
-    truth = make_incoherent_mismatch(nominal, spec, rng.stream(7, 1, rng.ROLE_SCATTER), 5)
+    truth = desired_steering(nominal, spec, rng.stream(7, 1, rng.ROLE_SCATTER), 5)
 
     # replay the draw order, the path angles and then one gain draw per
     # snapshot, and each snapshot's own gains @ paths product: the CSV bytes
@@ -142,7 +141,7 @@ def test_incoherent_gain_variance():
     # over many snapshots, var of s0(i) * p element-wise approaches |p_k|^2
     nominal = make_steering(3, 10.0)
     spec = ScatteringSpec(kind="incoherent", num_paths=0)
-    draws = make_incoherent_mismatch(nominal, spec, rng.stream(5, 0, 0), 10_000).T
+    draws = desired_steering(nominal, spec, rng.stream(5, 0, 0), 10_000).T
     var = np.var(draws, axis=0)
     assert np.all(np.abs(var - np.abs(nominal) ** 2) < 0.05 * np.abs(nominal) ** 2)
 
@@ -195,7 +194,7 @@ def test_generate_snapshots_desired_term_follows_truth_columns():
     # desired source only: column i is truth[:, i] times one symbol, plus noise
     nominal = make_steering(4, 10.0)
     spec = ScatteringSpec(kind="incoherent")
-    truth = make_incoherent_mismatch(nominal, spec, rng.stream(2, 0, 0), 7)
+    truth = desired_steering(nominal, spec, rng.stream(2, 0, 0), 7)
     x = generate_snapshots(truth, 1.0, [], 0.0, rng.stream(3, 0, 0))
     assert x.shape == (4, 7)
     assert np.array_equal(x, _replay(truth, 1.0, [], 0.0, rng.stream(3, 0, 0)))
@@ -214,7 +213,7 @@ def test_generate_snapshots_draw_order():
     # interferer's symbols in list order, then the sensor noise
     m, count = 5, 9
     spec = ScatteringSpec(kind="incoherent")
-    truth = make_incoherent_mismatch(make_steering(m, 10.0), spec, rng.stream(4, 0, 0), count)
+    truth = desired_steering(make_steering(m, 10.0), spec, rng.stream(4, 0, 0), count)
     a1, a2 = make_steering(m, 30.0), make_steering(m, -20.0)
     x = generate_snapshots(truth, 2.0, [a1, a2], 3.0, rng.stream(12, 0, rng.ROLE_DATA))
     want = _replay(truth, 2.0, [a1, a2], 3.0, rng.stream(12, 0, rng.ROLE_DATA))
@@ -228,3 +227,7 @@ def test_scattering_spec_validation():
         ScatteringSpec(kind="coherent", num_paths=-1)
     with pytest.raises(ParameterError):
         ScatteringSpec(kind="coherent", angle_std_deg=-0.1)
+    # the path angles are uniform on mean +- sqrt(3) std, which has that mean and std
+    assert ScatteringSpec(angle_mean_deg=10.0, angle_std_deg=2.0).support_deg == (
+        10.0 - math.sqrt(3.0) * 2.0, 10.0 + math.sqrt(3.0) * 2.0)
+    assert ScatteringSpec(angle_mean_deg=-5.0, angle_std_deg=0.0).support_deg == (-5.0, -5.0)
