@@ -70,7 +70,7 @@ def record_normalized_output(estimator: SteeringEstimator, x: np.ndarray) -> Non
     y = np.vdot(estimator.w, x)
     if abs(gain) > 1e-8:
         y = y / gain
-    estimator.record_output(x, y)
+    estimator.tracker.update_crosscorr(x, y)
 
 
 def sg_update(w: np.ndarray, mu: float, a_hat: np.ndarray, sigma1_sq: float,
@@ -108,7 +108,7 @@ class SgBeamformer(SteeringEstimator):
 
     def process(self, x: np.ndarray) -> np.ndarray:
         _, s1 = self.begin_snapshot(x)
-        a = self.constraint_steering = self.a_hat
+        a = self.a_hat
         # Stability requires mu sigma1^2 ||a||^2 < 1 (the rank-one multiplier's
         # eigenvalue), so the cap scales with the squared steering norm.
         gram = np.vdot(a, a).real
@@ -200,7 +200,8 @@ class CcgBeamformer(SteeringEstimator):
     The weights warm-start the next snapshot's inner loop as its weight proxy
     ``v``; the inner steering refinement is local to the snapshot and only
     shapes this snapshot's normalization ``w = v / (a^H v)``, so the weights
-    answer the refined vector, which becomes ``constraint_steering``.
+    answer with unit gain the refined vector ``a`` that ``ccg_inner``
+    returns, not ``a_hat``.
     """
 
     name = "okspme-ccg"
@@ -221,7 +222,6 @@ class CcgBeamformer(SteeringEstimator):
         denom = np.vdot(it.a, it.v)
         if abs(denom) > 0:
             self.w = it.v / denom
-            self.constraint_steering = it.a
         record_normalized_output(self, x)
         return self.w
 
@@ -321,6 +321,5 @@ class McgBeamformer(SteeringEstimator):
         denom = np.vdot(a_new, v)
         if abs(denom) > 0:
             self.w = v / denom
-            self.constraint_steering = a_new
         record_normalized_output(self, x)
         return self.w

@@ -16,6 +16,7 @@ the same interface (:class:`Engine`), the clairvoyant optimum included.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
@@ -58,8 +59,7 @@ class Engine(Protocol):
     """The interface the trial loop scores: one weight vector per snapshot."""
 
     name: str
-    a_hat: np.ndarray                  # steering estimate scored by its MSE
-    constraint_steering: np.ndarray    # the vector the weights answer with unit gain
+    a_hat: np.ndarray    # steering estimate scored by its MSE
 
     def process(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -109,7 +109,7 @@ class _SmiRunner:
     def __init__(self, name, a_nominal, delta0, loading):
         self.name = name
         self.tracker = CovarianceTracker(len(a_nominal), delta0=delta0)
-        self.a_hat = self.constraint_steering = np.asarray(a_nominal, dtype=complex)
+        self.a_hat = np.asarray(a_nominal, dtype=complex)
         self.loading = loading * np.eye(len(a_nominal))
 
     def process(self, x):
@@ -124,7 +124,6 @@ class _OptimalRunner:
 
     def __init__(self, truth: np.ndarray, segments: list):
         self.steps = self._steps(truth, segments)
-        self.a_hat = self.constraint_steering = None
 
     @staticmethod
     def _steps(truth, segments):
@@ -139,7 +138,6 @@ class _OptimalRunner:
 
     def process(self, x):
         self.a_hat, factor = next(self.steps)
-        self.constraint_steering = self.a_hat
         return optimal_weights(self.a_hat, factor)
 
 
@@ -224,9 +222,10 @@ def _trial_job(args):
 
 def _collect_trials(cfg: ScenarioConfig, snr_index: int, workers: int) -> list:
     jobs = [(cfg, t, snr_index) for t in range(cfg.trials)]
-    # A fork pool starts all of its workers at the first submit, so ask for
-    # no more than there are trials.
-    workers = min(workers, cfg.trials)
+    # A fork pool starts all of its workers at the first submit, so ask for no
+    # more workers than trials or than CPUs this process may run on.
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+    workers = min(workers, cfg.trials, len(cpus))
     if workers <= 1:
         return [_trial_job(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(

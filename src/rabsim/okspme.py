@@ -157,8 +157,7 @@ class SteeringEstimator:
     statistics, and the noise power source; ``lam = 1`` tracks the sample
     mean.  The steering estimate keeps the physical ULA norm ``sqrt(M)``;
     ``DELTA`` loads the linear system of step 2.  An engine's ``process``
-    refreshes the weights ``w`` (all ones before the first snapshot) and
-    sets ``constraint_steering``, the vector they answer with unit gain.
+    refreshes the weights ``w`` (all ones before the first snapshot).
     """
 
     lam = 1.0
@@ -171,7 +170,6 @@ class SteeringEstimator:
         self.a_hat = a_init * (math.sqrt(self.m) / norm(a_init))
         self.num_sources = int(num_sources)
         self.w = np.ones(self.m, dtype=complex)
-        self.constraint_steering = self.a_hat
         # Smoothed power estimate, weighted like the tracker statistics
         # (forgetting-factor mean, or plain arithmetic mean when lam = 1).
         self._sigma1_num = 0.0
@@ -191,9 +189,10 @@ class SteeringEstimator:
         estimate ``sigma1_sq``; the updated steering estimate is ``a_hat``.
 
         The cross-correlation consumed here runs through the previous
-        snapshot; this snapshot's output joins it via ``record_output`` once
-        the caller has refreshed its weights ('w(k)' in the cross-correlation
-        sum is the weight vector computed at snapshot k).
+        snapshot; this snapshot's output joins it via
+        ``tracker.update_crosscorr`` once the caller has refreshed its
+        weights ('w(k)' in the cross-correlation sum is the weight vector
+        computed at snapshot k).
         """
         self.tracker.update_covariance(x)
         R = self.tracker.covariance()
@@ -211,10 +210,6 @@ class SteeringEstimator:
             self.a_hat = update_steering(self.a_hat, make_projector(basis), d)
         return R, sigma1
 
-    def record_output(self, x: np.ndarray, y: complex) -> None:
-        """Feed this snapshot's beamformer output into the cross-correlation."""
-        self.tracker.update_crosscorr(x, y)
-
 
 class OkspmeBeamformer(SteeringEstimator):
     """The direct method: steps 1-3 plus the per-snapshot MVDR solve, whose
@@ -225,8 +220,7 @@ class OkspmeBeamformer(SteeringEstimator):
     def process(self, x: np.ndarray) -> np.ndarray:
         """Absorb one snapshot, refresh the weights, return them."""
         R, sigma1_sq = self.begin_snapshot(x)
-        a_hat = self.constraint_steering = self.a_hat
-        r_in, factor = inc_matrix(R, a_hat, sigma1_sq)
-        self.w = mvdr_weights(r_in, a_hat, factor)
-        self.record_output(x, np.vdot(self.w, x))
+        r_in, factor = inc_matrix(R, self.a_hat, sigma1_sq)
+        self.w = mvdr_weights(r_in, self.a_hat, factor)
+        self.tracker.update_crosscorr(x, np.vdot(self.w, x))
         return self.w

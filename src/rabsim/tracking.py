@@ -30,11 +30,10 @@ class CovarianceTracker:
             raise ParameterError("m_sensors must be >= 1")
         self.m = int(m_sensors)
         self.lam = float(lam)
-        self.delta0 = float(delta0)
         self.count = 0      # snapshots absorbed into R_hat
         self.count_d = 0    # (snapshot, output) pairs absorbed into d_hat
         # Raw accumulators: _sr starts at delta0*I, _sd at zero.
-        self._sr = self.delta0 * np.eye(self.m, dtype=complex)
+        self._sr = float(delta0) * np.eye(self.m, dtype=complex)
         self._sd = np.zeros(self.m, dtype=complex)
 
     def update_covariance(self, x: np.ndarray) -> None:

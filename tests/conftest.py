@@ -5,14 +5,12 @@ mismatch-robustness run also serves the variant-parity and large-array
 comparisons).
 """
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 
-from rabsim import kernels
+from rabsim import adaptive, harness, kernels
 from rabsim.config import config_from_dict
-from rabsim.harness import STEADY_WINDOW, run_experiment, run_trial
+from rabsim.harness import STEADY_WINDOW, run_experiment
 
 # Aggregates are bit-identical for any worker count, so every fixture runs two
 # pool workers to cut the wall time.  Each worker keeps its BLAS on one thread,
@@ -61,16 +59,30 @@ def ccg_parity_gaps():
     an aggregate does not keep, so seed 42 runs here again."""
     names = ["okspme", "okspme-ccg"]
     gaps = {}
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=WORKERS, initializer=kernels.pin_blas_threads) as pool:
+    with kernels.single_blas_thread():
         for seed in CCG_PARITY_SEEDS:
             cfg = config_from_dict(_mismatch_doc(12, master_seed=seed, algorithms=names))
-            records = pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials))
+            records = harness._collect_trials(cfg, 0, WORKERS)
             gaps[seed] = np.array([
                 np.mean(r.sinr_db[names[0]][-STEADY_WINDOW:])
                 - np.mean(r.sinr_db[names[1]][-STEADY_WINDOW:])
                 for r in records if not any(r.failed.values())])
     return gaps
+
+
+@pytest.fixture
+def ccg_refined(monkeypatch):
+    """The refined steering vector ``a`` of each iterate ``adaptive.ccg_inner``
+    returns, in call order: the vector CCG's weights answer with unit gain."""
+    inner, refined = adaptive.ccg_inner, []
+
+    def capture(*args):
+        it = inner(*args)
+        refined.append(it.a)
+        return it
+
+    monkeypatch.setattr(adaptive, "ccg_inner", capture)
+    return refined
 
 
 @pytest.fixture(scope="session")

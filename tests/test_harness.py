@@ -286,13 +286,20 @@ def test_okspme_engines_share_the_estimator_shell(name):
     ctx, _ = simulate_trial_data(cfg, 0, 0)
     bf = harness.ALGORITHMS[name](ctx)
     assert isinstance(bf, okspme.SteeringEstimator)
-    assert bf.constraint_steering is bf.a_hat
     assert np.array_equal(bf.w, np.ones(cfg.sensors))
+
+
+@pytest.mark.parametrize("kind", ["coherent", "incoherent"])
+@pytest.mark.parametrize("name", ["smi", "loaded-smi", "optimal"])
+def test_baseline_weights_answer_a_hat_with_unit_gain(name, kind):
+    cfg = config_from_dict(_base_doc(
+        sensors=12, interferer_doas_deg=[30.0, 50.0], snapshots=300, trials=1,
+        master_seed=42, scattering={"kind": kind}, algorithms=[name]))
+    ctx, _ = simulate_trial_data(cfg, 0, 0)
+    bf = harness.ALGORITHMS[name](ctx)
     for i in range(cfg.snapshots):
-        bf.process(ctx.observations[:, i])
-        # the direct and SG weights answer the updated estimate itself
-        if name in ("okspme", "okspme-sg"):
-            assert bf.constraint_steering is bf.a_hat
+        w = bf.process(ctx.observations[:, i])
+        assert abs(np.vdot(w, bf.a_hat) - 1.0) < 1e-10, i
 
 
 @pytest.mark.parametrize("name, delta0, loading", [
@@ -414,7 +421,14 @@ def test_experiment_error_when_everything_fails(monkeypatch):
         run_experiment(cfg)
 
 
-def test_parallel_equals_serial():
+def _cpus(monkeypatch, count):
+    """Make the pool cap read ``count`` CPUs this process may run on."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def test_parallel_equals_serial(monkeypatch):
+    _cpus(monkeypatch, 2)  # a real 2-worker pool, on a 1-CPU runner too
     cfg = config_from_dict(_base_doc(trials=4))
     serial = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=2)
@@ -425,7 +439,8 @@ def test_parallel_equals_serial():
 
 def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch):
     # A fork pool starts every worker it is asked for, once per SNR point;
-    # this stand-in records the count and runs the trials in this process.
+    # this stand-in records the count and runs the trials in this process,
+    # so no worker process starts.
     requested = []
 
     class SerialPool:
@@ -443,12 +458,20 @@ def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch):
 
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = config_from_dict(_base_doc(trials=3, snr_db=[0.0, 10.0]))
+    _cpus(monkeypatch, 8)
     pooled = run_experiment(cfg, workers=64)
     assert requested == [3, 3]
     serial = run_experiment(cfg, workers=1)
     assert requested == [3, 3]
     for name in ("okspme", "smi"):
         assert np.array_equal(serial.mean_sinr_db[name], pooled.mean_sinr_db[name])
+    # and no more workers than CPUs
+    _cpus(monkeypatch, 2)
+    run_experiment(cfg, workers=64)
+    assert requested == [3, 3, 2, 2]
+    _cpus(monkeypatch, 1)
+    run_experiment(cfg, workers=64)
+    assert requested == [3, 3, 2, 2]
 
 
 # ------------------------------------------------------------------- CSV
@@ -477,6 +500,7 @@ def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, workers):
 
     monkeypatch.setattr(harness, "run_trial", reporting_trial)
     monkeypatch.setattr(harness, "_collect_trials", collecting)
+    _cpus(monkeypatch, workers)  # a real pool for workers > 1, on a 1-CPU runner too
     # two threads each, so the restored counts differ from the pinned ones
     kernels.set_blas_threads([2] * len(before))
     try:
