@@ -94,8 +94,12 @@ def sg_update(w: np.ndarray, mu: float, a_hat: np.ndarray, sigma1_sq: float,
 
 
 class SgBeamformer(SteeringEstimator):
-    """Steering estimator + the stochastic-gradient weight recursion, whose
-    weights answer the updated steering estimate.
+    """Steering estimator + the stochastic-gradient weight recursion.
+
+    The weights do not hold unit gain on the updated steering estimate
+    ``a_hat``: on a fixed estimate the step draws ``w^H a_hat`` toward -1,
+    and the moving estimate keeps it off that too.  ``record_normalized_output``
+    divides the output by the gain before it enters the cross-correlation.
 
     The step size adapts to the running power estimate,
     ``mu = MU_SCALE / (mean(sigma1^2) ||a||^2)``; the smoothed estimate

@@ -67,11 +67,11 @@ def _cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)   # re-validates
     result = run_experiment(cfg, workers=args.threads)
     write_csv(result, args.out)
-    n_rows = len(result.mean_sinr_db) * len(result.x_values)
+    n_rows = len(result.sinr_db) * len(result.x_values)
     print(f"wrote {n_rows} rows to {args.out}")
-    for name in sorted(result.failures):
-        if result.failures[name]:
-            print(f"warning: {result.failures[name]} failed trial(s) for {name}",
+    for name in sorted(result.failed):
+        if result.failed[name].any():
+            print(f"warning: {result.failed[name].sum()} failed trial(s) for {name}",
                   file=sys.stderr)
     return EXIT_OK
 

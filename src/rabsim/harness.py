@@ -6,7 +6,8 @@ and steering trajectories against the true scenario quantities (realized
 desired steering vector and analytic interference-plus-noise covariance),
 one scoring call per trajectory and INC segment.  Trials are
 embarrassingly parallel and keyed by ``(master_seed, snr_index, trial, role)``
-so results are bit-identical for any worker count.
+so results are bit-identical for any worker count.  An aggregate keeps each
+trial's reduced row, so paired statistics read the rows the CSV means average.
 
 ``ALGORITHMS`` is the one table of the algorithm roster: it maps each name a
 scenario may list to the function that builds the engine.  Every engine has
@@ -47,12 +48,24 @@ class TrialRecord:
 
 @dataclass
 class AggregateResult:
+    """Per algorithm and SNR point ``j``, one row per trial (row ``t`` is
+    trial ``t``): the whole trace in a snapshot study (one point), the
+    steady-window mean at a sweep point.  A failed trial's row is no score."""
+
     x_kind: str                    # "snapshot" or "snr_db"
     x_values: list
-    mean_sinr_db: dict             # algorithm -> array over x
-    mean_steering_mse: dict
-    contributing: dict             # algorithm -> trials that produced data, per x
-    failures: dict                 # algorithm -> failed trial count
+    sinr_db: dict                  # algorithm -> points x trials [x snapshots]
+    steering_mse: dict
+    failed: dict                   # algorithm -> points x trials mask
+
+    def means(self, name: str):
+        """``(mean SINR dB, mean steering MSE, trials)`` of one algorithm over
+        x: each point's rows averaged in trial order over the trials that ran."""
+        ran = ~self.failed[name]
+        sinr = [np.mean(rows[r], axis=0) for rows, r in zip(self.sinr_db[name], ran)]
+        mse = [np.mean(rows[r], axis=0) for rows, r in zip(self.steering_mse[name], ran)]
+        return (np.ravel(sinr), np.ravel(mse),
+                np.repeat(ran.sum(axis=1), len(self.x_values) // len(ran)))
 
 
 class Engine(Protocol):
@@ -234,14 +247,15 @@ def _collect_trials(cfg: ScenarioConfig, snr_index: int, workers: int) -> list:
 
 
 def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> AggregateResult:
-    """Average `cfg.trials` independent trials per scenario point.
+    """Run `cfg.trials` independent trials per scenario point, each reduced
+    to its rows.
 
-    Each trial is first reduced per SNR point, then averaged across trials:
-    snapshot studies (scalar SNR, one point) keep the whole dB-domain SINR
+    Snapshot studies (scalar SNR, one point) keep the whole dB-domain SINR
     trace, while SNR sweeps reduce a trial to its steady-state mean (last
-    ``STEADY_WINDOW`` snapshots).
+    ``STEADY_WINDOW`` snapshots).  ``AggregateResult.means`` averages the rows
+    across trials; the acceptance tests read them for paired Monte Carlo SEs
+    and reuse one run for seed 42 of criterion 10a's seed ensemble.
     """
-    names = cfg.algorithms
     if cfg.is_sweep:
         x_kind, x_values = "snr_db", cfg.snr_points()
         reduce = lambda trace: np.mean(trace[-STEADY_WINDOW:])
@@ -249,28 +263,19 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> AggregateResult:
         x_kind, x_values = "snapshot", list(range(1, cfg.snapshots + 1))
         reduce = lambda trace: trace
 
-    mean_sinr = {name: [] for name in names}
-    mean_mse = {name: [] for name in names}
-    contributing = {name: [] for name in names}
-    failures = {name: 0 for name in names}
+    sinr, mse, failed = ({name: [] for name in cfg.algorithms} for _ in range(3))
     with kernels.single_blas_thread():
         for j, snr_db in enumerate(cfg.snr_points()):
             records = _collect_trials(cfg, j, workers)
-            for name in names:
-                good = [r for r in records if not r.failed[name]]
-                failures[name] += cfg.trials - len(good)
-                if not good:
+            for name in cfg.algorithms:
+                failed[name].append([r.failed[name] for r in records])
+                if all(failed[name][-1]):
                     raise NumericError(
                         f"all trials failed for algorithm {name!r} at SNR {snr_db} dB")
-                point = np.mean([reduce(r.sinr_db[name]) for r in good], axis=0)
-                mean_sinr[name].append(point)
-                mean_mse[name].append(np.mean([reduce(r.steering_mse[name]) for r in good],
-                                              axis=0))
-                contributing[name] += [len(good)] * point.size
-    return AggregateResult(x_kind, x_values,
-                           {name: np.ravel(v) for name, v in mean_sinr.items()},
-                           {name: np.ravel(v) for name, v in mean_mse.items()},
-                           contributing, failures)
+                sinr[name].append([reduce(r.sinr_db[name]) for r in records])
+                mse[name].append([reduce(r.steering_mse[name]) for r in records])
+    stack = lambda rows: {name: np.array(v) for name, v in rows.items()}
+    return AggregateResult(x_kind, x_values, stack(sinr), stack(mse), stack(failed))
 
 
 def write_csv(result: AggregateResult, path) -> None:
@@ -281,15 +286,12 @@ def write_csv(result: AggregateResult, path) -> None:
     byte-identical files.
     """
     lines = ["algorithm,x_kind,x_value,mean_sinr_db,mean_steering_mse,trials"]
-    for name in sorted(result.mean_sinr_db):
+    for name in sorted(result.sinr_db):
+        sinr, mse, trials = result.means(name)
         for j, x in enumerate(result.x_values):
             x_text = str(x) if result.x_kind == "snapshot" else repr(float(x))
-            lines.append(",".join([
-                name, result.x_kind, x_text,
-                repr(float(result.mean_sinr_db[name][j])),
-                repr(float(result.mean_steering_mse[name][j])),
-                str(result.contributing[name][j]),
-            ]))
+            lines.append(",".join([name, result.x_kind, x_text, repr(float(sinr[j])),
+                                   repr(float(mse[j])), str(trials[j])]))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -17,8 +17,8 @@ from rabsim import rng
 from rabsim.adaptive import ccg_inner
 from rabsim.analysis import FlopModel, epsilon_moments, flops, mse_bounds
 from rabsim.config import config_from_dict
-from rabsim.harness import (ALGORITHMS, run_experiment, simulate_trial_data,
-                            write_csv)
+from rabsim.harness import (ALGORITHMS, STEADY_WINDOW, run_experiment,
+                            simulate_trial_data, write_csv)
 from rabsim.krylov import BREAKDOWN, arnoldi_mgs, make_projector
 from rabsim.okspme import inc_matrix
 
@@ -28,8 +28,31 @@ def report(criterion, ok, detail):
     return ok
 
 
-def final_window_mean(agg, name, window=50):
-    return float(np.mean(agg.mean_sinr_db[name][-window:]))
+def final_window_mean(agg, name, window=STEADY_WINDOW):
+    return float(np.mean(agg.means(name)[0][-window:]))
+
+
+def steady(agg, name):
+    """Each trial's steady SINR in dB (the mean of its last ``STEADY_WINDOW``
+    snapshots), NaN where the engine failed."""
+    (rows,), (failed,) = agg.sinr_db[name], agg.failed[name]
+    return np.where(failed, np.nan, [np.mean(r[-STEADY_WINDOW:]) for r in rows])
+
+
+def paired(gaps):
+    """``(mean, paired SE, trials)`` of per-trial gaps over the trials where
+    every engine ran."""
+    gaps = gaps[~np.isnan(gaps)]
+    return float(np.mean(gaps)), float(np.std(gaps, ddof=1)) / math.sqrt(gaps.size), gaps.size
+
+
+def report_se(criterion, gaps, bound, above):
+    """Print a verdict's Monte Carlo error: the per-trial gaps' mean, its
+    paired SE and the margin to the bound in SEs (negative: outside)."""
+    mean, se, n = paired(gaps)
+    margin = (mean - bound if above else bound - mean) / se
+    print(f"[criterion {criterion}] paired over {n} trials: {mean:.3f} dB, "
+          f"SE {se:.3f} dB, {margin:+.2f} SE inside the bound")
 
 
 # ------------------------------------------------------------- criterion 1
@@ -269,8 +292,8 @@ def test_criterion_7_mcg_convergence_band():
 # ------------------------------------------------------------- criterion 8
 
 def test_criterion_8_no_mismatch_proposed_tracks_baseline(nomismatch_run):
-    ok_trace = nomismatch_run.mean_sinr_db["okspme"]
-    smi_trace = nomismatch_run.mean_sinr_db["smi"]
+    ok_trace = nomismatch_run.means("okspme")[0]
+    smi_trace = nomismatch_run.means("smi")[0]
     margin = float(np.min(ok_trace[19:] - smi_trace[19:]))
     ok = margin >= -1e-9
     assert report("8a", ok, f"direct method >= SMI at every snapshot >= 20 "
@@ -284,8 +307,8 @@ def test_criterion_8_no_mismatch_proposed_tracks_baseline(nomismatch_run):
     "desired signal (Eq. 1 style), whose contamination costs ~9 dB at 20 "
     "snapshots even for a textbook implementation.")
 def test_criterion_8_smi_convergence_at_20(nomismatch_run):
-    gap = (nomismatch_run.mean_sinr_db["optimal"][19]
-           - nomismatch_run.mean_sinr_db["smi"][19])
+    gap = (nomismatch_run.means("optimal")[0][19]
+           - nomismatch_run.means("smi")[0][19])
     ok = gap < 3.5
     report("8b", ok, f"SMI gap to optimum at snapshot 20 = {gap:.2f} dB (need < 3.5)")
     assert ok
@@ -296,8 +319,8 @@ def test_criterion_8_smi_convergence_at_20(nomismatch_run):
     reason="unattainable as stated: same signal-contamination effect at 200 snapshots "
     "(textbook value ~1.8 dB > the stated 1 dB).")
 def test_criterion_8_smi_convergence_at_200(nomismatch_run):
-    gap = (nomismatch_run.mean_sinr_db["optimal"][199]
-           - nomismatch_run.mean_sinr_db["smi"][199])
+    gap = (nomismatch_run.means("optimal")[0][199]
+           - nomismatch_run.means("smi")[0][199])
     ok = gap < 1.0
     report("8c", ok, f"SMI gap to optimum at snapshot 200 = {gap:.2f} dB (need < 1)")
     assert ok
@@ -308,6 +331,8 @@ def test_criterion_8_smi_convergence_at_200(nomismatch_run):
 def test_criterion_9_beats_plain_smi(mismatch_run):
     margin = (final_window_mean(mismatch_run, "okspme")
               - final_window_mean(mismatch_run, "smi"))
+    report_se("9a", steady(mismatch_run, "okspme") - steady(mismatch_run, "smi"),
+              3.0, above=True)
     ok = margin >= 3.0
     assert report("9a", ok, f"direct method exceeds plain SMI by {margin:.1f} dB "
                   "(need >= 3)")
@@ -332,21 +357,15 @@ def test_criterion_9_within_5db_of_optimum(mismatch_run):
 
 # ------------------------------------------------------------ criterion 10
 
-def test_criterion_10_ccg_parity(mismatch_run, ccg_parity_gaps):
-    # the per-trial gaps of seed 42 average to the scenario run's own gap
-    seed42 = (final_window_mean(mismatch_run, "okspme")
-              - final_window_mean(mismatch_run, "okspme-ccg"))
-    assert float(np.mean(ccg_parity_gaps[42])) == pytest.approx(seed42, abs=1e-9)
-    for seed, gaps in ccg_parity_gaps.items():
-        print(f"[criterion 10a] seed {seed}: gap {np.mean(gaps):.3f} dB "
-              f"(paired SE {np.std(gaps, ddof=1) / math.sqrt(gaps.size):.3f}, "
-              f"{gaps.size} trials)")
-    pooled = np.concatenate(list(ccg_parity_gaps.values()))
-    gap = float(np.mean(pooled))
-    se = float(np.std(pooled, ddof=1)) / math.sqrt(pooled.size)
+def test_criterion_10_ccg_parity(ccg_parity_runs):
+    gaps = {seed: steady(agg, "okspme") - steady(agg, "okspme-ccg")
+            for seed, agg in ccg_parity_runs.items()}
+    for seed, seed_gaps in gaps.items():
+        report_se(f"10a seed {seed}", seed_gaps, 2.0, above=False)
+    gap, se, n = paired(np.concatenate(list(gaps.values())))
     ok = gap <= 2.0
     assert report("10a", ok, f"CCG within {gap:.3f} dB of the direct method pooled "
-                  f"over seeds {tuple(ccg_parity_gaps)} ({pooled.size} trials; paired "
+                  f"over seeds {tuple(gaps)} ({n} trials; paired "
                   f"SE {se:.3f} dB, {(2.0 - gap) / se:+.2f} SE inside the bound; "
                   "need <= 2)")
 
@@ -362,6 +381,8 @@ def test_criterion_10_ccg_parity(mismatch_run, ccg_parity_gaps):
 def test_criterion_10_mcg_parity(mismatch_run):
     gap = (final_window_mean(mismatch_run, "okspme")
            - final_window_mean(mismatch_run, "okspme-mcg"))
+    report_se("10b", steady(mismatch_run, "okspme") - steady(mismatch_run, "okspme-mcg"),
+              2.0, above=False)
     ok = gap <= 2.0
     report("10b", ok, f"MCG within {gap:.2f} dB of the direct method (need <= 2)")
     assert ok
@@ -377,6 +398,8 @@ def test_criterion_10_mcg_parity(mismatch_run):
 def test_criterion_10_sg_parity(mismatch_run):
     gap = (final_window_mean(mismatch_run, "okspme")
            - final_window_mean(mismatch_run, "okspme-sg"))
+    report_se("10c", steady(mismatch_run, "okspme") - steady(mismatch_run, "okspme-sg"),
+              4.0, above=False)
     ok = gap <= 4.0
     report("10c", ok, f"SG within {gap:.2f} dB of the direct method (need <= 4)")
     assert ok
@@ -386,7 +409,7 @@ def test_criterion_10_sg_parity(mismatch_run):
 
 @pytest.mark.parametrize("name", ["okspme", "okspme-ccg", "okspme-mcg"])
 def test_criterion_11_tracking_recovery(tracking_run, name):
-    trace = tracking_run.mean_sinr_db[name]
+    trace = tracking_run.means(name)[0]
     steady = float(np.mean(trace[100:150]))
     recovered = float(np.max(trace[150:250]))
     ok = recovered >= steady - 3.0
@@ -400,7 +423,7 @@ def test_criterion_11_tracking_recovery(tracking_run, name):
     "to recover to at this horizon (same root cause as its parity clause); "
     "its trace keeps drifting through the redistribution.")
 def test_criterion_11_tracking_recovery_sg(tracking_run):
-    trace = tracking_run.mean_sinr_db["okspme-sg"]
+    trace = tracking_run.means("okspme-sg")[0]
     steady = float(np.mean(trace[100:150]))
     recovered = float(np.max(trace[150:250]))
     ok = recovered >= steady - 3.0
@@ -421,6 +444,11 @@ def test_criterion_12_large_array_degradation(mismatch_run, m40_coherent_run):
                  - final_window_mean(m40_coherent_run, name))
         ok &= gap40 > gap12
         details.append(f"{name}: {gap12:.1f} -> {gap40:.1f}")
+        # trial t of both runs is paired: the widening gap40 - gap12, per trial
+        report_se(f"12 {name}",
+                  steady(m40_coherent_run, "optimal") - steady(m40_coherent_run, name)
+                  - steady(mismatch_run, "optimal") + steady(mismatch_run, name),
+                  0.0, above=True)
     assert report("12", ok, "gap to optimum widens from M=12 to M=40 ("
                   + "; ".join(details) + ")")
 
@@ -432,6 +460,8 @@ def test_criterion_13_incoherent_degrades(m40_coherent_run, m40_incoherent_run,
                                           name):
     coh = final_window_mean(m40_coherent_run, name)
     inc = final_window_mean(m40_incoherent_run, name)
+    report_se(f"13 {name}", steady(m40_coherent_run, name) - steady(m40_incoherent_run, name),
+              0.0, above=True)
     ok = inc < coh
     assert report("13", ok, f"{name}: coherent {coh:.1f} dB vs incoherent "
                   f"{inc:.1f} dB")

@@ -10,7 +10,9 @@ from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE, ETA_A,
                              record_normalized_output, sg_update)
 from rabsim.analysis import FlopModel, flops
 from rabsim.arrays import generate_snapshots, make_steering
+from rabsim.config import config_from_dict
 from rabsim.errors import ParameterError
+from rabsim.harness import simulate_trial_data
 from rabsim.kernels import norm
 from rabsim.okspme import inc_matrix, mvdr_weights
 
@@ -79,6 +81,35 @@ def test_sg_stability_long_stationary_run():
     norms = np.array(norms)
     assert np.isfinite(norms).all()
     assert norms.max() < 100.0 * np.median(norms)
+
+
+@pytest.mark.parametrize("kind", ["coherent", "incoherent"])
+def test_sg_feeds_its_output_scaled_by_its_gain(kind):
+    # SG's weights do not answer a_hat with unit gain (|w^H a_hat - 1| reaches
+    # 2.92 coherent and 7.75 incoherent here), but the gain never falls to the
+    # 1e-8 cut, so every snapshot adds x conj(w^H x / w^H a_hat) to d_hat.
+    cfg = config_from_dict({
+        "sensors": 12, "desired_doa_deg": 10.0,
+        "interferer_doas_deg": [30.0, 50.0], "snr_db": 10.0,
+        "snapshots": 300, "trials": 1, "master_seed": 42,
+        "scattering": {"kind": kind}, "algorithms": ["okspme-sg"],
+    })
+    ctx, _ = simulate_trial_data(cfg, 0, 0)
+    bf = SgBeamformer(ctx.a_init, ctx.num_sources)
+    update, fed = bf.tracker.update_crosscorr, []
+
+    def capture(x, y):
+        fed.append(x * np.conj(y))
+        update(x, y)
+
+    bf.tracker.update_crosscorr = capture
+    for i in range(300):
+        x = ctx.observations[:, i]
+        w = bf.process(x)
+        gain = np.vdot(w, bf.a_hat)
+        assert abs(gain) > 1e-8
+        assert len(fed) == i + 1
+        assert np.array_equal(fed[-1], x * np.conj(np.vdot(w, x) / gain))
 
 
 # --------------------------------------------------------------- CCG engine
