@@ -1,6 +1,15 @@
 """Acceptance suite: one test (or sub-test) per criterion, with a printed
 PASS/FAIL line each.
 
+A verdict on the shared Monte Carlo runs (9, 10, 12 and 13) is scored once,
+by ``paired``, from the per-trial rows: its line gives the mean gap, the
+paired SE and the margin to the bound in SEs.  Criterion 10a and criterion
+12's okspme clause pool the seed ensemble 42-45.  Criteria 8a and 11 are
+decided on the trial-mean trace at its worst or best snapshot and print the
+paired reading at that snapshot, an SE that ignores the choice of snapshot.
+Each behaviour here is checked by this suite alone; the unit tests do not
+re-run a criterion.
+
 Sub-assertions whose stated targets are unattainable for this method family
 are implemented verbatim and marked ``xfail(strict=True)``; each reason
 carries the measured value and the root cause.  Everything else must pass at
@@ -8,6 +17,7 @@ its stated tolerance.
 """
 
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -28,31 +38,33 @@ def report(criterion, ok, detail):
     return ok
 
 
-def final_window_mean(agg, name, window=STEADY_WINDOW):
-    return float(np.mean(agg.means(name)[0][-window:]))
+def trial_rows(agg, name):
+    """Each trial's SINR trace in dB (trials x snapshots), NaN where the
+    engine failed."""
+    (rows,), (failed,) = agg.sinr_db[name], agg.failed[name]
+    return np.where(failed[:, None], np.nan, rows)
 
 
 def steady(agg, name):
-    """Each trial's steady SINR in dB (the mean of its last ``STEADY_WINDOW``
-    snapshots), NaN where the engine failed."""
-    (rows,), (failed,) = agg.sinr_db[name], agg.failed[name]
-    return np.where(failed, np.nan, [np.mean(r[-STEADY_WINDOW:]) for r in rows])
+    """Each trial's steady SINR in dB: the mean of its last ``STEADY_WINDOW``
+    snapshots."""
+    return trial_rows(agg, name)[:, -STEADY_WINDOW:].mean(axis=1)
 
 
-def paired(gaps):
-    """``(mean, paired SE, trials)`` of per-trial gaps over the trials where
-    every engine ran."""
+NEED = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def paired(gaps, need, bound):
+    """Score per-trial gaps in dB (NaN where an engine failed) against
+    ``mean need bound``.  Returns the verdict and its reading: the mean over
+    the trials where every engine ran, its paired SE and the margin to the
+    bound in SEs (negative: outside)."""
     gaps = gaps[~np.isnan(gaps)]
-    return float(np.mean(gaps)), float(np.std(gaps, ddof=1)) / math.sqrt(gaps.size), gaps.size
-
-
-def report_se(criterion, gaps, bound, above):
-    """Print a verdict's Monte Carlo error: the per-trial gaps' mean, its
-    paired SE and the margin to the bound in SEs (negative: outside)."""
-    mean, se, n = paired(gaps)
-    margin = (mean - bound if above else bound - mean) / se
-    print(f"[criterion {criterion}] paired over {n} trials: {mean:.3f} dB, "
-          f"SE {se:.3f} dB, {margin:+.2f} SE inside the bound")
+    mean, se = float(np.mean(gaps)), float(np.std(gaps, ddof=1)) / math.sqrt(gaps.size)
+    margin = (mean - bound if need[0] == ">" else bound - mean) / se
+    return NEED[need](mean, bound), (
+        f"{mean:.3f} dB over {gaps.size} trials, SE {se:.3f} dB, "
+        f"{margin:+.2f} SE inside the bound (need {need} {bound:g})")
 
 
 # ------------------------------------------------------------- criterion 1
@@ -184,9 +196,9 @@ def test_criterion_5_gradients_match_finite_differences():
     g = rng.stream(55, 0, 0)
     worst_a = worst_v = 0.0
     for _ in range(100):
-        # m >= 4 and a single line-search step keep the weight-branch iterate
-        # away from exact convergence, where both sides of the comparison
-        # vanish and a relative error loses its reference scale
+        # m >= 4 and at most two line-search steps keep the weight-branch
+        # iterate away from exact convergence, where both sides of the
+        # comparison vanish and a relative error loses its reference scale
         m = int(g.integers(4, 7))
         b = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
         R = b @ b.conj().T + m * np.eye(m)
@@ -204,15 +216,16 @@ def test_criterion_5_gradients_match_finite_differences():
         fd_a = _fd_conj_gradient(cost_a, a)
         worst_a = max(worst_a, np.abs(g_a + fd_a).max() / np.abs(fd_a).max())
 
-        # weight-branch residual: at the seed and after one line-search step
+        # weight-branch residual: at the seed and after one and two
+        # line-search steps
         quad_m, _ = inc_matrix(R, a, s1)
         assert np.abs(quad_m - (R - s1 * np.outer(a, a.conj()))).max() < 1e-10
-        it = ccg_inner(quad_m, a, v, s1, 1)
+        iterates = [ccg_inner(quad_m, a, v, s1, n) for n in (1, 2)]
 
         def cost_v(vv):
             return np.vdot(vv, quad_m @ vv).real - 2 * np.vdot(a, vv).real
 
-        for point, grad in ((v, a - quad_m @ v), (it.v, it.g_v)):
+        for point, grad in [(v, a - quad_m @ v)] + [(it.v, it.g_v) for it in iterates]:
             fd_v = _fd_conj_gradient(cost_v, point)
             worst_v = max(worst_v,
                           np.abs(grad + fd_v).max() / np.abs(fd_v).max())
@@ -224,24 +237,27 @@ def test_criterion_5_gradients_match_finite_differences():
 # ------------------------------------------------------------- criterion 6
 
 def test_criterion_6_constraint_satisfaction(ccg_refined):
-    cfg = config_from_dict({
-        "sensors": 12, "desired_doa_deg": 10.0,
-        "interferer_doas_deg": [30.0, 50.0], "snr_db": 10.0,
-        "snapshots": 300, "trials": 1, "master_seed": 42,
-        "scattering": {"kind": "coherent"},
-        "algorithms": ["okspme", "okspme-ccg", "okspme-mcg"],
-    })
-    ctx, _ = simulate_trial_data(cfg, 0, 0)
+    # every engine that holds unit gain (SG does not)
+    names = ["okspme", "okspme-ccg", "okspme-mcg", "smi", "loaded-smi", "optimal"]
     worst = 0.0
-    for name in cfg.algorithms:
-        bf = ALGORITHMS[name](ctx)
-        for i in range(300):
-            w = bf.process(ctx.observations[:, i])
-            # CCG's weights answer its refined vector, the others' a_hat
-            a = ccg_refined[-1] if name == "okspme-ccg" else bf.a_hat
-            worst = max(worst, abs(np.vdot(w, a) - 1.0))
+    for kind in ("coherent", "incoherent"):
+        cfg = config_from_dict({
+            "sensors": 12, "desired_doa_deg": 10.0,
+            "interferer_doas_deg": [30.0, 50.0], "snr_db": 10.0,
+            "snapshots": 300, "trials": 1, "master_seed": 42,
+            "scattering": {"kind": kind}, "algorithms": names,
+        })
+        ctx, _ = simulate_trial_data(cfg, 0, 0)
+        for name in names:
+            bf = ALGORITHMS[name](ctx)
+            for i in range(300):
+                w = bf.process(ctx.observations[:, i])
+                # CCG's weights answer its refined vector, the others' a_hat
+                a = ccg_refined[-1] if name == "okspme-ccg" else bf.a_hat
+                worst = max(worst, abs(np.vdot(w, a) - 1.0))
     ok = worst < 1e-10
-    assert report("6", ok, f"max |w^H a - 1| = {worst:.2e} over 300 snapshots x 3 engines")
+    assert report("6", ok, f"max |w^H a - 1| = {worst:.2e} over 300 snapshots x "
+                  "6 engines x coherent and incoherent scattering")
 
 
 # ------------------------------------------------------------- criterion 7
@@ -294,10 +310,14 @@ def test_criterion_7_mcg_convergence_band():
 def test_criterion_8_no_mismatch_proposed_tracks_baseline(nomismatch_run):
     ok_trace = nomismatch_run.means("okspme")[0]
     smi_trace = nomismatch_run.means("smi")[0]
-    margin = float(np.min(ok_trace[19:] - smi_trace[19:]))
+    worst = 19 + int(np.argmin(ok_trace[19:] - smi_trace[19:]))
+    margin = float(ok_trace[worst] - smi_trace[worst])
+    _, reading = paired(trial_rows(nomismatch_run, "okspme")[:, worst]
+                        - trial_rows(nomismatch_run, "smi")[:, worst], ">=", 0.0)
     ok = margin >= -1e-9
-    assert report("8a", ok, f"direct method >= SMI at every snapshot >= 20 "
-                  f"(worst margin {margin:+.2f} dB)")
+    assert report("8a", ok, f"direct method >= SMI at every snapshot >= 20 (worst "
+                  f"margin {margin:+.2f} dB at snapshot {worst + 1}: {reading}; "
+                  "this SE ignores the choice of the worst snapshot)")
 
 
 @pytest.mark.xfail(
@@ -329,13 +349,9 @@ def test_criterion_8_smi_convergence_at_200(nomismatch_run):
 # ------------------------------------------------------------- criterion 9
 
 def test_criterion_9_beats_plain_smi(mismatch_run):
-    margin = (final_window_mean(mismatch_run, "okspme")
-              - final_window_mean(mismatch_run, "smi"))
-    report_se("9a", steady(mismatch_run, "okspme") - steady(mismatch_run, "smi"),
-              3.0, above=True)
-    ok = margin >= 3.0
-    assert report("9a", ok, f"direct method exceeds plain SMI by {margin:.1f} dB "
-                  "(need >= 3)")
+    ok, reading = paired(steady(mismatch_run, "okspme") - steady(mismatch_run, "smi"),
+                         ">=", 3.0)
+    assert report("9a", ok, f"direct method over plain SMI: {reading}")
 
 
 @pytest.mark.xfail(
@@ -348,26 +364,29 @@ def test_criterion_9_beats_plain_smi(mismatch_run):
     "and the repair's loading brings the gap to 7.2 dB (9.4 dB with the "
     "per-snapshot power estimate). Measured direct-method gap ~10.3 dB.")
 def test_criterion_9_within_5db_of_optimum(mismatch_run):
-    gap = (final_window_mean(mismatch_run, "optimal")
-           - final_window_mean(mismatch_run, "okspme"))
-    ok = gap <= 5.0
-    report("9b", ok, f"gap to optimum = {gap:.2f} dB (need <= 5)")
+    ok, reading = paired(steady(mismatch_run, "optimal") - steady(mismatch_run, "okspme"),
+                         "<=", 5.0)
+    report("9b", ok, f"direct method's gap to optimum: {reading}")
     assert ok
 
 
 # ------------------------------------------------------------ criterion 10
 
-def test_criterion_10_ccg_parity(ccg_parity_runs):
-    gaps = {seed: steady(agg, "okspme") - steady(agg, "okspme-ccg")
-            for seed, agg in ccg_parity_runs.items()}
-    for seed, seed_gaps in gaps.items():
-        report_se(f"10a seed {seed}", seed_gaps, 2.0, above=False)
-    gap, se, n = paired(np.concatenate(list(gaps.values())))
-    ok = gap <= 2.0
-    assert report("10a", ok, f"CCG within {gap:.3f} dB of the direct method pooled "
-                  f"over seeds {tuple(gaps)} ({n} trials; paired "
-                  f"SE {se:.3f} dB, {(2.0 - gap) / se:+.2f} SE inside the bound; "
-                  "need <= 2)")
+def pooled(gap, *ensembles):
+    """Per-trial ``gap`` of each seed's runs (one from each seed -> aggregate
+    ensemble), concatenated over the seeds, and the seeds with their mean gaps
+    for the printed line."""
+    gaps = {seed: gap(*(runs[seed] for runs in ensembles)) for seed in ensembles[0]}
+    per_seed = "/".join(f"{np.nanmean(g):.3f}" for g in gaps.values())
+    return np.concatenate(list(gaps.values())), f"seeds {tuple(gaps)} ({per_seed} dB)"
+
+
+def test_criterion_10_ccg_parity(m12_seed_runs):
+    gaps, seeds = pooled(lambda agg: steady(agg, "okspme") - steady(agg, "okspme-ccg"),
+                         m12_seed_runs)
+    ok, reading = paired(gaps, "<=", 2.0)
+    assert report("10a", ok, f"CCG's gap to the direct method pooled over {seeds}: "
+                  f"{reading}")
 
 
 @pytest.mark.xfail(
@@ -379,12 +398,9 @@ def test_criterion_10_ccg_parity(ccg_parity_runs):
     "projection update skipped measures 0.12 dB (SE 0.88), so one CG iteration "
     "per snapshot is not what fails.")
 def test_criterion_10_mcg_parity(mismatch_run):
-    gap = (final_window_mean(mismatch_run, "okspme")
-           - final_window_mean(mismatch_run, "okspme-mcg"))
-    report_se("10b", steady(mismatch_run, "okspme") - steady(mismatch_run, "okspme-mcg"),
-              2.0, above=False)
-    ok = gap <= 2.0
-    report("10b", ok, f"MCG within {gap:.2f} dB of the direct method (need <= 2)")
+    ok, reading = paired(steady(mismatch_run, "okspme") - steady(mismatch_run, "okspme-mcg"),
+                         "<=", 2.0)
+    report("10b", ok, f"MCG's gap to the direct method: {reading}")
     assert ok
 
 
@@ -396,25 +412,32 @@ def test_criterion_10_mcg_parity(mismatch_run):
     "scenario, so 300 snapshots cannot clear it; measured parity gap "
     "~18 dB.")
 def test_criterion_10_sg_parity(mismatch_run):
-    gap = (final_window_mean(mismatch_run, "okspme")
-           - final_window_mean(mismatch_run, "okspme-sg"))
-    report_se("10c", steady(mismatch_run, "okspme") - steady(mismatch_run, "okspme-sg"),
-              4.0, above=False)
-    ok = gap <= 4.0
-    report("10c", ok, f"SG within {gap:.2f} dB of the direct method (need <= 4)")
+    ok, reading = paired(steady(mismatch_run, "okspme") - steady(mismatch_run, "okspme-sg"),
+                         "<=", 4.0)
+    report("10c", ok, f"SG's gap to the direct method: {reading}")
     assert ok
 
 
 # ------------------------------------------------------------ criterion 11
 
+def recovery(tracking_run, name):
+    """Criterion 11's verdict on the trial-mean trace and its line, with the
+    paired reading at the best post-change snapshot."""
+    trace = tracking_run.means(name)[0]
+    before = float(np.mean(trace[100:150]))
+    best = 150 + int(np.argmax(trace[150:250]))
+    rows = trial_rows(tracking_run, name)
+    _, reading = paired(rows[:, best] - rows[:, 100:150].mean(axis=1), ">=", -3.0)
+    return trace[best] >= before - 3.0, (
+        f"{name}: pre-change steady {before:.1f} dB, best post-change "
+        f"{trace[best]:.1f} dB within 100 snapshots (snapshot {best + 1}, change "
+        f"{reading}; this SE ignores the choice of the best snapshot)")
+
+
 @pytest.mark.parametrize("name", ["okspme", "okspme-ccg", "okspme-mcg"])
 def test_criterion_11_tracking_recovery(tracking_run, name):
-    trace = tracking_run.means(name)[0]
-    steady = float(np.mean(trace[100:150]))
-    recovered = float(np.max(trace[150:250]))
-    ok = recovered >= steady - 3.0
-    assert report("11", ok, f"{name}: pre-change steady {steady:.1f} dB, best "
-                  f"post-change {recovered:.1f} dB within 100 snapshots")
+    ok, detail = recovery(tracking_run, name)
+    assert report("11", ok, detail)
 
 
 @pytest.mark.xfail(
@@ -423,34 +446,30 @@ def test_criterion_11_tracking_recovery(tracking_run, name):
     "to recover to at this horizon (same root cause as its parity clause); "
     "its trace keeps drifting through the redistribution.")
 def test_criterion_11_tracking_recovery_sg(tracking_run):
-    trace = tracking_run.means("okspme-sg")[0]
-    steady = float(np.mean(trace[100:150]))
-    recovered = float(np.max(trace[150:250]))
-    ok = recovered >= steady - 3.0
-    report("11-sg", ok, f"sg: steady {steady:.1f} dB, best post-change "
-           f"{recovered:.1f} dB")
+    ok, detail = recovery(tracking_run, "okspme-sg")
+    report("11-sg", ok, detail)
     assert ok
 
 
 # ------------------------------------------------------------ criterion 12
 
-def test_criterion_12_large_array_degradation(mismatch_run, m40_coherent_run):
-    details = []
-    ok = True
-    for name in ("okspme", "okspme-sg", "okspme-ccg", "okspme-mcg"):
-        gap12 = (final_window_mean(mismatch_run, "optimal")
-                 - final_window_mean(mismatch_run, name))
-        gap40 = (final_window_mean(m40_coherent_run, "optimal")
-                 - final_window_mean(m40_coherent_run, name))
-        ok &= gap40 > gap12
-        details.append(f"{name}: {gap12:.1f} -> {gap40:.1f}")
-        # trial t of both runs is paired: the widening gap40 - gap12, per trial
-        report_se(f"12 {name}",
-                  steady(m40_coherent_run, "optimal") - steady(m40_coherent_run, name)
-                  - steady(mismatch_run, "optimal") + steady(mismatch_run, name),
-                  0.0, above=True)
-    assert report("12", ok, "gap to optimum widens from M=12 to M=40 ("
-                  + "; ".join(details) + ")")
+def test_criterion_12_large_array_degradation(m12_seed_runs, m40_seed_runs):
+    def widening(m12, m40, name):
+        # trial t of one seed's M=12 and M=40 runs is paired
+        return (steady(m40, "optimal") - steady(m40, name)
+                - steady(m12, "optimal") + steady(m12, name))
+
+    # okspme pools the seed ensemble; the others read seed 42
+    gaps, seeds = pooled(lambda m12, m40: widening(m12, m40, "okspme"),
+                         m12_seed_runs, m40_seed_runs)
+    ok, reading = paired(gaps, ">", 0.0)
+    verdicts = [report("12", ok, f"okspme's gap to optimum widens from M=12 to M=40, "
+                       f"pooled over {seeds}: {reading}")]
+    for name in ("okspme-sg", "okspme-ccg", "okspme-mcg"):
+        ok, reading = paired(widening(m12_seed_runs[42], m40_seed_runs[42], name), ">", 0.0)
+        verdicts.append(report("12", ok, f"{name}'s gap to optimum widens from M=12 "
+                               f"to M=40: {reading}"))
+    assert all(verdicts)
 
 
 # ------------------------------------------------------------ criterion 13
@@ -458,13 +477,9 @@ def test_criterion_12_large_array_degradation(mismatch_run, m40_coherent_run):
 @pytest.mark.parametrize("name", ["okspme", "okspme-ccg", "okspme-mcg"])
 def test_criterion_13_incoherent_degrades(m40_coherent_run, m40_incoherent_run,
                                           name):
-    coh = final_window_mean(m40_coherent_run, name)
-    inc = final_window_mean(m40_incoherent_run, name)
-    report_se(f"13 {name}", steady(m40_coherent_run, name) - steady(m40_incoherent_run, name),
-              0.0, above=True)
-    ok = inc < coh
-    assert report("13", ok, f"{name}: coherent {coh:.1f} dB vs incoherent "
-                  f"{inc:.1f} dB")
+    ok, reading = paired(steady(m40_coherent_run, name) - steady(m40_incoherent_run, name),
+                         ">", 0.0)
+    assert report("13", ok, f"{name}: coherent over incoherent {reading}")
 
 
 @pytest.mark.xfail(
@@ -476,16 +491,16 @@ def test_criterion_13_incoherent_degrades(m40_coherent_run, m40_incoherent_run,
 @pytest.mark.parametrize("name", ["okspme-sg", "smi", "loaded-smi"])
 def test_criterion_13_incoherent_degrades_baselines(m40_coherent_run,
                                                     m40_incoherent_run, name):
-    coh = final_window_mean(m40_coherent_run, name)
-    inc = final_window_mean(m40_incoherent_run, name)
-    ok = inc < coh
-    report("13x", ok, f"{name}: coherent {coh:.1f} dB vs incoherent {inc:.1f} dB")
+    ok, reading = paired(steady(m40_coherent_run, name) - steady(m40_incoherent_run, name),
+                         ">", 0.0)
+    report("13x", ok, f"{name}: coherent over incoherent {reading}")
     assert ok
 
 
 # ------------------------------------------------------------ criterion 14
 
-def test_criterion_14_byte_identical_csv(tmp_path):
+def test_criterion_14_byte_identical_csv(tmp_path, cpus):
+    cpus(2)  # a real 2-worker pool, on a 1-CPU runner too
     doc = {
         "sensors": 8, "desired_doa_deg": 10.0, "interferer_doas_deg": [30.0],
         "snr_db": 10.0, "snapshots": 40, "trials": 6, "master_seed": 3,

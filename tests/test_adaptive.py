@@ -181,38 +181,6 @@ def test_ccg_direction_conjugacy():
         assert num / den < 1e-6
 
 
-def test_ccg_gradient_matches_finite_differences():
-    # Criterion-5 style check at unit-test scale: the steering gradient
-    # formula and the weight-branch residual recursion both match central
-    # finite differences of the joint cost.
-    g = np.random.default_rng(7)
-    m = 4
-    b = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
-    R = b @ b.conj().T + np.eye(m)
-    a = _rand(g, m)
-    s1 = 0.05  # small power keeps R - s1 a a^H positive definite (no repair)
-    quad, _ = inc_matrix(R, a, s1)
-    assert np.abs(quad - (R - s1 * np.outer(a, a.conj()))).max() < 1e-12
-    v0 = _rand(g, m)
-    it = ccg_inner(quad, a, v0, s1, 2)
-
-    def cost_v(v):
-        return (np.vdot(v, quad @ v).real - 2 * np.vdot(a, v).real)
-
-    # conjugate-Wirtinger FD gradient of the (real) cost in v at the iterate
-    h = 1e-6
-    fd = np.zeros(m, dtype=complex)
-    for k in range(m):
-        e = np.zeros(m, dtype=complex)
-        e[k] = h
-        d_re = (cost_v(it.v + e) - cost_v(it.v - e)) / (2 * h)
-        d_im = (cost_v(it.v + 1j * e) - cost_v(it.v - 1j * e)) / (2 * h)
-        fd[k] = 0.5 * (d_re + 1j * d_im)
-    # g_v tracks the negative gradient (residual) of the quadratic cost
-    rel = np.abs(it.g_v - (-fd)).max() / max(np.abs(fd).max(), 1e-12)
-    assert rel < 1e-6
-
-
 def test_ccg_beamformer_constraint_and_determinism(ccg_refined):
     m = 6
     a_true = make_steering(m, 10.0)

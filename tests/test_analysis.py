@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rabsim
-from rabsim import rng
 from rabsim.analysis import (FlopModel, epsilon_moments, flops, mse_bounds,
                              optimal_weights, output_sinr, smi_weights, steering_mse)
 from rabsim.arrays import make_steering
@@ -259,24 +258,7 @@ def test_epsilon_moments_identity_and_literal_form():
     assert abs(var - literal_var) < 1e-12 * literal_var
 
 
-def test_epsilon_moments_monte_carlo():
-    # brute-force sampling of the chord-length distribution
-    theta, norm = 0.12, 3.0
-    g = rng.stream(100, 0, 0)
-    tau = g.uniform(0.0, theta, 1_000_000)
-    eps = 2.0 * norm * np.sin(tau / 2.0)
-    mean, var, msq = epsilon_moments(theta, norm)
-    assert abs(eps.mean() - mean) / mean < 1e-3
-    assert abs((eps**2).mean() - msq) / msq < 2e-3
-
-
 # ----------------------------------------------------------------- flops
-
-def test_flop_spot_values():
-    assert flops(FlopModel("okspme", 10, order=4)) == 4580
-    assert flops(FlopModel("okspme-sg", 10, order=4)) == 3310
-    assert flops(FlopModel("lcwc", 10, inner=50)) == 13500
-
 
 def test_flop_competitor_rows():
     assert flops(FlopModel("locsme", 10)) == 4 * 1000 + 3 * 100 + 200

@@ -41,26 +41,12 @@ def test_unknown_scattering_key_rejected():
         config_from_dict(_base_doc(scattering={"kind": "coherent", "paths": 4}))
 
 
-# Object entries carrying an engine value, once of the wrong JSON type.  A
-# roster entry is a name, so each is rejected when the file is loaded.
-MISTYPED_PARAMETERS = [
-    {"name": "okspme", "lam": "abc"},
-    {"name": "okspme-sg", "mu_scale": "x"},
-    {"name": "loaded-smi", "loading_scale": "x"},
-    {"name": "okspme-ccg", "n_inner": "5"},
-    {"name": "okspme-ccg", "n_inner": 2.5},
-    {"name": "okspme", "delta": True},
-]
-
-
 def test_unknown_algorithm_and_parameter_rejected():
     with pytest.raises(ParameterError, match="unknown algorithm"):
         config_from_dict(_base_doc(algorithms=["music"]))
-    # objects, well typed or not, and entries of any other JSON type
-    for entry in MISTYPED_PARAMETERS + [
-            {"name": "okspme"}, {"name": "okspme", "mu": 1},
-            {"name": "okspme", "lam": 1}, {"name": "smi", "delta0": 0.5},
-            {"lam": 0.99}, 1, None, True, ["okspme"]]:
+    # a roster entry is a name: an engine value in an object entry, and an
+    # entry of each other JSON type, are rejected when the file is loaded
+    for entry in [{"name": "okspme", "lam": 0.99}, 1, None, True, ["okspme"]]:
         with pytest.raises(ParameterError, match="must be names"):
             config_from_dict(_base_doc(algorithms=["smi", entry]))
 
@@ -272,19 +258,6 @@ def test_okspme_engines_share_the_estimator_shell(name):
     assert np.array_equal(bf.w, np.ones(cfg.sensors))
 
 
-@pytest.mark.parametrize("kind", ["coherent", "incoherent"])
-@pytest.mark.parametrize("name", ["smi", "loaded-smi", "optimal"])
-def test_baseline_weights_answer_a_hat_with_unit_gain(name, kind):
-    cfg = config_from_dict(_base_doc(
-        sensors=12, interferer_doas_deg=[30.0, 50.0], snapshots=300, trials=1,
-        master_seed=42, scattering={"kind": kind}, algorithms=[name]))
-    ctx, _ = simulate_trial_data(cfg, 0, 0)
-    bf = harness.ALGORITHMS[name](ctx)
-    for i in range(cfg.snapshots):
-        w = bf.process(ctx.observations[:, i])
-        assert abs(np.vdot(w, bf.a_hat) - 1.0) < 1e-10, i
-
-
 @pytest.mark.parametrize("name, delta0, loading", [
     ("smi", harness.SMI_DELTA0, 0.0),
     ("loaded-smi", 0.0, harness.LOADING_SCALE),
@@ -432,14 +405,8 @@ def test_failed_trials_leave_the_means_and_are_counted(monkeypatch):
     assert list(trials) == [2] * 20 and agg.failed["smi"].sum() == 1
 
 
-def _cpus(monkeypatch, count):
-    """Make the pool cap read ``count`` CPUs this process may run on."""
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
-def test_parallel_equals_serial(monkeypatch):
-    _cpus(monkeypatch, 2)  # a real 2-worker pool, on a 1-CPU runner too
+def test_parallel_equals_serial(cpus):
+    cpus(2)  # a real 2-worker pool, on a 1-CPU runner too
     cfg = config_from_dict(_base_doc(trials=4))
     serial = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=2)
@@ -447,7 +414,7 @@ def test_parallel_equals_serial(monkeypatch):
         assert np.array_equal(serial.sinr_db[name], parallel.sinr_db[name])
 
 
-def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch):
+def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch, cpus):
     # A fork pool starts every worker it is asked for, once per SNR point;
     # this stand-in records the count and runs the trials in this process,
     # so no worker process starts.
@@ -468,7 +435,7 @@ def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch):
 
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = config_from_dict(_base_doc(trials=3, snr_db=[0.0, 10.0]))
-    _cpus(monkeypatch, 8)
+    cpus(8)
     pooled = run_experiment(cfg, workers=64)
     assert requested == [3, 3]
     serial = run_experiment(cfg, workers=1)
@@ -476,10 +443,10 @@ def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch):
     for name in ("okspme", "smi"):
         assert np.array_equal(serial.sinr_db[name], pooled.sinr_db[name])
     # and no more workers than CPUs
-    _cpus(monkeypatch, 2)
+    cpus(2)
     run_experiment(cfg, workers=64)
     assert requested == [3, 3, 2, 2]
-    _cpus(monkeypatch, 1)
+    cpus(1)
     run_experiment(cfg, workers=64)
     assert requested == [3, 3, 2, 2]
 
@@ -487,7 +454,7 @@ def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch):
 # ------------------------------------------------------------------- CSV
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, workers):
+def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, cpus, workers):
     before = kernels.blas_threads()
     if not before:
         pytest.skip("no OpenBLAS loaded")
@@ -510,7 +477,7 @@ def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, workers):
 
     monkeypatch.setattr(harness, "run_trial", reporting_trial)
     monkeypatch.setattr(harness, "_collect_trials", collecting)
-    _cpus(monkeypatch, workers)  # a real pool for workers > 1, on a 1-CPU runner too
+    cpus(workers)  # a real pool for workers > 1, on a 1-CPU runner too
     # two threads each, so the restored counts differ from the pinned ones
     kernels.set_blas_threads([2] * len(before))
     try:
@@ -548,14 +515,6 @@ def test_csv_row_count_and_round_trip(tmp_path):
         assert float(sinr) == agg.means(name)[0][i]
         assert float(mse) == agg.means(name)[1][i]
         assert int(trials) == 2
-
-
-def test_csv_bytes_are_deterministic(tmp_path):
-    cfg = config_from_dict(_base_doc(trials=2))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(run_experiment(cfg), p1)
-    write_csv(run_experiment(cfg, workers=2), p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_io_error():

@@ -157,7 +157,9 @@ def _bind_wrappers(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_simulate_writes_the_bytes_of_the_scipy_wrappers(tmp_path, monkeypatch, threads):
+def test_simulate_writes_the_bytes_of_the_scipy_wrappers(tmp_path, monkeypatch, cpus,
+                                                        threads):
+    cpus(threads)  # a real pool for threads > 1, on a 1-CPU runner too
     fast = _simulate(tmp_path, "kernels", threads)
     repairs = []
     eigvalsh = scipy.linalg.eigvalsh

@@ -214,19 +214,6 @@ def test_steering_norm_invariant_every_snapshot():
         assert abs(np.linalg.norm(bf.a_hat) - math.sqrt(m)) < 1e-8
 
 
-def test_constraint_satisfaction_during_run():
-    m = 6
-    a_true = make_steering(m, 10.0)
-    interferers = [make_steering(m, 30.0)]
-    obs = generate_snapshots(np.repeat(a_true[:, None], 60, axis=1), 5.0,
-                             interferers, 5.0, rng.stream(5, 0, 0))
-    bf = _beamformer(m=m, num_sources=2,
-                     a_init=make_steering(m, 12.0))
-    for i in range(60):
-        w = bf.process(obs[:, i])
-        assert abs(np.vdot(w, bf.a_hat) - 1.0) < 1e-10
-
-
 def test_weights_collinear_with_smi_on_exact_input():
     # with exact desired statistics, the covariance acting on the emitted
     # weights reproduces the steering direction (up to a positive scalar)
