@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,115 +170,148 @@ def test_console_script_entry_point(tmp_path):
     assert res.stdout.strip() == "3310"
 
 
-# Malformed scenarios and `simulate` arguments that once crashed with a
-# traceback (exit 1) or ran (exit 0); each now stops before any trial with one
-# error line naming the offending key.  A case is the scenario (overrides of
-# `_scenario`, or the file's bytes), extra arguments, and what the line names.
+# Malformed scenarios that once crashed with a traceback (exit 1) or ran
+# (exit 0); each now stops before any trial with one error line naming the
+# offending key.  A case is the overrides of `_scenario` and what the line names.
 CONFIG_ERRORS = [
-    pytest.param({"sensors": 12.5}, [], "'sensors'", id="sensors-float"),
-    pytest.param({"snr_db": "abc"}, [], "'snr_db'", id="snr-string"),
-    pytest.param({"master_seed": -1}, [], "master_seed", id="seed-negative"),
-    pytest.param({"scattering": {"kind": "coherent", "num_paths": 2.5}}, [], "'num_paths'",
+    pytest.param({"sensors": 12.5}, "'sensors'", id="sensors-float"),
+    pytest.param({"snr_db": "abc"}, "'snr_db'", id="snr-string"),
+    pytest.param({"master_seed": -1}, "master_seed", id="seed-negative"),
+    pytest.param({"scattering": {"kind": "coherent", "num_paths": 2.5}}, "'num_paths'",
                  id="paths-float"),
-    pytest.param({"snr_db": 1e6}, [], "snr_db", id="snr-overflow"),
-    pytest.param({"algorithms": []}, [], "'algorithms'", id="roster-empty"),
-    pytest.param({"trials": "3"}, [], "'trials'", id="trials-string"),
-    pytest.param({"snr_db": [0.0, float("nan")]}, [], "'snr_db'", id="snr-nan"),
-    pytest.param({"sector_halfwidth_deg": -5.0}, [], "sector_halfwidth_deg",
+    pytest.param({"snr_db": 1e6}, "snr_db", id="snr-overflow"),
+    pytest.param({"algorithms": []}, "'algorithms'", id="roster-empty"),
+    pytest.param({"trials": "3"}, "'trials'", id="trials-string"),
+    pytest.param({"snr_db": [0.0, float("nan")]}, "'snr_db'", id="snr-nan"),
+    pytest.param({"sector_halfwidth_deg": -5.0}, "sector_halfwidth_deg",
                  id="sector-negative"),
     # an engine value in an object entry: a roster entry is a name
-    pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]}, [],
+    pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]},
                  "algorithm entries", id="loading-negative"),
-    pytest.param({"interferer_schedule": 0}, [], "'interferer_schedule'",
-                 id="schedule-number"),
+    pytest.param({"interferer_schedule": 0}, "'interferer_schedule'", id="schedule-number"),
     # a change-point at snapshot 1 would leave the first segment empty
     pytest.param({"interferer_schedule": [
-        {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]}, [], "change-points",
+        {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]}, "change-points",
         id="schedule-at-1"),
     # sizes no array can have: checked before anything is allocated
-    pytest.param({"sensors": 10**30}, [], "sensors", id="sensors-huge"),
-    pytest.param({"snapshots": 10**30}, [], "snapshots", id="snapshots-huge"),
-    pytest.param({"scattering": {"kind": "coherent", "num_paths": 10**30}}, [], "num_paths",
+    pytest.param({"sensors": 10**30}, "sensors", id="sensors-huge"),
+    pytest.param({"snapshots": 10**30}, "snapshots", id="snapshots-huge"),
+    pytest.param({"scattering": {"kind": "coherent", "num_paths": 10**30}}, "num_paths",
                  id="paths-huge"),
     # one of each way a value can miss the schema's JSON types
-    pytest.param({"sensors": DROP}, [], "'sensors'", id="sensors-missing"),
-    pytest.param({"sensors": True}, [], "'sensors'", id="sensors-bool"),
-    pytest.param({"scattering": "coherent"}, [], "'scattering'", id="scattering-string"),
-    pytest.param({"scattering": {"kind": 3}}, [], "kind", id="kind-number"),
-    pytest.param({"interferer_schedule": [5]}, [], "'interferer_schedule'",
+    pytest.param({"sensors": DROP}, "'sensors'", id="sensors-missing"),
+    pytest.param({"sensors": True}, "'sensors'", id="sensors-bool"),
+    pytest.param({"scattering": "coherent"}, "'scattering'", id="scattering-string"),
+    pytest.param({"scattering": {"kind": 3}}, "kind", id="kind-number"),
+    pytest.param({"interferer_schedule": [5]}, "'interferer_schedule'",
                  id="schedule-entry-number"),
-    pytest.param({"interferer_schedule": [{"start_snapshot": 5}]}, [],
+    pytest.param({"interferer_schedule": [{"start_snapshot": 5}]},
                  "'interferer_doas_deg'", id="schedule-entry-no-doas"),
     pytest.param({"interferer_schedule": [
-        {"start_snapshot": 5, "interferer_doas_deg": 20.0}]}, [], "'interferer_doas_deg'",
+        {"start_snapshot": 5, "interferer_doas_deg": 20.0}]}, "'interferer_doas_deg'",
         id="schedule-doas-number"),
-    pytest.param({"algorithms": "smi"}, [], "'algorithms'", id="roster-string"),
-    pytest.param({"interferer_doas_deg": 30.0}, [], "'interferer_doas_deg'",
-                 id="doas-number"),
-    pytest.param({"inr_db": "20"}, [], "'inr_db'", id="inr-string"),
+    pytest.param({"algorithms": "smi"}, "'algorithms'", id="roster-string"),
+    pytest.param({"interferer_doas_deg": 30.0}, "'interferer_doas_deg'", id="doas-number"),
+    pytest.param({"inr_db": "20"}, "'inr_db'", id="inr-string"),
     # the scattering mean defaults to the desired DoA: the DoA's own type
     # error is the one reported
-    pytest.param({"desired_doa_deg": "10", "scattering": {"kind": "coherent"}}, [],
+    pytest.param({"desired_doa_deg": "10", "scattering": {"kind": "coherent"}},
                  "'desired_doa_deg'", id="desired-string-with-scattering"),
-    # a typo, and the noise power: every power is in units of it
-    pytest.param({"snapshotz": 5}, [], "snapshotz", id="unknown-key"),
-    pytest.param({"noise_power": 1.0}, [], "noise_power", id="noise-power-key"),
-    # spans a trial could draw an angle outside [-90, 90] from
-    pytest.param({"desired_doa_deg": 95.0}, [], "desired_doa_deg", id="angle-desired"),
-    pytest.param({"interferer_doas_deg": [30.0, -90.5]}, [], "interferer DoA",
-                 id="angle-interferer"),
-    pytest.param({"interferer_schedule": [
-        {"start_snapshot": 5, "interferer_doas_deg": [120.0]}]}, [],
-        "scheduled interferer DoA", id="angle-schedule"),
-    pytest.param({"desired_doa_deg": 87.0, "sector_halfwidth_deg": 5.0}, [],
-                 "sector_halfwidth_deg", id="angle-sector-high"),
-    pytest.param({"desired_doa_deg": -88.0, "sector_halfwidth_deg": 2.5}, [],
-                 "sector_halfwidth_deg", id="angle-sector-low"),
-    pytest.param({"scattering": {"kind": "coherent", "angle_mean_deg": 85.0,
-                                 "angle_std_deg": 3.0}}, [], "angle_mean_deg",
-                 id="angle-scatter-high"),
-    pytest.param({"scattering": {"kind": "incoherent", "angle_mean_deg": -89.0,
-                                 "angle_std_deg": 1.0}}, [], "angle_mean_deg",
-                 id="angle-scatter-low"),
-    # JSON documents that are not an object
-    pytest.param(b"[6, 10.0]", [], "JSON object", id="non-object-array"),
-    pytest.param(b"6", [], "JSON object", id="non-object-number"),
-    pytest.param(b'"sensors"', [], "JSON object", id="non-object-string"),
-    pytest.param(b"null", [], "JSON object", id="non-object-null"),
-    # files that are not a JSON document Python can parse
-    pytest.param(b"{", [], "invalid JSON", id="bad-json"),
-    pytest.param(b'{"sensors": 6, "x": "\xff"}', [], "invalid JSON", id="not-utf8"),
-    pytest.param(b"[" * 100_000, [], "invalid JSON", id="nested-deep"),
-    pytest.param(b'{"sensors": 1' + b"0" * 5000 + b"}", [], "invalid JSON",
-                 id="integer-digits"),
-    # a worker count below one once ran serially without a word
-    pytest.param({}, ["--threads", "0"], "--threads", id="threads-zero"),
-    pytest.param({}, ["--threads", "-2"], "--threads", id="threads-negative"),
-    pytest.param({}, ["--seed", "-1"], "master_seed", id="seed-override-negative"),
 ]
 
 
-@pytest.mark.filterwarnings("error")    # a warning fails as a second line would
-@pytest.mark.parametrize("scenario, args, named", CONFIG_ERRORS)
-def test_malformed_scenario_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
-                                                        scenario, args, named):
-    if isinstance(scenario, bytes):
-        cfg = tmp_path / "scenario.json"
-        cfg.write_bytes(scenario)
-    else:
-        cfg = _scenario(tmp_path, **scenario)
-    generated, generate = [], harness.generate_snapshots
+@pytest.fixture
+def config_error(tmp_path, monkeypatch, capsys):
+    """``check(scenario, named, *args)`` runs ``simulate`` in-process on the
+    scenario (overrides of `_scenario`, or the file's bytes) and asserts exit 2,
+    one error line naming ``named``, no CSV and no snapshots generated.  A
+    warning raises, so it fails the case as a second stderr line would."""
+    def check(scenario, named, *args):
+        if isinstance(scenario, bytes):
+            cfg = tmp_path / "scenario.json"
+            cfg.write_bytes(scenario)
+        else:
+            cfg = _scenario(tmp_path, **scenario)
+        generated, generate = [], harness.generate_snapshots
 
-    def counting(*args, **kwargs):
-        generated.append(1)
-        return generate(*args, **kwargs)
+        def counting(*args, **kwargs):
+            generated.append(1)
+            return generate(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "generate_snapshots", counting)
-    out = tmp_path / "x.csv"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out), *args]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], lines
-    assert not out.exists() and not generated
+        out = tmp_path / "x.csv"
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            patch.setattr(harness, "generate_snapshots", counting)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), *args]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], lines
+        assert not out.exists() and not generated
+    return check
+
+
+@pytest.mark.parametrize("scenario, named", CONFIG_ERRORS)
+def test_malformed_scenario_exits_2_with_one_error_line(config_error, scenario, named):
+    config_error(scenario, named)
+
+
+def test_simulate_unknown_key_is_config_error(config_error):
+    # a typo, and the noise power: every power is in units of it
+    config_error({"snapshotz": 5}, "snapshotz")
+    config_error({"noise_power": 1.0}, "noise_power")
+
+
+# Scenarios under which a trial could draw an angle outside [-90, 90].
+@pytest.mark.parametrize("scenario, named", [
+    pytest.param({"desired_doa_deg": 95.0}, "desired_doa_deg", id="desired"),
+    pytest.param({"interferer_doas_deg": [30.0, -90.5]}, "interferer DoA",
+                 id="interferer"),
+    pytest.param({"interferer_schedule": [
+        {"start_snapshot": 5, "interferer_doas_deg": [120.0]}]},
+        "scheduled interferer DoA", id="schedule"),
+    pytest.param({"desired_doa_deg": 87.0, "sector_halfwidth_deg": 5.0},
+                 "sector_halfwidth_deg", id="sector-high"),
+    pytest.param({"desired_doa_deg": -88.0, "sector_halfwidth_deg": 2.5},
+                 "sector_halfwidth_deg", id="sector-low"),
+    pytest.param({"scattering": {"kind": "coherent", "angle_mean_deg": 85.0,
+                                 "angle_std_deg": 3.0}}, "angle_mean_deg",
+                 id="scatter-high"),
+    pytest.param({"scattering": {"kind": "incoherent", "angle_mean_deg": -89.0,
+                                 "angle_std_deg": 1.0}}, "angle_mean_deg",
+                 id="scatter-low"),
+])
+def test_out_of_range_angles_rejected_at_load(config_error, scenario, named):
+    config_error(scenario, named)
+
+
+# JSON documents that are not an object.
+@pytest.mark.parametrize("text", [b"[6, 10.0]", b"6", b'"sensors"', b"null"],
+                         ids=["array", "number", "string", "null"])
+def test_non_object_scenario_exits_2_with_one_error_line(config_error, text):
+    config_error(text, "JSON object")
+
+
+# Files that are not a JSON document Python can parse.
+def test_simulate_bad_json_is_config_error(config_error):
+    config_error(b"{", "invalid JSON")
+
+
+@pytest.mark.parametrize("text", [
+    b'{"sensors": 6, "x": "\xff"}',
+    b"[" * 100_000,
+    b'{"sensors": 1' + b"0" * 5000 + b"}",
+], ids=["not-utf8", "nested-deep", "integer-digits"])
+def test_unreadable_scenario_exits_2_with_one_error_line(config_error, text):
+    config_error(text, "invalid JSON")
+
+
+# A worker count below one once ran serially without a word.
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_exits_2_with_one_error_line(config_error, threads):
+    config_error({}, "--threads", "--threads", threads)
+
+
+def test_negative_seed_override_is_config_error(config_error):
+    config_error({}, "master_seed", "--seed", "-1")
 
 
 def test_malformed_scenario_exits_2_in_a_fresh_process(tmp_path):
