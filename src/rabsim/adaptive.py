@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
 from .kernels import norm
 from .okspme import SteeringEstimator, inc_matrix
 
@@ -81,11 +80,9 @@ def sg_update(w: np.ndarray, mu: float, a_hat: np.ndarray, sigma1_sq: float,
 
     where ``y = w^H x`` is the output of the weights being stepped.  The data
     term only injects the component of ``x`` orthogonal to the steering
-    estimate.  ``mu`` must satisfy ``0 <= mu < 1/sigma1^2`` so the rank-one
-    multiplier stays positive definite.
+    estimate.  The caller keeps ``0 <= mu < 1/(sigma1^2 ||a||^2)`` so the
+    rank-one multiplier stays positive definite.
     """
-    if mu < 0 or mu * sigma1_sq >= 1.0:
-        raise ParameterError(f"step size {mu} outside [0, 1/sigma1_sq)")
     y = np.vdot(w, x)
     gram = np.vdot(a_hat, a_hat).real
     x_perp = x - (np.vdot(a_hat, x) / gram) * a_hat

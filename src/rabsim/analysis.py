@@ -65,9 +65,7 @@ def output_sinr(w: np.ndarray, sigma1_sq: float, a_true: np.ndarray,
     gains = (w_h @ a_true[:, :, None]).ravel()
     dens = (w_h @ (R_in_true @ w[:, :, None])).real.ravel()
     out = np.empty(len(w))
-    for i, (ok, gain, den) in enumerate(zip(w.any(axis=1), gains, dens)):
-        if not ok:
-            raise ParameterError("weights must be nonzero")
+    for i, (gain, den) in enumerate(zip(gains, dens)):
         num = sigma1_sq * abs(gain) ** 2
         if den <= 0:
             out[i] = math.inf if num > 0 else SINR_FLOOR_DB

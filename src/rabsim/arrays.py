@@ -55,10 +55,6 @@ class ScatteringSpec:
 
 def make_steering(m_sensors: int, theta_deg: float) -> np.ndarray:
     """Steering vector of an M-element half-wavelength ULA toward ``theta_deg``."""
-    if m_sensors < 2:
-        raise ParameterError(f"need at least 2 sensors, got {m_sensors}")
-    if not -90.0 <= theta_deg <= 90.0:
-        raise ParameterError(f"DoA must lie in [-90, 90] degrees, got {theta_deg}")
     phase = math.pi * math.sin(math.radians(theta_deg))
     return np.exp(1j * phase * np.arange(m_sensors))
 
@@ -121,8 +117,6 @@ def generate_snapshots(
     interferer's symbols in list order, then the noise.
     """
     m, count = truth.shape
-    if count < 1:
-        raise ParameterError("snapshot count must be >= 1")
 
     def draw_symbols(power: float) -> np.ndarray:
         z = rng.standard_normal((count, 2))

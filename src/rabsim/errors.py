@@ -4,6 +4,9 @@ One class per CLI exit code: ``ParameterError`` (exit 2) for an argument,
 option or scenario file that breaks a documented precondition, and
 ``NumericError`` (exit 3) for a numerical breakdown, an algorithm failing
 every trial at a scenario point included.
+
+``ParameterError`` is raised only where input enters, the scenario file and
+the CLI's arguments; the per-snapshot layers trust what a trial builds.
 """
 
 

@@ -122,7 +122,7 @@ class _SmiRunner:
     def __init__(self, name, a_nominal, delta0, loading):
         self.name = name
         self.tracker = CovarianceTracker(len(a_nominal), delta0=delta0)
-        self.a_hat = np.asarray(a_nominal, dtype=complex)
+        self.a_hat = a_nominal
         self.loading = loading * np.eye(len(a_nominal))
 
     def process(self, x):

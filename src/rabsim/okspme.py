@@ -28,7 +28,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError
 from .kernels import cho_solve, cholesky, norm
 from .krylov import arnoldi_mgs, make_projector
 from .tracking import CovarianceTracker
@@ -48,8 +48,6 @@ def estimate_power(a_hat: np.ndarray, x: np.ndarray, sigma_n_sq: float) -> float
     power and flip the sign of the rank-one subtraction downstream.
     """
     gram = abs(np.vdot(a_hat, a_hat))
-    if gram <= 0.0:
-        raise ParameterError("steering estimate must be nonzero")
     proj = abs(np.vdot(a_hat, x)) ** 2
     return max(POWER_FLOOR, (proj - gram * sigma_n_sq) / gram**2)
 
@@ -163,12 +161,11 @@ class SteeringEstimator:
     lam = 1.0
 
     def __init__(self, a_init: np.ndarray, num_sources: int):
-        a_init = np.asarray(a_init, dtype=complex)
         self.m = a_init.shape[0]
         self.noise = NoisePowerSource(1.0)
         self.tracker = CovarianceTracker(self.m, lam=self.lam, delta0=DELTA0)
         self.a_hat = a_init * (math.sqrt(self.m) / norm(a_init))
-        self.num_sources = int(num_sources)
+        self.num_sources = num_sources
         self.w = np.ones(self.m, dtype=complex)
         # Smoothed power estimate, weighted like the tracker statistics
         # (forgetting-factor mean, or plain arithmetic mean when lam = 1).
@@ -178,8 +175,6 @@ class SteeringEstimator:
     @property
     def sigma1_sq_mean(self) -> float:
         """Running (tracker-weighted) mean of the power estimates."""
-        if self._sigma1_den == 0.0:
-            return POWER_FLOOR
         return max(POWER_FLOOR, self._sigma1_num / self._sigma1_den)
 
     def begin_snapshot(self, x: np.ndarray) -> tuple[np.ndarray, float]:

@@ -17,23 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
-
 
 class CovarianceTracker:
     def __init__(self, m_sensors: int, lam: float = 1.0, delta0: float = 0.0):
-        if not 0.0 < lam <= 1.0:
-            raise ParameterError(f"forgetting factor must lie in (0, 1], got {lam}")
-        if delta0 < 0:
-            raise ParameterError(f"delta0 must be >= 0, got {delta0}")
-        if m_sensors < 1:
-            raise ParameterError("m_sensors must be >= 1")
-        self.m = int(m_sensors)
-        self.lam = float(lam)
+        self.m = m_sensors
+        self.lam = lam
         self.count = 0      # snapshots absorbed into R_hat
         self.count_d = 0    # (snapshot, output) pairs absorbed into d_hat
         # Raw accumulators: _sr starts at delta0*I, _sd at zero.
-        self._sr = float(delta0) * np.eye(self.m, dtype=complex)
+        self._sr = delta0 * np.eye(self.m, dtype=complex)
         self._sd = np.zeros(self.m, dtype=complex)
 
     def update_covariance(self, x: np.ndarray) -> None:
@@ -44,9 +36,6 @@ class CovarianceTracker:
         output (and hence the cross-correlation term) is only available after
         the weights are refreshed.
         """
-        x = np.asarray(x)
-        if x.shape != (self.m,):
-            raise ParameterError(f"snapshot must have shape ({self.m},), got {x.shape}")
         self._sr = self.lam * self._sr + x[:, None] * x.conj()
         # Rank-1 updates drift off Hermitian symmetry in floating point.
         self._sr = 0.5 * (self._sr + self._sr.conj().T)
@@ -54,9 +43,6 @@ class CovarianceTracker:
 
     def update_crosscorr(self, x: np.ndarray, y: complex) -> None:
         """Absorb one (snapshot, output) pair into the cross-correlation."""
-        x = np.asarray(x)
-        if x.shape != (self.m,):
-            raise ParameterError(f"snapshot must have shape ({self.m},), got {x.shape}")
         self._sd = self.lam * self._sd + x * np.conj(y)
         self.count_d += 1
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the Monte Carlo runs the acceptance criteria score, and
-the CPU count the trial pool reads.
+the CPU count the trial pool reads; and the "verdicts" section of the
+terminal summary.
 
 The heavy experiments are session-scoped and reused across criteria.  The
 mismatch-robustness run also serves the variant-parity and large-array
@@ -29,6 +30,27 @@ FULL_ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
 # okspme widening sits within one SE of 0, so seed 42 alone decided each
 # verdict by its luck.
 ENSEMBLE_SEEDS = (42, 43, 44, 45)
+
+
+# Stdout lines the terminal summary's "verdicts" section collects.
+VERDICT_PREFIXES = ("[criterion ", "[sensitivity]")
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print every verdict line the tests wrote to their captured stdout, in
+    one section, whatever the outcome: a strict xfail's reading shows too,
+    where ``-rP`` prints passing tests' output only.  Each line leads with
+    its test's outcome."""
+    lines = [f"{outcome:8} {line}"
+             for outcome in ("passed", "failed", "xfailed", "xpassed")
+             for report in terminalreporter.stats.get(outcome, [])
+             if report.when == "call"
+             for line in report.capstdout.splitlines()
+             if line.startswith(VERDICT_PREFIXES)]
+    if lines:
+        terminalreporter.write_sep("=", "verdicts")
+        for line in lines:
+            terminalreporter.write_line(line)
 
 
 def _mismatch_doc(sensors, kind="coherent", **overrides):

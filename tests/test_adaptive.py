@@ -11,7 +11,6 @@ from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE, ETA_A,
 from rabsim.analysis import FlopModel, flops
 from rabsim.arrays import generate_snapshots, make_steering
 from rabsim.config import config_from_dict
-from rabsim.errors import ParameterError
 from rabsim.harness import simulate_trial_data
 from rabsim.kernels import norm
 from rabsim.okspme import inc_matrix, mvdr_weights
@@ -58,14 +57,6 @@ def test_sg_matches_independent_evaluation():
     oracle = eye_term - mu * (s1 * a + np.conj(y) * (x - (np.vdot(a, x) * a) / gram))
     rel = np.abs(out - oracle).max() / np.abs(oracle).max()
     assert rel < 1e-12
-
-
-def test_sg_rejects_step_outside_bound():
-    a = make_steering(3, 0.0)
-    with pytest.raises(ParameterError):
-        sg_update(np.ones(3, dtype=complex), 0.6, a, 2.0, np.ones(3, dtype=complex))
-    with pytest.raises(ParameterError):
-        sg_update(np.ones(3, dtype=complex), -0.1, a, 2.0, np.ones(3, dtype=complex))
 
 
 def test_sg_stability_long_stationary_run():

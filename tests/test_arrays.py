@@ -29,12 +29,6 @@ def test_steering_thirty_degrees():
     assert np.allclose(make_steering(3, 30.0), [1.0, 1.0j, -1.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("m,theta", [(1, 0.0), (0, 10.0), (4, 91.0), (4, -90.5)])
-def test_steering_rejects_bad_arguments(m, theta):
-    with pytest.raises(ParameterError):
-        make_steering(m, theta)
-
-
 @given(m=st.integers(2, 40), theta=st.floats(-90.0, 90.0))
 def test_steering_norm_is_sqrt_m(m, theta):
     a = make_steering(m, theta)
@@ -182,12 +176,6 @@ def test_generate_snapshots_covariance_matches_model():
     model = 2.0 * np.outer(a, a.conj()) + np.eye(4)
     err = np.linalg.norm(scm - model) / np.linalg.norm(model)
     assert err < 0.02
-
-
-def test_generate_snapshots_validation():
-    a = _fixed(make_steering(4, 0.0), 5)
-    with pytest.raises(ParameterError):
-        generate_snapshots(a[:, :0], 1.0, [], 1.0, rng.stream(0, 0, 0))
 
 
 def test_generate_snapshots_desired_term_follows_truth_columns():

@@ -198,6 +198,11 @@ CONFIG_ERRORS = [
     pytest.param({"snapshots": 10**30}, "snapshots", id="snapshots-huge"),
     pytest.param({"scattering": {"kind": "coherent", "num_paths": 10**30}}, "num_paths",
                  id="paths-huge"),
+    # counts below their minimum: the scenario check is the only one, since
+    # the per-snapshot layers trust what a trial builds
+    pytest.param({"sensors": 1}, "sensors", id="sensors-one"),
+    pytest.param({"snapshots": 0}, "snapshots", id="snapshots-zero"),
+    pytest.param({"trials": 0}, "trials", id="trials-zero"),
     # one of each way a value can miss the schema's JSON types
     pytest.param({"sensors": DROP}, "'sensors'", id="sensors-missing"),
     pytest.param({"sensors": True}, "'sensors'", id="sensors-bool"),

@@ -410,8 +410,11 @@ def test_parallel_equals_serial(cpus):
     cfg = config_from_dict(_base_doc(trials=4))
     serial = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=2)
-    for name in ("okspme", "smi"):
-        assert np.array_equal(serial.sinr_db[name], parallel.sinr_db[name])
+    # the per-trial rows, not only the means the CSV prints
+    for rows in ("sinr_db", "steering_mse", "failed"):
+        for name in ("okspme", "smi"):
+            assert np.array_equal(getattr(serial, rows)[name],
+                                  getattr(parallel, rows)[name], equal_nan=True)
 
 
 def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch, cpus):

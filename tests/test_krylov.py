@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabsim.errors import NumericError, ParameterError
+from rabsim.errors import NumericError
 from rabsim.krylov import BREAKDOWN, RANK_CAP, arnoldi_mgs, make_projector
 
 
@@ -57,12 +57,6 @@ def test_rank_cap_limits_order():
     basis = arnoldi_mgs(R, _unit(g, 10), 2)
     assert basis.m == 3
     assert basis.stop_reason == RANK_CAP
-
-
-def test_seed_must_be_unit():
-    with pytest.raises(ParameterError):
-        arnoldi_mgs(np.eye(3, dtype=complex),
-                    np.array([2.0, 0.0, 0.0], dtype=complex), 2)
 
 
 def test_nonfinite_rejected():
@@ -178,8 +172,6 @@ def _arnoldi_before_cap_stop(R, t1, num_sources):
     t1 = np.asarray(t1, dtype=complex)
     if not np.isfinite(R).all() or not np.isfinite(t1).all():
         raise NumericError("non-finite entries in Arnoldi inputs")
-    if abs(norm(t1) - 1.0) > 1e-8:
-        raise ParameterError("seed vector t1 must have unit norm")
     breakdown_tol = 1e-8 * norm(R)
     cap = num_sources + 1
     cols = [t1]
@@ -253,12 +245,10 @@ def test_input_checks_follow_the_norms():
         seed[0] = bad
         with pytest.raises(NumericError):
             arnoldi_mgs(np.eye(3, dtype=complex), seed, 2)
-    # non-finite R beats a non-unit seed, as before
-    with pytest.raises(NumericError):
-        arnoldi_mgs(np.full((3, 3), np.nan), 2.0 * t1, 2)
-    # a zero R leaves no scale for the breakdown threshold
-    with pytest.raises(ParameterError):
-        arnoldi_mgs(np.zeros((3, 3), dtype=complex), t1, 2)
+    # a zero R gives a zero threshold, and its zero residual breaks down at
+    # order one
+    basis = arnoldi_mgs(np.zeros((3, 3), dtype=complex), t1, 2)
+    assert basis.m == 1 and basis.stop_reason == BREAKDOWN
     # finite entries whose Frobenius norm overflows are accepted; the
     # infinite tolerance stops at order one, as the full pass did
     R = 1e200 * np.eye(3, dtype=complex)
