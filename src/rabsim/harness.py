@@ -289,8 +289,7 @@ def write_csv(result: AggregateResult, path) -> None:
     for name in sorted(result.sinr_db):
         sinr, mse, trials = result.means(name)
         for j, x in enumerate(result.x_values):
-            x_text = str(x) if result.x_kind == "snapshot" else repr(float(x))
-            lines.append(",".join([name, result.x_kind, x_text, repr(float(sinr[j])),
+            lines.append(",".join([name, result.x_kind, repr(x), repr(float(sinr[j])),
                                    repr(float(mse[j])), str(trials[j])]))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -57,9 +57,7 @@ class CovarianceTracker:
         return self._accumulated_weight(self.count)
 
     def covariance(self) -> np.ndarray:
-        """``R_hat`` normalized to covariance scale."""
-        if self.count == 0:
-            return self._sr
+        """``R_hat`` normalized to covariance scale (read after a snapshot)."""
         return self._sr / self.weight
 
     def crosscorr(self) -> np.ndarray:

@@ -21,8 +21,7 @@ from rabsim.harness import run_experiment
 # so at M = 40 too the two workers share the cores instead of oversubscribing.
 WORKERS = 2
 
-FULL_ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg",
-               "smi", "loaded-smi", "optimal"]
+FULL_ROSTER = list(harness.ALGORITHMS)
 
 # The seed ensemble of criterion 10a and of criterion 12's okspme clause, fixed
 # before any gap is looked at: the scenario seed 42 plus seeds 43-45.  One

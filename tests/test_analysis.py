@@ -78,21 +78,6 @@ def test_smi_is_the_cholesky_mvdr_of_scipy(m):
         assert np.linalg.norm(w - w_her) <= 1e-12 * np.linalg.norm(w_her)
 
 
-def test_loaded_smi_zero_loading_equals_smi():
-    # the smi runner adds a zero loading: the bits do not move
-    g = np.random.default_rng(1)
-    R = _pd(g, 4)
-    a = make_steering(4, 5.0)
-    loaded = smi_weights(R + 0.0 * np.eye(4), a)
-    assert loaded.tobytes() == smi_weights(R, a).tobytes()
-
-
-def test_loaded_smi_regularizes_zero_matrix():
-    a = make_steering(4, 25.0)
-    w = smi_weights(np.zeros((4, 4), dtype=complex) + 1.0 * np.eye(4), a)
-    assert np.allclose(w, a / 4.0)
-
-
 # ------------------------------------------------------------ SINR metrics
 
 def _optimum_sinr(sigma1_sq, a, r_in):
@@ -261,31 +246,6 @@ def test_flop_competitor_rows():
     assert flops(FlopModel("sqp", 10)) == round(10**3.5)
     assert flops(FlopModel("okspme-ccg", 10, order=4, inner=5)) == 64 * 100 + 262 * 10
     assert flops(FlopModel("okspme-mcg", 10, order=4)) == 30 * 100 + 154 * 10
-
-
-def test_flop_missing_parameters():
-    # rejected when the model is built, not when it is evaluated
-    with pytest.raises(ParameterError):
-        FlopModel("okspme", 10)
-    with pytest.raises(ParameterError):
-        FlopModel("lcwc", 10)
-    with pytest.raises(ParameterError):
-        FlopModel("okspme-ccg", 10, order=4)
-
-
-def test_flop_model_validation():
-    with pytest.raises(ParameterError):
-        FlopModel("fancy", 10)
-    with pytest.raises(ParameterError):
-        FlopModel("okspme", 1, order=4)
-    for kwargs in ({"order": 0}, {"order": -5}, {"order": 3, "inner": -1},
-                   {"order": 3, "inner": 0}):
-        with pytest.raises(ParameterError):
-            FlopModel("okspme-ccg", 10, **kwargs)
-    with pytest.raises(ParameterError):
-        FlopModel("lcwc", 10, inner=0)
-    with pytest.raises(ParameterError):     # round(M**3.5) beyond the float range
-        flops(FlopModel("sqp", 10**100))
 
 
 @given(m=st.integers(2, 100))

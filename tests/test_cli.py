@@ -59,13 +59,20 @@ def test_flops_unknown_algorithm_is_config_error(capsys):
     assert main(["flops", "--algorithm", "magic", "--m-sensors", "10"]) == 2
 
 
-# Counts that once printed a number (exit 0) or overflowed with a traceback.
+# Counts that once printed a number (exit 0) or overflowed with a traceback,
+# and counts an algorithm needs but was not given.
 @pytest.mark.parametrize("args", [
     ["okspme", "10", "--order", "-5"],
     ["okspme-ccg", "10", "--order", "3", "--inner", "-1"],
     ["lcwc", "10", "--inner", "0"],
     ["sqp", str(10**100)],
-], ids=["order-negative", "inner-negative", "inner-zero", "sqp-overflow"])
+    ["lcwc", "10"],
+    ["okspme-ccg", "10", "--order", "4"],
+    ["okspme", "1", "--order", "4"],
+    ["okspme-ccg", "10", "--order", "0", "--inner", "3"],
+    ["okspme-ccg", "10", "--order", "3", "--inner", "0"],
+], ids=["order-negative", "inner-negative", "inner-zero", "sqp-overflow", "lcwc-no-inner",
+        "ccg-no-inner", "m-sensors-one", "order-zero", "ccg-inner-zero"])
 def test_flops_bad_counts_are_config_errors(capsys, args):
     algorithm, m_sensors, *rest = args
     assert main(["flops", "--algorithm", algorithm, "--m-sensors", m_sensors, *rest]) == 2
@@ -90,19 +97,6 @@ def test_mse_bounds_domain_error(capsys):
     assert main(["mse-bounds", "--theta-deg", "40", "--norm-sq", "1e308",
                  "--method", "sqp"]) == 2
     assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("method", ["okspme", "sqp"])
-def test_mse_bounds_tiny_sector_returns(method):
-    # The series term underflows to zero at this angle; it once looped
-    # forever, so the command runs in a child process with a time limit.
-    env = dict(os.environ, PYTHONPATH=str(Path(rabsim.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "rabsim.cli", "mse-bounds",
-                          "--theta-deg", "1e-300", "--norm-sq", "12",
-                          "--method", method],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert "lower=0.0 upper=0.0" in res.stdout
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -187,12 +181,37 @@ CONFIG_ERRORS = [
                  id="sector-negative"),
     # an engine value in an object entry: a roster entry is a name
     pytest.param({"algorithms": [{"name": "loaded-smi", "loading_scale": -5.0}]},
-                 "algorithm entries", id="loading-negative"),
+                 "algorithm entries must be names", id="loading-negative"),
+    # and an entry of each other JSON type
+    pytest.param({"algorithms": ["smi", 1]}, "algorithm entries must be names",
+                 id="roster-number"),
+    pytest.param({"algorithms": ["smi", None]}, "algorithm entries must be names",
+                 id="roster-null"),
+    pytest.param({"algorithms": ["smi", True]}, "algorithm entries must be names",
+                 id="roster-bool"),
+    pytest.param({"algorithms": ["smi", ["okspme"]]}, "algorithm entries must be names",
+                 id="roster-array"),
+    pytest.param({"algorithms": ["music"]}, "unknown algorithm 'music'",
+                 id="roster-unknown-name"),
+    pytest.param({"algorithms": ["okspme", "okspme"]}, "algorithm names must be unique",
+                 id="roster-repeated"),
+    pytest.param({"snr_db": []}, "snr_db", id="sweep-empty"),
+    pytest.param({"scattering": {"kind": "coherent", "paths": 4}}, "'paths'",
+                 id="scatter-unknown-key"),
     pytest.param({"interferer_schedule": 0}, "'interferer_schedule'", id="schedule-number"),
     # a change-point at snapshot 1 would leave the first segment empty
     pytest.param({"interferer_schedule": [
-        {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]}, "change-points",
-        id="schedule-at-1"),
+        {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]},
+        "change-points must lie in [2, snapshots]", id="schedule-at-1"),
+    pytest.param({"interferer_schedule": [
+        {"start_snapshot": 25, "interferer_doas_deg": [20.0]}]},
+        "change-points must lie in [2, snapshots]", id="schedule-beyond-end"),
+    pytest.param({"interferer_schedule": [
+        {"start_snapshot": 5, "interferer_doas_deg": [20.0]},
+        {"start_snapshot": 5, "interferer_doas_deg": [25.0]}]},
+        "change-points must be strictly increasing", id="schedule-repeated"),
+    pytest.param({"interferer_schedule": [{"start_snapshot": 5, "doas": [20.0]}]}, "'doas'",
+                 id="schedule-unknown-key"),
     # sizes no array can have: checked before anything is allocated
     pytest.param({"sensors": 10**30}, "sensors", id="sensors-huge"),
     pytest.param({"snapshots": 10**30}, "snapshots", id="snapshots-huge"),
@@ -333,16 +352,19 @@ def test_malformed_scenario_exits_2_in_a_fresh_process(tmp_path):
 
 
 def test_angles_at_the_edges_are_accepted(tmp_path, capsys):
-    # spans that touch +-90 exactly, and scattering angles no trial draws
+    # spans that touch +-90 exactly, scattering angles no trial draws, and
+    # change-points at both ends of [2, snapshots]
     cfg = _scenario(tmp_path, desired_doa_deg=85.0, sector_halfwidth_deg=5.0,
                     interferer_doas_deg=[-90.0], snapshots=3,
                     scattering={"kind": "none", "angle_mean_deg": 89.0,
-                                "angle_std_deg": 30.0})
+                                "angle_std_deg": 30.0},
+                    interferer_schedule=[
+                        {"start_snapshot": 2, "interferer_doas_deg": [20.0]},
+                        {"start_snapshot": 3, "interferer_doas_deg": [-90.0]}])
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
 
 
-ROSTER = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg", "smi", "loaded-smi",
-          "optimal"]
+ROSTER = list(harness.ALGORITHMS)
 
 
 @pytest.mark.parametrize("snr_db, code", [(130.0, 0), (140.0, 3)])

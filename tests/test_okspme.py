@@ -227,20 +227,6 @@ def test_weights_collinear_with_smi_on_exact_input():
     assert np.allclose(z, a / scale, atol=1e-10)
 
 
-def test_run_is_deterministic():
-    m = 5
-    a_true = make_steering(m, 10.0)
-    interferers = [make_steering(m, 30.0)]
-
-    def run():
-        obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
-                                 interferers, 2.0, rng.stream(6, 1, 0))
-        bf = _beamformer(m=m, num_sources=2)
-        return np.array([bf.process(obs[:, i]) for i in range(30)])
-
-    assert np.array_equal(run(), run())
-
-
 def test_trending_upward_under_mismatch():
     # single seeded mismatch trial: the SINR trace trends upward
     from rabsim.config import config_from_dict

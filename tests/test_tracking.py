@@ -1,6 +1,5 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabsim.tracking import CovarianceTracker
@@ -11,51 +10,10 @@ def _absorb(t, x, y):
     t.update_crosscorr(x, y)
 
 
-def test_init_is_loaded_identity():
-    t = CovarianceTracker(3, delta0=0.1)
-    assert np.allclose(t.covariance(), 0.1 * np.eye(3))
-    assert np.allclose(t.crosscorr(), 0.0)
-    assert t.count == 0
-
-
-def test_init_zero_loading_is_singular():
-    t = CovarianceTracker(4, delta0=0.0)
-    assert np.allclose(t.covariance(), 0.0)
-
-
-def test_init_mode_independent():
-    a = CovarianceTracker(3, lam=1.0, delta0=0.25)
-    b = CovarianceTracker(3, lam=0.99, delta0=0.25)
-    assert np.array_equal(a.covariance(), b.covariance())
-    assert np.array_equal(a.crosscorr(), b.crosscorr())
-
-
-@pytest.mark.parametrize("lam", [1.0, 0.998])
-def test_weight_is_zero_before_any_snapshot(lam):
-    t = CovarianceTracker(3, lam=lam)
-    assert t.count == 0 and t.weight == 0.0
-
-
-def test_first_snapshot_sample_mean_rank_one():
-    t = CovarianceTracker(2, delta0=0.0)
-    x = np.array([1.0 + 1.0j, 2.0], dtype=complex)
-    _absorb(t, x, 3.0 - 1.0j)
-    assert np.allclose(t.covariance(), np.outer(x, x.conj()))
-    assert np.allclose(t.crosscorr(), x * np.conj(3.0 - 1.0j))
-
-
 def test_forgetting_one_step_hand_value():
     t = CovarianceTracker(2, lam=0.5, delta0=1.0)
     _absorb(t, np.array([1.0, 0.0], dtype=complex), 0.0)
     assert np.allclose(t.covariance() * t.weight, [[1.5, 0.0], [0.0, 0.5]])
-
-
-def test_constant_snapshot_mean_is_projector():
-    t = CovarianceTracker(3, delta0=0.0)
-    e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    for _ in range(7):
-        _absorb(t, e1, 1.0)
-        assert np.allclose(t.covariance(), np.outer(e1, e1))
 
 
 complex_vec = st.integers(0, 2**32 - 1)
@@ -63,6 +21,7 @@ complex_vec = st.integers(0, 2**32 - 1)
 
 @settings(max_examples=25, deadline=None)
 @given(seed=complex_vec, n=st.integers(1, 12), delta0=st.floats(0.0, 1.0))
+@example(seed=0, n=1, delta0=0.0)  # the first snapshot alone: rank one
 def test_sample_mean_matches_brute_force(seed, n, delta0):
     g = np.random.default_rng(seed)
     m = 4
@@ -81,6 +40,7 @@ def test_sample_mean_matches_brute_force(seed, n, delta0):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=complex_vec, n=st.integers(1, 12), lam=st.floats(0.5, 1.0))
+@example(seed=0, n=5, lam=1.0)  # no forgetting: the cumulative sum
 def test_forgetting_matches_brute_force(seed, n, lam):
     g = np.random.default_rng(seed)
     m = 3
@@ -119,7 +79,7 @@ class _SampleMeanOracle:
         self.count_d += 1
 
     def covariance(self):
-        return self.sr / float(self.count) if self.count else self.sr
+        return self.sr / float(self.count)
 
     def crosscorr(self):
         return self.sd / float(self.count_d) if self.count_d else self.sd
@@ -142,17 +102,6 @@ def test_lambda_one_bits_match_sample_mean_oracle(seed, n, m, delta0):
         for tracker in (t, oracle):
             tracker.update_crosscorr(x, y)
         assert np.array_equal(t.crosscorr(), oracle.crosscorr())
-
-
-def test_forgetting_lambda_one_is_cumulative_sum():
-    g = np.random.default_rng(0)
-    xs = g.standard_normal((5, 3)) + 1j * g.standard_normal((5, 3))
-    t = CovarianceTracker(3, lam=1.0, delta0=0.0)
-    for x in xs:
-        _absorb(t, x, 1.0)
-    total = sum(np.outer(x, x.conj()) for x in xs)
-    assert np.allclose(t.covariance() * t.weight, total)
-    assert np.allclose(t.crosscorr() * t.weight, xs.sum(axis=0))
 
 
 def test_split_updates_track_separate_counts():
