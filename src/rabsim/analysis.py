@@ -94,7 +94,6 @@ def steering_mse(a_hat: np.ndarray, a_true: np.ndarray) -> np.ndarray:
 class MseBounds:
     lower: float
     upper: float
-    method: str
 
 
 def _check_sector(theta_rad: float):
@@ -174,7 +173,7 @@ def mse_bounds(theta_rad: float, a_norm_sq: float, method: str = "okspme") -> Ms
         raise ParameterError(f"unknown bound method {method!r}")
     lower, upper = _finite(f"the bounds for a_norm_sq {a_norm_sq}",
                            lower * a_norm_sq, upper * a_norm_sq)
-    return MseBounds(lower=lower, upper=upper, method=method)
+    return MseBounds(lower=lower, upper=upper)
 
 
 def epsilon_moments(theta_rad: float, a_norm: float) -> tuple[float, float, float]:

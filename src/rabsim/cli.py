@@ -79,7 +79,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_mse_bounds(args) -> int:
     theta = math.radians(args.theta_deg)
     bounds = mse_bounds(theta, args.norm_sq, method=args.method)
-    print(f"method={bounds.method} theta_rad={theta!r} "
+    print(f"method={args.method} theta_rad={theta!r} "
           f"lower={bounds.lower!r} upper={bounds.upper!r}")
     return EXIT_OK
 

@@ -106,14 +106,17 @@ class ScenarioConfig:
     def _check_array_sizes(self) -> None:
         """Reject sizes no array can have, before any array is made.
 
-        Each complex array a trial makes, M x M, M x snapshots and, with
-        scattering on, (num_paths + 1) x M, must fit the largest byte count
-        an array index can address.
+        Each complex array a trial makes, M x M, M x snapshots, with
+        scattering on (num_paths + 1) x M and with incoherent scattering the
+        snapshots x (num_paths + 1) path gains, must fit the largest byte
+        count an array index can address.
         """
         m = self.sensors
         shapes = [(m, m), (m, self.snapshots)]
         if self.scattering.kind != "none":
             shapes.append((self.scattering.num_paths + 1, m))
+        if self.scattering.kind == "incoherent":
+            shapes.append((self.snapshots, self.scattering.num_paths + 1))
         for rows, cols in shapes:
             if rows * cols * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
                 raise ParameterError(f"a {rows} x {cols} complex array is too large "

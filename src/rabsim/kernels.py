@@ -5,9 +5,9 @@ arithmetic of one factorization or solve takes a few microseconds, while
 ``scipy.linalg.cholesky``/``cho_factor`` and ``cho_solve`` spend several
 times that on argument conversion, batching and structure handling,
 and ``np.linalg.norm`` on option dispatch.  Every snapshot of every algorithm
-pays that overhead, so this module calls the same LAPACK routines through the
-handles ``scipy.linalg.get_lapack_funcs`` returns, cached by dtype, and
-evaluates NumPy's own norm formula.
+pays that overhead, so this module calls ``zpotrf`` and ``zpotrs``, the
+routines scipy picks for complex128 (the only kind rabsim factors), directly
+and evaluates NumPy's own norm formula.
 
 Contract: on the same LAPACK build each function returns the same bits as the
 call it replaces and raises the same exception classes.
@@ -37,15 +37,10 @@ import ctypes
 import functools
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 _NON_FINITE = "array must not contain infs or NaNs"
-
-
-@functools.cache
-def _routines(names: tuple, *dtypes) -> list:
-    """LAPACK handles for ``names`` at the precision scipy picks for ``dtypes``."""
-    return get_lapack_funcs(names, tuple(np.empty(0, dt) for dt in dtypes))
 
 
 def _check_info(info: int, routine) -> None:
@@ -62,11 +57,10 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(a).all():
         raise ValueError(_NON_FINITE)
-    potrf, = _routines(("potrf",), a.dtype)
-    c, info = potrf(a, lower=1, clean=1)
+    c, info = zpotrf(a, lower=1, clean=1)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    _check_info(info, potrf)
+    _check_info(info, zpotrf)
     return c
 
 
@@ -74,9 +68,8 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` given the lower Cholesky factor ``c`` of ``A``."""
     if not (np.isfinite(c).all() and np.isfinite(b).all()):
         raise ValueError(_NON_FINITE)
-    potrs, = _routines(("potrs",), c.dtype, b.dtype)
-    x, info = potrs(c, b, lower=1)
-    _check_info(info, potrs)
+    x, info = zpotrs(c, b, lower=1)
+    _check_info(info, zpotrs)
     return x
 
 

@@ -153,7 +153,7 @@ def test_criterion_3_epsilon_moment_monte_carlo():
 
 def test_criterion_4_krylov_battery():
     g = rng.stream(7, 0, 0)
-    worst_orth = worst_idem = 0.0
+    orth, idem = [], []
     for _ in range(500):
         m = int(g.integers(3, 41))
         k = int(g.integers(1, 7))
@@ -164,15 +164,17 @@ def test_criterion_4_krylov_battery():
         basis = arnoldi_mgs(R, t1, k)
         assert basis.m <= k + 1
         T = basis.T
-        worst_orth = max(worst_orth, np.abs(T.conj().T @ T - np.eye(basis.m)).max())
+        orth.append(np.abs(T.conj().T @ T - np.eye(basis.m)).max())
         P = make_projector(basis)
-        worst_idem = max(worst_idem, np.abs(P @ P - P).max())
+        idem.append(np.abs(P @ P - P).max())
     # breakdown check: scaled identities stop at order one
     for c in (1e-3, 1.0, 1e4):
         t1 = g.standard_normal(12) + 1j * g.standard_normal(12)
         t1 /= np.linalg.norm(t1)
         basis = arnoldi_mgs(c * np.eye(12, dtype=complex), t1, 5)
         assert basis.m == 1 and basis.stop_reason == BREAKDOWN
+    # np.max, unlike a running max(), returns NaN if any reading is NaN
+    worst_orth, worst_idem = np.max(orth), np.max(idem)
     ok = worst_orth < 1e-10 and worst_idem < 1e-9
     assert report("4", ok, f"500 instances: orthonormality {worst_orth:.2e}, "
                   f"idempotence {worst_idem:.2e}, order cap respected")
@@ -194,7 +196,7 @@ def _fd_conj_gradient(fun, z, h=1e-6):
 
 def test_criterion_5_gradients_match_finite_differences():
     g = rng.stream(55, 0, 0)
-    worst_a = worst_v = 0.0
+    err_a, err_v = [], []
     for _ in range(100):
         # m >= 4 and at most two line-search steps keep the weight-branch
         # iterate away from exact convergence, where both sides of the
@@ -214,7 +216,7 @@ def test_criterion_5_gradients_match_finite_differences():
             return quad - 2 * np.vdot(av, v).real
 
         fd_a = _fd_conj_gradient(cost_a, a)
-        worst_a = max(worst_a, np.abs(g_a + fd_a).max() / np.abs(fd_a).max())
+        err_a.append(np.abs(g_a + fd_a).max() / np.abs(fd_a).max())
 
         # weight-branch residual: at the seed and after one and two
         # line-search steps
@@ -227,8 +229,8 @@ def test_criterion_5_gradients_match_finite_differences():
 
         for point, grad in [(v, a - quad_m @ v)] + [(it.v, it.g_v) for it in iterates]:
             fd_v = _fd_conj_gradient(cost_v, point)
-            worst_v = max(worst_v,
-                          np.abs(grad + fd_v).max() / np.abs(fd_v).max())
+            err_v.append(np.abs(grad + fd_v).max() / np.abs(fd_v).max())
+    worst_a, worst_v = np.max(err_a), np.max(err_v)
     ok = worst_a < 1e-6 and worst_v < 1e-6
     assert report("5", ok, f"100 instances: steering-gradient error {worst_a:.2e}, "
                   f"weight-gradient error {worst_v:.2e} vs central differences")
@@ -239,7 +241,7 @@ def test_criterion_5_gradients_match_finite_differences():
 def test_criterion_6_constraint_satisfaction(ccg_refined):
     # every engine that holds unit gain (SG does not)
     names = ["okspme", "okspme-ccg", "okspme-mcg", "smi", "loaded-smi", "optimal"]
-    worst = 0.0
+    gaps = []
     for kind in ("coherent", "incoherent"):
         cfg = config_from_dict({
             "sensors": 12, "desired_doa_deg": 10.0,
@@ -254,7 +256,8 @@ def test_criterion_6_constraint_satisfaction(ccg_refined):
                 w = bf.process(ctx.observations[:, i])
                 # CCG's weights answer its refined vector, the others' a_hat
                 a = ccg_refined[-1] if name == "okspme-ccg" else bf.a_hat
-                worst = max(worst, abs(np.vdot(w, a) - 1.0))
+                gaps.append(abs(np.vdot(w, a) - 1.0))
+    worst = np.max(gaps)
     ok = worst < 1e-10
     assert report("6", ok, f"max |w^H a - 1| = {worst:.2e} over 300 snapshots x "
                   "6 engines x coherent and incoherent scattering")

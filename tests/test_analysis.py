@@ -152,20 +152,6 @@ def test_steering_mse_scale_free_in_estimate():
 
 # ---------------------------------------------------------------- bounds
 
-def test_mse_bounds_shrink_with_sector():
-    b = mse_bounds(1e-6, 1.0, "okspme")
-    assert b.lower < 1e-10
-    assert mse_bounds(1e-6, 1.0, "sqp").lower < 1e-10
-
-
-def test_mse_bounds_five_degree_value():
-    theta = math.radians(5.0)
-    b = mse_bounds(theta, 12.0, "okspme")
-    expect = (2 - 2 * math.sin(theta) / theta + math.sin(theta / 2) ** 2) * 12.0
-    assert abs(b.lower - expect) < 1e-9
-    assert abs(b.lower - 0.0533) < 2e-4
-
-
 def test_mse_bounds_ordering_and_positivity():
     for theta in np.linspace(0.01, math.pi / 4 - 0.01, 50):
         ok = mse_bounds(float(theta), 3.0, "okspme")
@@ -215,17 +201,13 @@ for t in (1e-108, 1e-162, 1e-300, 5e-324):
         b = mse_bounds(t, 1.0, method)
         assert 0.0 <= b.lower <= b.upper < 1e-200, (t, method, b)
     mean, var, msq = epsilon_moments(t, 1.0)
-    assert 0.0 <= mean < 1e-100 and 0.0 <= msq < 1e-200, (t, mean, msq)
+    assert 0.0 <= mean < 1e-100 and 0.0 <= var < 1e-200 and 0.0 <= msq < 1e-200, (
+        t, mean, var, msq)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(rabsim.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
-
-
-def test_epsilon_moments_tiny_sector():
-    mean, var, msq = epsilon_moments(1e-6, 1.0)
-    assert mean < 1e-5 and var < 1e-10 and msq < 1e-10
 
 
 def test_epsilon_moments_identity_and_literal_form():

@@ -217,6 +217,11 @@ CONFIG_ERRORS = [
     pytest.param({"snapshots": 10**30}, "snapshots", id="snapshots-huge"),
     pytest.param({"scattering": {"kind": "coherent", "num_paths": 10**30}}, "num_paths",
                  id="paths-huge"),
+    # the incoherent gains, snapshots x (num_paths + 1); an SNR sweep, since
+    # a trace's x-axis would list all 10**16 snapshots
+    pytest.param({"snapshots": 10**16, "snr_db": [10.0],
+                  "scattering": {"kind": "incoherent", "num_paths": 1000}}, "snapshots",
+                 id="incoherent-gains-huge"),
     # counts below their minimum: the scenario check is the only one, since
     # the per-snapshot layers trust what a trial builds
     pytest.param({"sensors": 1}, "sensors", id="sensors-one"),

@@ -139,13 +139,6 @@ def test_single_snapshot_trace():
     assert rec.sinr_db["smi"].shape == (1,)
 
 
-def test_incoherent_scenario_runs():
-    cfg = config_from_dict(_base_doc(
-        scattering={"kind": "incoherent"}, snapshots=15))
-    rec = run_trial(cfg, 0)
-    assert np.isfinite(rec.sinr_db["okspme"]).all()
-
-
 def test_failed_optimum_leaves_the_other_engines_alone(monkeypatch):
     # the optimum factors each true INC matrix through kernels.cholesky; a
     # LinAlgError there fails the optimum's trial and no other engine's
@@ -288,6 +281,9 @@ def test_single_trial_aggregate_is_the_trial(tmp_path):
         write_csv(agg, tmp_path / "out.csv")
         rows = [line.split(",") for line in
                 (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[:3] for row in rows] == [[name, agg.x_kind, repr(x)]
+                                             for name in sorted(cfg.algorithms)
+                                             for x in agg.x_values]
         reduce = ((lambda trace: np.mean(trace[-harness.STEADY_WINDOW:]))
                   if cfg.is_sweep else (lambda trace: trace))
         points = [[run_trial(cfg, t, j) for t in range(cfg.trials)]
@@ -382,8 +378,6 @@ def test_pool_asks_for_at_most_one_worker_per_trial(monkeypatch, cpus):
     assert requested == [3, 3, 2, 2]
 
 
-# ------------------------------------------------------------------- CSV
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, cpus, workers):
     before = kernels.blas_threads()
@@ -422,28 +416,3 @@ def test_run_experiment_runs_trials_on_one_blas_thread(monkeypatch, cpus, worker
         # A forked worker inherits the one-thread pin and starts no BLAS
         # thread server: its trials run on its main thread alone.
         assert os_threads == [1] * 2
-
-
-def test_csv_row_count_and_round_trip(tmp_path):
-    cfg = config_from_dict(_base_doc(trials=2, snapshots=300,
-                                     algorithms=["smi", "loaded-smi"]))
-    agg = run_experiment(cfg)
-    path = tmp_path / "out.csv"
-    write_csv(agg, path)
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    assert len(lines) == 1 + 2 * 300
-    # parse back and compare exactly
-    for line in lines[1:]:
-        name, kind, x, sinr, mse, trials = line.split(",")
-        i = int(x) - 1
-        assert kind == "snapshot"
-        assert float(sinr) == agg.means(name)[0][i]
-        assert float(mse) == agg.means(name)[1][i]
-        assert int(trials) == 2
-
-
-def test_csv_io_error():
-    cfg = config_from_dict(_base_doc(trials=1, snapshots=2, algorithms=["smi"]))
-    agg = run_experiment(cfg)
-    with pytest.raises(OSError):
-        write_csv(agg, "/nonexistent-dir/nope.csv")

@@ -187,16 +187,6 @@ def test_snapshot_ideal_conditions():
                        np.zeros((m, m), dtype=complex))[0] == math.inf
 
 
-def test_first_snapshot_well_posed_with_loading():
-    m = 6
-    a_true = make_steering(m, 10.0)
-    obs = generate_snapshots(np.repeat(a_true[:, None], 1, axis=1), 1.0,
-                             [], 0.0, rng.stream(2, 0, 0))
-    bf = _beamformer(m=m)
-    w = bf.process(obs[:, 0])
-    assert np.isfinite(w).all()
-
-
 def test_steering_norm_invariant_every_snapshot():
     m = 5
     a_true = make_steering(m, 10.0)
