@@ -162,7 +162,7 @@ def mse_bounds(theta_rad: float, a_norm_sq: float, method: str = "okspme") -> Ms
     if not 0.0 < a_norm_sq < math.inf:
         raise ParameterError(f"a_norm_sq must be finite and > 0, got {a_norm_sq}")
     t = theta_rad
-    base = 2.0 * _one_minus_sinc(t)
+    base = epsilon_moments(t, 1.0)[2]
     if method == "sqp":
         lower = base + t**2 / 4.0
         upper = base + (math.tan(2 * t) - 2 * t) ** 2 / 4.0 + math.tan(t) ** 2

@@ -6,8 +6,9 @@ Subcommands:
 * ``mse-bounds``: print the closed-form steering-MSE bounds for a sector.
 * ``flops``: print the per-snapshot flop count of an algorithm.
 
-Exit codes: 0 success, 2 configuration error (``ParameterError``), 3 numeric
-failure (``NumericError``), 4 I/O error (``OSError``).
+Exit codes: 0 success, 2 configuration error (``ParameterError``, or a
+scenario too large for memory: ``MemoryError``), 3 numeric failure
+(``NumericError``), 4 I/O error (``OSError``).
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: the scenario does not fit in memory "
+              "(check sensors, snapshots and num_paths)", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

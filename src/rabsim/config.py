@@ -74,10 +74,13 @@ class ScenarioConfig:
             raise ParameterError("master_seed must be >= 0")
         if self.sector_halfwidth_deg < 0:
             raise ParameterError("sector_halfwidth_deg must be >= 0")
+        # The true INC matrix's diagonal is 1 + K p_int, K the largest
+        # interferer count of a segment (at K = 0 an infinite p_int gives NaN).
+        most = max(len(doas) for _, _, doas in self.segments())
         for snr_db in self.snr_points():
             try:
                 finite = (math.isfinite(self.desired_power(snr_db))
-                          and math.isfinite(self.interferer_power(snr_db)))
+                          and math.isfinite(1.0 + most * self.interferer_power(snr_db)))
             except (OverflowError, ZeroDivisionError):
                 finite = False
             if not finite:

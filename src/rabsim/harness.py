@@ -222,8 +222,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, snr_index: int = 0) -> Tria
                     sinr[name][start:end] = output_sinr(
                         weights[start:end], p_des, truth[start:end], r_in)
                 mse[name][:] = steering_mse(a_hats, truth)
-        except (NumericError, np.linalg.LinAlgError, FloatingPointError,
-                ZeroDivisionError):
+        except (NumericError, np.linalg.LinAlgError, FloatingPointError):
             failed[name] = True
 
     return TrialRecord(sinr_db=sinr, steering_mse=mse, failed=failed)

@@ -14,8 +14,10 @@ call it replaces and raises the same exception classes.
 
 * ``cholesky(a)`` is ``scipy.linalg.cholesky(a, lower=True)``.
 * ``cho_solve(c, b)`` is ``scipy.linalg.cho_solve((c, True), b)``.
-* ``norm(x)`` is ``np.linalg.norm(x)`` for a float or complex array, and
-  ``row_norms(x)`` is ``norm`` of each row of a C-contiguous 2-D array.
+* ``norm(x)`` is ``np.linalg.norm(x)``, and ``row_norms(x)`` is ``norm`` of
+  each row of a C-contiguous 2-D array.
+
+The four take complex128 arrays, the only kind rabsim passes them.
 
 Non-finite input raises ``ValueError`` (scipy's ``check_finite``), a matrix
 that is not positive definite, singular ones included, raises ``LinAlgError``
@@ -74,9 +76,8 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def norm(x: np.ndarray) -> np.floating:
-    """Euclidean (Frobenius, for a matrix) norm of a float or complex array.
+    """Euclidean (Frobenius, for a matrix) norm of a complex array.
 
-    A float array's imaginary dot is ``+0.0``, which leaves the bits alone.
     Anything but a 1-D C-contiguous array is flattened first: a strided real
     array takes another BLAS dot path, with other bits.
     """

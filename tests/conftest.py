@@ -2,13 +2,19 @@
 the CPU count the trial pool reads; and the "verdicts" section of the
 terminal summary.
 
-The heavy experiments are session-scoped and reused across criteria.  The
-mismatch-robustness run also serves the variant-parity and large-array
-comparisons.  It is seed 42 of the M=12 seed ensemble (criteria 10a and 12),
-and the M=40 coherent run is seed 42 of the M=40 one (criterion 12).  Each
-verdict is scored once, from the per-trial rows of these runs, with its
-paired Monte Carlo error.
+Each run is a bundled scenario file under ``scripts/scenarios`` at master
+seed 42, with the keys a criterion changes overridden, so an experiment is
+defined once, in the file rabsim itself runs.  The heavy experiments are
+session-scoped and reused across criteria.  The mismatch-robustness run also
+serves the variant-parity and large-array comparisons.  It is seed 42 of the
+M=12 seed ensemble (criteria 10a and 12), and the M=40 coherent run is seed
+42 of the M=40 one (criterion 12).  Each verdict is scored once, from the
+per-trial rows of these runs, with its paired Monte Carlo error.
 """
+
+import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +22,12 @@ from rabsim import adaptive, harness
 from rabsim.config import config_from_dict
 from rabsim.harness import run_experiment
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+
 # Aggregates are bit-identical for any worker count, so every fixture runs two
 # pool workers to cut the wall time.  Each worker keeps its BLAS on one thread,
 # so at M = 40 too the two workers share the cores instead of oversubscribing.
 WORKERS = 2
-
-FULL_ROSTER = list(harness.ALGORITHMS)
 
 # The seed ensemble of criterion 10a and of criterion 12's okspme clause, fixed
 # before any gap is looked at: the scenario seed 42 plus seeds 43-45.  One
@@ -52,37 +58,50 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def _mismatch_doc(sensors, kind="coherent", **overrides):
-    doc = {
-        "sensors": sensors,
-        "desired_doa_deg": 10.0,
-        "interferer_doas_deg": [30.0, 50.0],
-        "snr_db": 10.0,
-        "sir_db": 0.0,
-        "scattering": {"kind": kind, "num_paths": 4, "angle_std_deg": 2.0},
-        "sector_halfwidth_deg": 5.0,
-        "snapshots": 300,
-        "trials": 100,
-        "master_seed": 42,
-        "algorithms": list(FULL_ROSTER),
-    }
-    doc.update(overrides)
-    return doc
+def load_scenario(name, **overrides):
+    """The bundled scenario ``scripts/scenarios/<name>.json``, the file
+    ``rabsim simulate``, perfbench and ``scripts/csv_digest.py`` run, with
+    ``overrides`` replacing its top-level keys."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    return config_from_dict({**doc, **overrides})
+
+
+@pytest.fixture(scope="session")
+def scenario():
+    """``scenario(name, **overrides)``: :func:`load_scenario`."""
+    return load_scenario
+
+
+@pytest.fixture(scope="session")
+def m12_trial():
+    """``m12_trial(kind)``: the :class:`harness.TrialContext` of trial 0 of
+    the criterion 9/10 scenario (seed 42) with its scattering ``kind``
+    replaced."""
+    def context(kind):
+        cfg = load_scenario("coherent_m12_snapshots", master_seed=42, trials=1)
+        cfg = dataclasses.replace(
+            cfg, scattering=dataclasses.replace(cfg.scattering, kind=kind))
+        return harness.simulate_trial_data(cfg, 0, 0)[0]
+    return context
+
+
+def _run(name, master_seed=42, **overrides):
+    return run_experiment(load_scenario(name, master_seed=master_seed, **overrides),
+                          workers=WORKERS)
 
 
 @pytest.fixture(scope="session")
 def mismatch_run():
     """Criterion 9/10 scenario: M=12, K=3, SNR 10 dB, coherent scattering."""
-    return run_experiment(config_from_dict(_mismatch_doc(12)), workers=WORKERS)
+    return _run("coherent_m12_snapshots")
 
 
-def _seed_runs(seed42, sensors, algorithms):
-    """Seed -> the aggregate of ``_mismatch_doc(sensors)`` at each seed of
+def _seed_runs(seed42, name, algorithms):
+    """Seed -> the aggregate of scenario ``name`` at each seed of
     ``ENSEMBLE_SEEDS``: ``seed42`` itself for seed 42, and only
     ``algorithms`` at the other seeds."""
-    return {seed: seed42 if seed == 42 else run_experiment(config_from_dict(
-                _mismatch_doc(sensors, master_seed=seed, algorithms=algorithms)),
-                workers=WORKERS)
+    return {seed: seed42 if seed == 42 else _run(name, master_seed=seed,
+                                                  algorithms=algorithms)
             for seed in ENSEMBLE_SEEDS}
 
 
@@ -90,14 +109,15 @@ def _seed_runs(seed42, sensors, algorithms):
 def m12_seed_runs(mismatch_run):
     """Criteria 10a and 12 (okspme): the criterion 9/10 scenario at each
     ensemble seed, running the direct method, CCG and the optimum."""
-    return _seed_runs(mismatch_run, 12, ["okspme", "okspme-ccg", "optimal"])
+    return _seed_runs(mismatch_run, "coherent_m12_snapshots",
+                      ["okspme", "okspme-ccg", "optimal"])
 
 
 @pytest.fixture(scope="session")
 def m40_seed_runs(m40_coherent_run):
     """Criterion 12 (okspme): the M=40 coherent scenario at each ensemble
     seed, running the direct method and the optimum."""
-    return _seed_runs(m40_coherent_run, 40, ["okspme", "optimal"])
+    return _seed_runs(m40_coherent_run, "coherent_m40_snapshots", ["okspme", "optimal"])
 
 
 @pytest.fixture
@@ -129,31 +149,24 @@ def ccg_refined(monkeypatch):
 @pytest.fixture(scope="session")
 def nomismatch_run():
     """Criterion 8 scenario: M=10, K=1, SNR 0 dB, no scattering."""
-    doc = _mismatch_doc(10, kind="none", snr_db=0.0)
-    doc["interferer_doas_deg"] = []
-    doc["scattering"] = {"kind": "none"}
-    doc["algorithms"] = ["okspme", "smi", "optimal"]
-    return run_experiment(config_from_dict(doc), workers=WORKERS)
+    return _run("coherent_m12_snapshots", sensors=10, interferer_doas_deg=[],
+                snr_db=0.0, scattering={"kind": "none"},
+                algorithms=["okspme", "smi", "optimal"])
 
 
 @pytest.fixture(scope="session")
 def tracking_run():
     """Criterion 11 scenario: interferer redistribution at snapshot 151."""
-    doc = _mismatch_doc(12)
-    doc["interferer_schedule"] = [{
-        "start_snapshot": 151,
-        "interferer_doas_deg": [20.0, 30.0, 40.0, 50.0, 60.0],
-    }]
-    doc["algorithms"] = ["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg"]
-    return run_experiment(config_from_dict(doc), workers=WORKERS)
+    return _run("interferer_switch_m12",
+                algorithms=["okspme", "okspme-sg", "okspme-ccg", "okspme-mcg"])
 
 
 @pytest.fixture(scope="session")
 def m40_coherent_run():
-    return run_experiment(config_from_dict(_mismatch_doc(40)), workers=WORKERS)
+    return _run("coherent_m40_snapshots")
 
 
 @pytest.fixture(scope="session")
 def m40_incoherent_run():
-    return run_experiment(config_from_dict(_mismatch_doc(40, kind="incoherent")),
-                          workers=WORKERS)
+    """The M=40 incoherent sweep's scenario at its SNR of 10 dB."""
+    return _run("incoherent_m40_snr_sweep", snr_db=10.0)

@@ -238,18 +238,12 @@ def test_criterion_5_gradients_match_finite_differences():
 
 # ------------------------------------------------------------- criterion 6
 
-def test_criterion_6_constraint_satisfaction(ccg_refined):
+def test_criterion_6_constraint_satisfaction(ccg_refined, m12_trial):
     # every engine that holds unit gain (SG does not)
     names = ["okspme", "okspme-ccg", "okspme-mcg", "smi", "loaded-smi", "optimal"]
     gaps = []
     for kind in ("coherent", "incoherent"):
-        cfg = config_from_dict({
-            "sensors": 12, "desired_doa_deg": 10.0,
-            "interferer_doas_deg": [30.0, 50.0], "snr_db": 10.0,
-            "snapshots": 300, "trials": 1, "master_seed": 42,
-            "scattering": {"kind": kind}, "algorithms": names,
-        })
-        ctx, _ = simulate_trial_data(cfg, 0, 0)
+        ctx = m12_trial(kind)
         for name in names:
             bf = ALGORITHMS[name](ctx)
             for i in range(300):

@@ -10,8 +10,6 @@ from rabsim.adaptive import (ALPHA_COLLAPSE, BETA_RESTART, DEN_COLLAPSE, ETA_A,
                              sg_update)
 from rabsim.analysis import FlopModel, flops
 from rabsim.arrays import generate_snapshots, make_steering
-from rabsim.config import config_from_dict
-from rabsim.harness import simulate_trial_data
 from rabsim.kernels import norm
 from rabsim.okspme import inc_matrix, mvdr_weights
 
@@ -75,17 +73,11 @@ def test_sg_stability_long_stationary_run():
 
 
 @pytest.mark.parametrize("kind", ["coherent", "incoherent"])
-def test_sg_feeds_its_output_scaled_by_its_gain(kind):
+def test_sg_feeds_its_output_scaled_by_its_gain(m12_trial, kind):
     # SG's weights do not answer a_hat with unit gain (|w^H a_hat - 1| reaches
     # 2.92 coherent and 7.75 incoherent here), but the gain never falls to the
     # 1e-8 cut, so every snapshot adds x conj(w^H x / w^H a_hat) to d_hat.
-    cfg = config_from_dict({
-        "sensors": 12, "desired_doa_deg": 10.0,
-        "interferer_doas_deg": [30.0, 50.0], "snr_db": 10.0,
-        "snapshots": 300, "trials": 1, "master_seed": 42,
-        "scattering": {"kind": kind}, "algorithms": ["okspme-sg"],
-    })
-    ctx, _ = simulate_trial_data(cfg, 0, 0)
+    ctx = m12_trial(kind)
     bf = SgBeamformer(ctx.a_init, ctx.num_sources)
     update, fed = bf.tracker.update_crosscorr, []
 
@@ -208,21 +200,6 @@ def test_mcg_constraint_and_bound_trace():
     # the line-search step keeps the direction/gradient alignment nonnegative
     post = np.array([b[0] for b in pairs[5:]])
     assert (post >= -1e-8).all()
-
-
-class _SampleMeanMcg(McgBeamformer):
-    lam = 1.0
-
-
-def test_mcg_runs_on_sample_mean_tracker():
-    m = 5
-    a_true = make_steering(m, 10.0)
-    obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
-                             [], 0.0, rng.stream(11, 0, 0))
-    bf = _SampleMeanMcg(a_true.copy(), 1)
-    for i in range(30):
-        w = bf.process(obs[:, i])
-    assert np.isfinite(w).all()
 
 
 # ------------------------------------------------------ shared invariants

@@ -222,6 +222,15 @@ CONFIG_ERRORS = [
     pytest.param({"snapshots": 10**16, "snr_db": [10.0],
                   "scattering": {"kind": "incoherent", "num_paths": 1000}}, "snapshots",
                  id="incoherent-gains-huge"),
+    # arrays that pass that check but not an allocation (a MemoryError): a
+    # trace's x-axis of 10**16 snapshots, and a sweep's M x snapshots truth
+    pytest.param({"sensors": 2, "snapshots": 10**16}, "snapshots",
+                 id="trace-axis-beyond-memory"),
+    pytest.param({"sensors": 2, "snapshots": 10**16, "snr_db": [10.0]}, "snapshots",
+                 id="sweep-truth-beyond-memory"),
+    # finite powers whose true INC diagonal 1 + 2 p_int overflows
+    pytest.param({"interferer_doas_deg": [30.0, 50.0], "snr_db": 3080.0}, "snr_db",
+                 id="inc-diagonal-overflow"),
     # counts below their minimum: the scenario check is the only one, since
     # the per-snapshot layers trust what a trial builds
     pytest.param({"sensors": 1}, "sensors", id="sensors-one"),

@@ -9,18 +9,13 @@ on one seed's last-bit rounding.
 """
 
 import dataclasses
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rabsim import harness
-from rabsim.config import config_from_dict
 from rabsim.harness import STEADY_WINDOW, run_trial
 
-SCENARIO = (Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
-            / "coherent_m12_snapshots.json")
 SEEDS = range(1, 9)
 PERTURBATION = 1.0 + 2.0**-52
 TOL_DB = 1e-6
@@ -33,7 +28,7 @@ def _steady_sinr(cfg):
 
 
 @pytest.fixture(scope="module")
-def drift_db():
+def drift_db(scenario):
     """Engine -> |change of steady-state SINR| per seed, in dB."""
     simulate = harness.simulate_trial_data
 
@@ -42,10 +37,9 @@ def drift_db():
         return dataclasses.replace(
             ctx, observations=ctx.observations * PERTURBATION), p_des
 
-    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
     drift = {}
     for seed in SEEDS:
-        cfg = config_from_dict({**doc, "master_seed": seed})
+        cfg = scenario("coherent_m12_snapshots", master_seed=seed)
         base = _steady_sinr(cfg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "simulate_trial_data", perturbed)
