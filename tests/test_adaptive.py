@@ -202,6 +202,21 @@ def test_mcg_constraint_and_bound_trace():
     assert (post >= -1e-8).all()
 
 
+class _SampleMeanMcg(McgBeamformer):
+    lam = 1.0
+
+
+def test_mcg_runs_on_sample_mean_tracker():
+    m = 5
+    a_true = make_steering(m, 10.0)
+    obs = generate_snapshots(np.repeat(a_true[:, None], 30, axis=1), 2.0,
+                             [], 0.0, rng.stream(11, 0, 0))
+    bf = _SampleMeanMcg(a_true.copy(), 1)
+    for i in range(30):
+        w = bf.process(obs[:, i])
+    assert np.isfinite(w).all()
+
+
 # ------------------------------------------------------ shared invariants
 
 @pytest.mark.parametrize("limit", [0.5, 1.0, 30.0])

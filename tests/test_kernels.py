@@ -16,30 +16,32 @@ import scipy.linalg
 from rabsim import cli, kernels
 
 SIZES = (2, 12, 40)
-
-
 # The kernels take complex128 only, the one kind rabsim passes them.
-def _matrix(rng, m):
+COMPLEX = pytest.mark.parametrize("dtype", [np.complex128])
+
+
+def _matrix(rng, m, dtype):
     """A Hermitian positive-definite matrix."""
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     h = g @ g.conj().T + 0.1 * m * np.eye(m)
-    return 0.5 * (h + h.conj().T)
+    return (0.5 * (h + h.conj().T)).astype(dtype)
 
 
-def _vector(rng, m):
-    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+def _vector(rng, m, dtype):
+    return (rng.standard_normal(m) + 1j * rng.standard_normal(m)).astype(dtype)
 
 
 def _same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+@COMPLEX
 @pytest.mark.parametrize("m", SIZES)
-def test_cholesky_and_cho_solve_match_scipy(m):
+def test_cholesky_and_cho_solve_match_scipy(m, dtype):
     rng = np.random.default_rng(m)
     for _ in range(20):
-        a = _matrix(rng, m)
-        b = _vector(rng, m)
+        a = _matrix(rng, m, dtype)
+        b = _vector(rng, m, dtype)
         c = kernels.cholesky(a)
         assert _same_bits(c, scipy.linalg.cholesky(a, lower=True))
         factor = scipy.linalg.cho_factor(a, lower=True)
@@ -48,11 +50,12 @@ def test_cholesky_and_cho_solve_match_scipy(m):
         assert _same_bits(kernels.cho_solve(c, rhs), scipy.linalg.cho_solve(factor, rhs))
 
 
+@COMPLEX
 @pytest.mark.parametrize("m", SIZES)
-def test_norm_matches_numpy(m):
+def test_norm_matches_numpy(m, dtype):
     rng = np.random.default_rng(200 + m)
-    v = _vector(rng, m)
-    a = _matrix(rng, m)
+    v = _vector(rng, m, dtype)
+    a = _matrix(rng, m, dtype)
     views = (v, a, v[::2], a[:, 0], np.asfortranarray(a), a.T, a[1:, ::2])
     for x in views:
         got, want = kernels.norm(x), np.linalg.norm(x)
@@ -64,10 +67,11 @@ def test_norm_matches_numpy(m):
         assert kernels.row_norms(x).tobytes() == want.tobytes()
 
 
-def test_non_finite_input_raises_value_error_like_scipy():
+@COMPLEX
+def test_non_finite_input_raises_value_error_like_scipy(dtype):
     rng = np.random.default_rng(3)
-    a = _matrix(rng, 4)
-    b = _vector(rng, 4)
+    a = _matrix(rng, 4, dtype)
+    b = _vector(rng, 4, dtype)
     c = kernels.cholesky(a)
     for bad in (np.nan, np.inf):
         a_bad = a.copy()
@@ -89,13 +93,14 @@ def test_non_finite_input_raises_value_error_like_scipy():
                 ours()
 
 
-def test_not_positive_definite_and_singular_raise_linalg_error():
-    indefinite = np.diag([1.0, -1.0, 2.0]).astype(complex)
+@COMPLEX
+def test_not_positive_definite_and_singular_raise_linalg_error(dtype):
+    indefinite = np.diag([1.0, -1.0, 2.0]).astype(dtype)
     with pytest.raises(scipy.linalg.LinAlgError):
         scipy.linalg.cholesky(indefinite, lower=True)
     with pytest.raises(scipy.linalg.LinAlgError):
         kernels.cholesky(indefinite)
-    singular = np.zeros((3, 3), dtype=complex)
+    singular = np.zeros((3, 3), dtype=dtype)
     with pytest.raises(scipy.linalg.LinAlgError):
         scipy.linalg.cholesky(singular, lower=True)
     with pytest.raises(scipy.linalg.LinAlgError):
